@@ -6,6 +6,11 @@ predicate, and I_s flips the single all-zero source state.  After nu
 iterates the post-selected probability is sin((2 nu + 1) asin u)**2 with
 u the pre-amplification post-selected norm; the conditional distribution
 inside the target slice is unchanged at every nu.
+
+Q acts only on span{Pi U|0>, (1 - Pi) U|0>}, so ``run_amplified`` applies
+U once and rescales the two halves in closed form (Brassard, Hoyer, Mosca
+and Tapp, quant-ph/0005055).  ``grover_iterate`` and the reflection
+circuits are the gate-level reference it is tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .simcore import (
     StateVector,
     apply_circuit,
     phase,
+    register_selector,
     x,
     z,
 )
@@ -57,35 +63,20 @@ class AmplificationSpec:
         return self._inverse
 
 
-def _predicate_selector(state: StateVector, conditions: Mapping[str, int]):
-    n = state.num_qubits
-    layout = state.layout
-    sel = [slice(None)] * n
-    for reg, val in conditions.items():
-        width = layout.width(reg)
-        if not 0 <= val < (1 << width):
-            raise ValueError(f"value {val} out of range for register {reg!r}")
-        for k, q in enumerate(layout.qubits(reg)):
-            sel[n - 1 - q] = (val >> k) & 1
-    return tuple(sel)
-
-
 def phase_flip(state: StateVector, conditions: Mapping[str, int]) -> StateVector:
     """Negate every amplitude whose registers match the predicate.
 
     An empty predicate matches everything (a global sign).  Acts in place.
     """
-    sel = _predicate_selector(state, conditions)
     psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    psi[sel] *= -1.0
+    psi[register_selector(state.layout, conditions)] *= -1.0
     return state
 
 
 def postselect_probability(state: StateVector, conditions: Mapping[str, int]) -> float:
     """Joint probability of reading the given values on the named registers."""
-    sel = _predicate_selector(state, conditions)
     psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    return float(np.sum(np.abs(psi[sel]) ** 2))
+    return float(np.sum(np.abs(psi[register_selector(state.layout, conditions)]) ** 2))
 
 
 def predicate_flip_circuit(layout: RegisterLayout, conditions: Mapping[str, int]) -> Circuit:
@@ -130,13 +121,35 @@ def grover_iterate(state: StateVector, spec: AmplificationSpec) -> StateVector:
     return state
 
 
+def _amplification_factors(u_sq: float, nu: int) -> tuple[float, float]:
+    """Factors for the slice and the rest: sin(k t)/sin(t) and cos(k t)/cos(t),
+    k = 2 nu + 1, sin(t) = u.  An empty part (the slice at u = 0, the rest
+    at u = 1) gets the limit, k or (-1)**nu k."""
+    k = 2 * nu + 1
+    if u_sq <= 0.0:
+        return float(k), 1.0
+    if u_sq >= 1.0:
+        return (-1.0) ** nu, (-1.0) ** nu * k
+    theta = math.asin(math.sqrt(u_sq))
+    return math.sin(k * theta) / math.sin(theta), math.cos(k * theta) / math.cos(theta)
+
+
 def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVector, float]:
-    """Prepare U Q^nu |0> from scratch; returns (state, pre-amp u**2)."""
+    """Prepare U Q^nu |0> from scratch; returns (state, pre-amp u**2).
+
+    Applies U once and scales the target slice of U|0> and the rest by
+    their closed-form factors, in place: only the slice is copied.
+    """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
     apply_circuit(state, spec.synthesis, validate=False)
     u_sq = postselect_probability(state, spec.target)
-    for _ in range(spec.nu):
-        grover_iterate(state, spec)
+    if spec.nu:
+        inside, outside = _amplification_factors(u_sq, spec.nu)
+        psi = state.amplitudes.reshape((2,) * state.num_qubits)
+        sel = register_selector(state.layout, spec.target)
+        block = psi[sel] * inside
+        state.amplitudes *= outside
+        psi[sel] = block
     return state, u_sq
 
 

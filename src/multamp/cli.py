@@ -166,18 +166,22 @@ def _dtype(args):
     return np.complex64 if getattr(args, "single_precision", False) else np.complex128
 
 
-def _synthesize(args, with_amplification=True):
+def _layout_qubits(lattice, variant, d=None, enforce_zero=False) -> int:
+    """Qubits of the synthesis layout, with the exponent width it really gets."""
+    target = ising.BoltzmannTarget.from_lattice(lattice, d)
+    return ising.boltzmann_layout(lattice, target.d, variant, enforce_zero).total_qubits
+
+
+def _synthesize(args):
     lattice = _lattice_from_args(args)
     variant = args.variant
-    target = ising.BoltzmannTarget.from_lattice(lattice, args.d)
-    layout = ising.boltzmann_layout(lattice, target.d, variant, args.enforce_zero)
-    _check_memory(layout.total_qubits, args.allow_large, _dtype(args))
+    _check_memory(_layout_qubits(lattice, variant, args.d, args.enforce_zero),
+                  args.allow_large, _dtype(args))
     state, diag = ising.synthesize_boltzmann(
-        lattice, variant=variant, d=args.d,
-        with_amplification=with_amplification, nu=args.nu, nu_rule=args.nu_rule,
+        lattice, variant=variant, d=args.d, nu=args.nu, nu_rule=args.nu_rule,
         enforce_zero=args.enforce_zero, dtype=_dtype(args),
     )
-    return lattice, target, state, diag
+    return lattice, state, diag
 
 
 _SYNTH_DEFAULTS = {
@@ -190,7 +194,7 @@ _SYNTH_DEFAULTS = {
 
 def cmd_synth(args) -> int:
     args = _resolve(args, _SYNTH_DEFAULTS)
-    lattice, target, state, diag = _synthesize(args)
+    lattice, state, diag = _synthesize(args)
     payload = diag.to_dict()
     payload["version"] = __version__
     for key in ("u_sq", "u_sq_oracle", "predicted_postamp", "measured_postamp"):
@@ -212,7 +216,7 @@ def cmd_sample(args) -> int:
         raise ConfigError("--shots must be >= 1")
     if args.keep not in ("postselect", "conditional"):
         raise ConfigError("--keep must be postselect or conditional")
-    lattice, target, state, diag = _synthesize(args)
+    lattice, state, diag = _synthesize(args)
     conditions = {diag.target_register: 0}
 
     if args.keep == "conditional":
@@ -328,11 +332,12 @@ def cmd_table1(args) -> int:
     for variant in ("direct", "controlled"):
         for size in sizes:
             expect = TABLE1_EXPECTED[(variant, size)]
-            if expect["qubits"] > DEFAULT_QUBIT_BUDGET and not args.allow_large:
-                print(f"{size}x{size} {variant}: skipped "
-                      f"({expect['qubits']} qubits; rerun with --allow-large)")
-                continue
             lattice = ising.IsingLattice(size, size, TABLE1_BETA_J)
+            qubits = _layout_qubits(lattice, variant)
+            if qubits > DEFAULT_QUBIT_BUDGET and not args.allow_large:
+                print(f"{size}x{size} {variant}: skipped "
+                      f"({qubits} qubits; rerun with --allow-large)")
+                continue
             state, diag = ising.synthesize_boltzmann(
                 lattice, variant=variant, nu_rule="paper", dtype=_dtype(args))
             counts = sample(state, args.shots, args.seed)

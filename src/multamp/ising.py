@@ -21,20 +21,19 @@ stays untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import analysis
-from .amplify import AmplificationSpec, grover_iterate, postselect_probability, predicted_postamp, select_nu
-from .simcore import Circuit, RegisterLayout, StateVector, apply_circuit, h, phase, swap, x
+from .amplify import AmplificationSpec, postselect_probability, predicted_postamp, run_amplified, select_nu
+# apply_circuit is unused here; bench/spans.py patches and restores it in every module holding it
+from .simcore import Circuit, RegisterLayout, StateVector, apply_circuit, h, phase, swap, x  # noqa: F401
 from .transduce import (
     AmplitudeTable,
     OverflowLambdaError,
     TransductionPlan,
-    build_T1,
-    build_T2,
-    enforce_exact_zero,
+    assemble_synthesis,
     make_plan,
 )
 
@@ -231,21 +230,7 @@ class SynthesisDiagnostics:
     measured_postamp: float
 
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "beta_j": self.beta_j,
-            "variant": self.variant,
-            "gamma": self.gamma,
-            "d": self.d,
-            "total_qubits": self.total_qubits,
-            "target_register": self.target_register,
-            "nu": self.nu,
-            "u_sq": self.u_sq,
-            "u_sq_oracle": self.u_sq_oracle,
-            "predicted_postamp": self.predicted_postamp,
-            "measured_postamp": self.measured_postamp,
-        }
+        return asdict(self)
 
 
 def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None = None,
@@ -254,16 +239,8 @@ def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None
     target = BoltzmannTarget.from_lattice(lattice, d)
     plan = make_plan(variant, target.gamma, target.d)
     layout = boltzmann_layout(lattice, target.d, variant, enforce_zero)
-    circ = Circuit(layout)
-    circ.extend(h(q) for q in layout.qubits("C"))
-    circ.extend(build_ising_L(lattice, target.d, layout).gates)
-    if enforce_zero:
-        circ.extend(enforce_exact_zero(plan, layout).gates)
-    elif variant == "direct":
-        circ.extend(build_T1(plan, layout).gates)
-    else:
-        circ.extend(build_T2(plan, layout).gates)
-    return circ, target, plan
+    oracle = build_ising_L(lattice, target.d, layout).gates
+    return assemble_synthesis(plan, layout, oracle, enforce_zero), target, plan
 
 
 def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
@@ -281,28 +258,17 @@ def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
     """
     circ, target, plan = build_boltzmann_synthesis(lattice, variant, d, enforce_zero)
     conditions = {"D": 0} if variant == "direct" else {"E": 0}
-    state = StateVector.zero_state(circ.layout, dtype=dtype)
-    apply_circuit(state, circ, validate=False)
-    u_sq = postselect_probability(state, conditions)
-
     norms = analysis.exact_norms(target.lambdas, target.gamma, target.d)
     u_oracle = norms.u_direct if variant == "direct" else norms.u_controlled
     if not with_amplification:
         nu_used = 0
     elif nu is not None:
-        if nu < 0:
-            raise ValueError("nu must be >= 0")
         nu_used = int(nu)
     else:
         nu_used = select_nu(u_oracle, nu_rule)
 
-    if nu_used:
-        spec = AmplificationSpec(circ, conditions, nu_used)
-        for _ in range(nu_used):
-            grover_iterate(state, spec)
-    measured = postselect_probability(state, conditions) if nu_used else u_sq
-
-    diag = SynthesisDiagnostics(
+    state, u_sq = run_amplified(AmplificationSpec(circ, conditions, nu_used), dtype)
+    return state, SynthesisDiagnostics(
         rows=lattice.rows,
         cols=lattice.cols,
         beta_j=lattice.beta_j,
@@ -315,6 +281,5 @@ def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
         u_sq=u_sq,
         u_sq_oracle=u_oracle ** 2,
         predicted_postamp=predicted_postamp(u_oracle, nu_used),
-        measured_postamp=measured,
+        measured_postamp=postselect_probability(state, conditions),
     )
-    return state, diag

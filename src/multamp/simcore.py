@@ -3,12 +3,15 @@
 Bit order is little endian throughout: qubit ``i`` holds bit ``i`` of the
 basis index, and a register occupying qubits ``[lo, hi)`` reads its value
 the same way.  Gates act in place on a ``(2,)*n`` view of the amplitude
-buffer, so a gate with ``c`` controls touches ``2**(n-c)`` amplitudes and
-allocates at most one half-slice temporary.
+buffer, so a gate with ``c`` controls touches ``2**(n-c)`` amplitudes.
+The kernels are plain numpy expressions and allocate as they go: ``h``
+and ``ry`` make several temporaries the size of half the touched slice,
+``x`` and ``swap`` copy one half-slice, and ``RegisterXor`` builds
+full-size int64 index arrays plus a gathered copy of the whole buffer.
+No kernel runs in parallel.
 
 A StateVector owns its buffer; the concurrency contract is one writer per
-state.  Gate application is free to parallelize internally over disjoint
-amplitude strides, callers must not alias buffers across states.
+state, and callers must not alias buffers across states.
 """
 
 from __future__ import annotations
@@ -21,6 +24,18 @@ from typing import Iterable, Mapping
 import numpy as np
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+_NORM_BLOCK = 1 << 16
+
+
+def norm_tolerance(dtype) -> float:
+    """Accepted |norm - 1| of a state in ``dtype``: 1e-6 or 4096 epsilons, if larger.
+
+    Rounding moves the norm by about one epsilon per gate (the float32
+    1/sqrt(2) alone is off by 1e-8), and 4096 is several times the gate
+    count of the largest synthesis circuit here.
+    """
+    return max(1e-6, 4096 * float(np.finfo(dtype).eps))
+
 
 GATE_KINDS = ("h", "x", "z", "ry", "phase", "swap")
 
@@ -130,8 +145,12 @@ class StateVector:
         return cls(layout, amps)
 
     def norm(self) -> float:
-        # vdot accumulates in the buffer dtype; fine at these scales
-        return float(np.sqrt(np.vdot(self.amplitudes, self.amplitudes).real))
+        # accumulate in float64 whatever the buffer dtype, one block at a time
+        total = 0.0
+        for lo in range(0, self.amplitudes.shape[0], _NORM_BLOCK):
+            block = self.amplitudes[lo:lo + _NORM_BLOCK].astype(np.complex128, copy=False)
+            total += np.vdot(block, block).real
+        return math.sqrt(total)
 
     def probabilities(self) -> np.ndarray:
         p = np.abs(self.amplitudes)
@@ -285,7 +304,7 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True) -> StateVe
     if gate.kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     _check_qubits(n, gate)
-    if validate and abs(state.norm() - 1.0) > 1e-6:
+    if validate and abs(state.norm() - 1.0) > norm_tolerance(state.amplitudes.dtype):
         raise ValueError("input state is not normalized")
 
     psi = state.amplitudes.reshape((2,) * n)
@@ -340,7 +359,7 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True) -
     """Apply every instruction of the circuit in order, in place."""
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match the state layout")
-    if validate and abs(state.norm() - 1.0) > 1e-6:
+    if validate and abs(state.norm() - 1.0) > norm_tolerance(state.amplitudes.dtype):
         raise ValueError("input state is not normalized")
     for op in circuit.gates:
         if isinstance(op, Gate):
@@ -350,22 +369,25 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True) -
     return state
 
 
+def register_selector(layout: RegisterLayout, conditions: Mapping[str, int]) -> tuple:
+    """Index into the ``(2,)*n`` view that keeps the basis states matching every condition."""
+    n = layout.total_qubits
+    sel = [slice(None)] * n
+    for reg, val in conditions.items():
+        if not 0 <= val < (1 << layout.width(reg)):  # width raises KeyError on unknown names
+            raise ValueError(f"value {val} out of range for register {reg!r}")
+        for k, q in enumerate(layout.qubits(reg)):
+            sel[n - 1 - q] = (val >> k) & 1
+    return tuple(sel)
+
+
 def project_probability(state: StateVector, register: str, value: int) -> float:
     """Total probability of reading ``value`` on one register.
 
     Summed over everything else; no collapse.
     """
-    layout = state.layout
-    width = layout.width(register)  # raises KeyError on unknown register
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"value {value} out of range for register {register!r}")
-    n = state.num_qubits
-    psi = state.amplitudes.reshape((2,) * n)
-    sel = [slice(None)] * n
-    for k, q in enumerate(layout.qubits(register)):
-        sel[n - 1 - q] = (value >> k) & 1
-    block = psi[tuple(sel)]
-    return float(np.sum(np.abs(block) ** 2))
+    psi = state.amplitudes.reshape((2,) * state.num_qubits)
+    return float(np.sum(np.abs(psi[register_selector(state.layout, {register: value})]) ** 2))
 
 
 def collapse(state: StateVector, register: str, value: int) -> StateVector:
@@ -376,18 +398,12 @@ def collapse(state: StateVector, register: str, value: int) -> StateVector:
     p = project_probability(state, register, value)
     if p < 1e-300:
         raise ValueError(f"cannot collapse onto zero-probability outcome {register}={value}")
-    layout = state.layout
-    n = state.num_qubits
+    shape = (2,) * state.num_qubits
+    sel = register_selector(state.layout, {register: value})
     amps = np.zeros_like(state.amplitudes)
-    psi_in = state.amplitudes.reshape((2,) * n)
-    psi_out = amps.reshape((2,) * n)
-    sel = [slice(None)] * n
-    for k, q in enumerate(layout.qubits(register)):
-        sel[n - 1 - q] = (value >> k) & 1
-    sel = tuple(sel)
-    psi_out[sel] = psi_in[sel]
+    amps.reshape(shape)[sel] = state.amplitudes.reshape(shape)[sel]
     amps /= math.sqrt(p)
-    return StateVector(layout, amps)
+    return StateVector(state.layout, amps)
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
@@ -402,7 +418,7 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
         raise ValueError("shots must be >= 1")
     p = state.probabilities()
     cum = np.cumsum(p, dtype=np.float64)
-    if abs(cum[-1] - 1.0) > 1e-6:
+    if abs(cum[-1] - 1.0) > norm_tolerance(state.amplitudes.dtype):
         raise ValueError("state is not normalized")
     rng = np.random.default_rng(seed)
     draws = rng.random(shots) * cum[-1]

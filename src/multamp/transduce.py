@@ -322,16 +322,16 @@ def build_synthesis(table: AmplitudeTable, plan: TransductionPlan,
     if plan.gamma != table.gamma or plan.d != table.d:
         raise ValueError("plan and table disagree on (gamma, d)")
     layout = standard_layout(table.num_entries, plan.d, plan.variant, enforce_zero)
-    circ = Circuit(layout)
-    circ.extend(h(q) for q in layout.qubits("C"))
-    circ.add(build_L_oracle(table, layout))
+    return assemble_synthesis(plan, layout, [build_L_oracle(table, layout)], enforce_zero)
+
+
+def assemble_synthesis(plan: TransductionPlan, layout: RegisterLayout, oracle_ops,
+                       enforce_zero: bool = False) -> Circuit:
+    """H on C, the exponent oracle's ops, then the transduction the plan and flag pick."""
+    circ = Circuit(layout, [h(q) for q in layout.qubits("C")] + list(oracle_ops))
     if enforce_zero:
-        circ.extend(enforce_exact_zero(plan, layout).gates)
-    elif plan.variant == "direct":
-        circ.extend(build_T1(plan, layout).gates)
-    else:
-        circ.extend(build_T2(plan, layout).gates)
-    return circ
+        return circ.extend(enforce_exact_zero(plan, layout).gates)
+    return circ.extend((build_T1 if plan.variant == "direct" else build_T2)(plan, layout).gates)
 
 
 def run_synthesis(table: AmplitudeTable, plan: TransductionPlan,

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from multamp import transduce
+from multamp import ising, transduce
 from multamp.amplify import (
     AmplificationSpec,
     grover_iterate,
@@ -26,6 +28,7 @@ from multamp.simcore import (
     h,
     project_probability,
     roty,
+    x,
 )
 
 
@@ -217,3 +220,81 @@ def test_optimal_is_best_up_to_the_first_peak():
         assert nu <= budget
         best = max(predicted_postamp(float(u), k) for k in range(0, budget + 1))
         assert predicted_postamp(float(u), nu) >= best - 1e-12
+
+
+# --- closed form against the gate-level iterate ------------------------------------
+
+CLOSED_FORM_TOL = 1e-12  # max-abs amplitude difference from the iterate loop
+
+
+def iterated_state(spec):
+    """U Q^nu |0> the gate-level way: U, then nu grover_iterate calls."""
+    state = StateVector.zero_state(spec.synthesis.layout)
+    apply_circuit(state, spec.synthesis)
+    for _ in range(spec.nu):
+        grover_iterate(state, spec)
+    return state
+
+
+def closed_form_error(spec) -> float:
+    """Max-abs gap between run_amplified and the loop; also checks the reported u**2."""
+    state, u_sq = run_amplified(spec)
+    unamplified = iterated_state(AmplificationSpec(spec.synthesis, spec.target, 0))
+    assert math.isclose(u_sq, postselect_probability(unamplified, spec.target), rel_tol=1e-12)
+    return float(np.max(np.abs(state.amplitudes - iterated_state(spec).amplitudes)))
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("variant", ["direct", "controlled"])
+@pytest.mark.parametrize("enforce_zero", [False, True])
+def test_closed_form_matches_iterates_on_ising(size, variant, enforce_zero):
+    lattice = ising.IsingLattice(size, size, 0.1)
+    circ, _, _ = ising.build_boltzmann_synthesis(lattice, variant, enforce_zero=enforce_zero)
+    conditions = {"D" if variant == "direct" else "E": 0}
+    state, diag = ising.synthesize_boltzmann(lattice, variant, enforce_zero=enforce_zero)
+    reference = iterated_state(AmplificationSpec(circ, conditions, diag.nu))
+    assert diag.nu >= 1
+    assert np.max(np.abs(state.amplitudes - reference.amplitudes)) <= CLOSED_FORM_TOL
+    assert math.isclose(diag.measured_postamp, postselect_probability(reference, conditions),
+                        rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["direct", "controlled"])
+def test_closed_form_matches_iterates_on_a_table(variant):
+    # 2**6 log-uniform amplitudes, some below the cutoff so they saturate
+    alphas = np.exp(np.random.default_rng(17).uniform(math.log(2.5e-4), 0.0, 1 << 6))
+    table = transduce.build_lambda_table(alphas, 2.0, 4, 1e-3)
+    circ = transduce.build_synthesis(table, transduce.make_plan(variant, 2.0, 4),
+                                     enforce_zero=True)
+    target = {"D" if variant == "direct" else "E": 0}
+    _, u_sq = run_amplified(AmplificationSpec(circ, target, 0))
+    nu = select_nu(math.sqrt(u_sq))
+    assert nu >= 1
+    assert closed_form_error(AmplificationSpec(circ, target, nu)) <= CLOSED_FORM_TOL
+
+
+def test_closed_form_at_zero_iterates_and_past_the_peak():
+    synthesis = toy_synthesis(0.3)  # u**2 = 0.087: the first peak is at nu = 2
+    for nu in (0, 2, 5, 9):
+        assert closed_form_error(AmplificationSpec(synthesis, {"t": 1}, nu)) <= CLOSED_FORM_TOL
+    state, _ = run_amplified(AmplificationSpec(synthesis, {"t": 1}, 5))
+    assert project_probability(state, "t", 1) < predicted_postamp(math.sin(0.3), 2)
+
+
+# u**2 reads exactly 1, 1 - 2e-16 (rounding) and exactly 0
+@pytest.mark.parametrize("gates,u_sq", [([x(0)], 1.0), ([h(1), x(0)], 1.0), ([h(1)], 0.0)])
+def test_closed_form_when_the_slice_is_everything_or_nothing(gates, u_sq):
+    synthesis = Circuit(RegisterLayout([("t", 1), ("a", 1)]), gates)
+    for nu in range(4):
+        spec = AmplificationSpec(synthesis, {"t": 1}, nu)
+        state, got = run_amplified(spec)
+        assert abs(got - u_sq) < 1e-15
+        assert closed_form_error(spec) <= CLOSED_FORM_TOL
+        assert abs(state.norm() - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2), nu=st.integers(0, 40))
+def test_closed_form_matches_iterates_on_the_toy_rotation(theta, nu):
+    spec = AmplificationSpec(toy_synthesis(theta), {"t": 1}, nu)
+    assert closed_form_error(spec) <= CLOSED_FORM_TOL

@@ -126,6 +126,28 @@ def test_sample_reruns_are_byte_identical(tmp_path, capsys):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+COMPLEX64_POSTAMP_TOL = 1e-5  # measured drift from complex128 is below 1e-6
+
+
+@pytest.mark.parametrize("size", ["2", "3"])
+def test_sample_single_precision_tracks_double(size, tmp_path, capsys):
+    argv = ["sample", "--rows", size, "--cols", size, "--beta-j", "0.1", "--shots", "2000"]
+    postamp = {}
+    for flag in ([], ["--single-precision"]):
+        out = tmp_path / ("single" if flag else "double")
+        code, _, err = run([*argv, *flag, "--out", str(out)], capsys)
+        assert code == EXIT_OK, err
+        postamp[bool(flag)] = json.loads((out / "run.json").read_text())["measured_postamp"]
+    assert abs(postamp[True] - postamp[False]) < COMPLEX64_POSTAMP_TOL
+
+
+def test_table1_single_precision_rows_pass(capsys):
+    code, out, err = run(["table1", "--sizes", "2,3", "--shots", "20000",
+                          "--single-precision"], capsys)
+    assert code == EXIT_OK, err
+    assert out.count("[ok]") == 4
+
+
 def test_sample_rejects_bad_shots(capsys):
     code, _, _ = run(["sample", *LATTICE, "--shots", "0"], capsys)
     assert code == EXIT_CONFIG
@@ -186,6 +208,24 @@ def test_table1_skips_gated_sizes_without_allow_large(monkeypatch, capsys):
     assert code == EXIT_OK
     assert out.count("skipped") == 2
     assert "--allow-large" in out
+
+
+def test_table1_gates_on_the_computed_layout(monkeypatch, capsys):
+    # the expected-row qubit counts are poisoned to 0, so only the layouts
+    # computed for the rows (22 and 27 qubits) can skip them
+    from multamp import cli, ising
+    poisoned = {key: dict(row, qubits=0) for key, row in cli.TABLE1_EXPECTED.items()}
+    monkeypatch.setattr(cli, "TABLE1_EXPECTED", poisoned)
+    monkeypatch.setattr(cli, "DEFAULT_QUBIT_BUDGET", 21)  # gates the direct row too
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gated row was synthesized")
+
+    monkeypatch.setattr(ising, "synthesize_boltzmann", refuse)
+    code, out, _ = run(["table1", "--sizes", "4"], capsys)
+    assert code == EXIT_OK
+    assert "4x4 direct: skipped (22 qubits" in out
+    assert "4x4 controlled: skipped (27 qubits" in out
 
 
 def test_table1_rejects_unknown_sizes(capsys):
