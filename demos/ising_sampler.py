@@ -11,6 +11,7 @@ from multamp.analysis import (
     distribution_tests,
     magnetization_rows,
     sigma_histogram_rows,
+    tally,
     write_csv,
 )
 from multamp.simcore import counts_by_register, filter_counts, sample
@@ -31,13 +32,8 @@ print(f"kept {kept_shots}/{SHOTS} shots ({kept_shots / SHOTS:.1%})")
 
 reference = boltzmann_reference(lattice)
 c_counts = counts_by_register(kept, state.layout, "C")
-sigma_counts: dict = {}
-mag_counts: dict = {}
-for config, cnt in c_counts.items():
-    s = int(reference.sigma[config])
-    sigma_counts[s] = sigma_counts.get(s, 0) + cnt
-    m = 2 * int(config).bit_count() - lattice.num_sites
-    mag_counts[m] = mag_counts.get(m, 0) + cnt
+sigma_counts = tally(c_counts, reference.sigma)
+mag_counts = tally(c_counts, reference.magnetization)
 
 print(f"\n{'Sigma':>6} {'observed/state':>15} {'theory/state':>13}")
 rows = sigma_histogram_rows(sigma_counts, reference, kept_shots)

@@ -3,13 +3,11 @@
 Run from the repository root:  python3 demos/method_comparison.py
 """
 
-import math
-
 import numpy as np
 
 from multamp import compare_norms
+from multamp.amplify import postselect_probability
 from multamp.baselines import comparator_synthesis, rotation_oracle_synthesis
-from multamp.simcore import project_probability
 
 rng = np.random.default_rng(2024)
 ALPHAS = np.sort(rng.uniform(0.05, 1.0, size=16))[::-1]
@@ -24,20 +22,12 @@ for row in rows:
 
 # the table above is analytic; the two baselines also run as real circuits
 state, layout = rotation_oracle_synthesis(ALPHAS)
-measured = project_probability(state, "a", 0)
+measured = postselect_probability(state, {"a": 0})
 print(f"\nrotation-oracle statevector check: P(keep) = {measured:.6f} "
       f"(analytic {rows[0]['norm'] ** 2:.6f})")
 
 state, circuit, conditions = comparator_synthesis(ALPHAS, D)
-p = 1.0
-for register, value in conditions.items():
-    p = min(p, project_probability(state, register, value))
-joint = state.amplitudes
-sel = np.ones(joint.shape[0], dtype=bool)
-idx = np.arange(joint.shape[0])
-for register, value in conditions.items():
-    sel &= state.layout.values(idx, register) == value
-measured = float(np.sum(np.abs(joint[sel]) ** 2))
+measured = postselect_probability(state, conditions)
 print(f"comparator statevector check:      P(keep) = {measured:.6f} "
       f"(analytic {rows[1]['norm'] ** 2:.6f})")
 

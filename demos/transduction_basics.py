@@ -5,14 +5,13 @@ Run from the repository root:  python3 demos/transduction_basics.py
 
 import math
 
-import numpy as np
-
 from multamp import (
     build_lambda_table,
     make_plan,
     phi_product,
     run_synthesis,
 )
+from multamp.amplify import postselect_probability
 
 GAMMA = math.exp(0.25)
 D = 4
@@ -48,8 +47,7 @@ for variant in ("direct", "controlled"):
         got = state.amplitudes[index].real * math.sqrt(len(ALPHAS))
         want = phi * GAMMA ** -int(table.lambdas[i])
         print(f"{i:5d} {got:12.6f} {want:12.6f}")
-    u_sq = float(np.sum(np.abs(state.amplitudes) ** 2
-                        * (layout.values(np.arange(state.amplitudes.shape[0]), post) == 0)))
+    u_sq = postselect_probability(state, {post: 0})
     print(f"post-selection probability u**2 = {u_sq:.4f}"
           + (f"  (Phi**2 = {phi ** 2:.4f} of it is the ladder prefactor)"
              if variant == "direct" else "  (amplitudes exact, no prefactor)"))

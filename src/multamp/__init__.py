@@ -25,7 +25,6 @@ from .simcore import (
     collapse,
     counts_by_register,
     filter_counts,
-    project_probability,
     sample,
 )
 from .transduce import (
@@ -91,7 +90,6 @@ __all__ = [
     "phi_product",
     "plan_precision",
     "predicted_postamp",
-    "project_probability",
     "run_amplified",
     "run_synthesis",
     "sample",

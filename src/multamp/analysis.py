@@ -49,6 +49,7 @@ class BoltzmannReference:
 
     beta_j: float
     sigma: np.ndarray                     # opposing-pair count per configuration
+    magnetization: np.ndarray             # sum of spins +-1 per configuration
     probabilities: np.ndarray             # P(l), normalized
     partition_reduced: float              # sum_l exp(-2 beta_j sigma_l)
     sigma_support: np.ndarray             # sorted distinct sigma values
@@ -74,17 +75,14 @@ def boltzmann_reference(lattice) -> BoltzmannReference:
     mult = np.bincount(inverse)
     psig = np.bincount(inverse, weights=probs)
 
-    idx = np.arange(1 << n, dtype=np.int64)
-    pop = np.zeros(1 << n, dtype=np.int64)
-    for k in range(n):
-        pop += (idx >> k) & 1
-    mag = 2 * pop - n
+    mag = 2 * np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64) - n
     msupport = np.arange(-n, n + 1, 2, dtype=np.int64)
     pmag = np.array([float(probs[mag == m].sum()) for m in msupport])
 
     return BoltzmannReference(
         beta_j=float(lattice.beta_j),
         sigma=sigma,
+        magnetization=mag,
         probabilities=probs,
         partition_reduced=partition,
         sigma_support=support,
@@ -152,6 +150,20 @@ def distribution_tests(observed: Mapping, reference: Mapping[object, float]) -> 
 
 def _tvd(obs: np.ndarray, probs: np.ndarray, total: float) -> float:
     return float(0.5 * np.abs(obs / total - probs).sum())
+
+
+def tally(counts: Mapping[int, int], labels: np.ndarray) -> dict[int, int]:
+    """Regroup configuration counts by label: {labels[config]: total count}.
+
+    ``labels`` holds one value per configuration, e.g. a reference's
+    ``sigma`` or ``magnetization``; keys come out in ascending order.
+    """
+    configs = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    keys, inverse = np.unique(labels[configs], return_inverse=True)
+    totals = np.zeros(keys.shape[0], dtype=np.int64)
+    np.add.at(totals, inverse, weights)
+    return {int(k): int(c) for k, c in zip(keys, totals)}
 
 
 def sigma_histogram_rows(sigma_counts: Mapping[int, int], reference: BoltzmannReference,

@@ -92,11 +92,11 @@ def build_comparator_synthesis(alphas, d: int) -> tuple[Circuit, dict]:
 
     circ = Circuit(layout)
     circ.extend(h(q) for q in layout.qubits("C"))
-    circ.add(RegisterXor("C", "D", store))
+    circ.extend([RegisterXor("C", "D", store)])
     circ.extend(h(q) for q in layout.qubits("E"))
     circ.extend(comparator_flag_gates(layout))
     if np.any(boundary):
-        circ.add(RegisterXor("C", "g", boundary.astype(np.int64)))
+        circ.extend([RegisterXor("C", "g", boundary.astype(np.int64))])
     circ.extend(h(q) for q in layout.qubits("E"))
     return circ, {"E": 0, "g": 0}
 

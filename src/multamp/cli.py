@@ -222,27 +222,22 @@ def cmd_sample(args) -> int:
     if args.keep == "conditional":
         # sample the renormalized target slice: every shot is a kept shot,
         # equivalent to discarding-and-rerunning until the readout is 0
-        reduced = collapse(state, diag.target_register, 0)
-        counts = sample(reduced, args.shots, args.seed)
-        kept_counts = counts
+        reduced = collapse(state, conditions)
+        kept_counts = sample(reduced, args.shots, args.seed)
+        kept_layout = reduced.layout
         kept = args.shots
         efficiency = None
     else:
         counts = sample(state, args.shots, args.seed)
         kept_counts = filter_counts(counts, state.layout, conditions)
+        kept_layout = state.layout
         kept = sum(kept_counts.values())
         efficiency = kept / args.shots
 
     reference = analysis.boltzmann_reference(lattice)
-    c_counts = counts_by_register(kept_counts, state.layout, "C")
-    sigma_counts: dict[int, int] = {}
-    mag_counts: dict[int, int] = {}
-    n = lattice.num_sites
-    for config, cnt in c_counts.items():
-        s = int(reference.sigma[config])
-        sigma_counts[s] = sigma_counts.get(s, 0) + cnt
-        m = 2 * int(config).bit_count() - n
-        mag_counts[m] = mag_counts.get(m, 0) + cnt
+    c_counts = counts_by_register(kept_counts, kept_layout, "C")
+    sigma_counts = analysis.tally(c_counts, reference.sigma)
+    mag_counts = analysis.tally(c_counts, reference.magnetization)
 
     fit = None
     if kept:
@@ -274,7 +269,7 @@ def cmd_sample(args) -> int:
             srows = analysis.sigma_histogram_rows(sigma_counts, reference, kept)
             _write_rows(outdir, "sigma_hist", srows,
                         ["sigma", "observed", "observed_per_state", "theory"], args.format)
-            mrows = analysis.magnetization_rows(mag_counts, n)
+            mrows = analysis.magnetization_rows(mag_counts, lattice.num_sites)
             _write_rows(outdir, "magnetization_hist", mrows, ["m", "probability"], args.format)
         print(f"wrote outputs under {outdir}/")
     return EXIT_OK

@@ -244,8 +244,8 @@ def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None
 
 
 def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
-                         d: int | None = None, with_amplification: bool = True,
-                         nu: int | None = None, nu_rule: str = "paper",
+                         d: int | None = None, nu: int | None = None,
+                         nu_rule: str = "paper",
                          enforce_zero: bool = False,
                          dtype=np.complex128) -> tuple[StateVector, SynthesisDiagnostics]:
     """Prepare the Boltzmann state and report the run's numbers.
@@ -253,19 +253,14 @@ def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
     The returned state is U Q^nu |0>; post-selecting the target register
     (D == 0 direct, E == 0 controlled) on value 0 leaves the Boltzmann
     distribution over C.  nu defaults to the chosen rule applied to the
-    exact-norms u; pass nu explicitly or with_amplification=False to
+    exact-norms u; pass nu explicitly (0 for no amplification) to
     override.
     """
     circ, target, plan = build_boltzmann_synthesis(lattice, variant, d, enforce_zero)
     conditions = {"D": 0} if variant == "direct" else {"E": 0}
     norms = analysis.exact_norms(target.lambdas, target.gamma, target.d)
     u_oracle = norms.u_direct if variant == "direct" else norms.u_controlled
-    if not with_amplification:
-        nu_used = 0
-    elif nu is not None:
-        nu_used = int(nu)
-    else:
-        nu_used = select_nu(u_oracle, nu_rule)
+    nu_used = int(nu) if nu is not None else select_nu(u_oracle, nu_rule)
 
     state, u_sq = run_amplified(AmplificationSpec(circ, conditions, nu_used), dtype)
     return state, SynthesisDiagnostics(

@@ -10,6 +10,11 @@ and ``ry`` make several temporaries the size of half the touched slice,
 full-size int64 index arrays plus a gathered copy of the whole buffer.
 No kernel runs in parallel.
 
+Post-selection goes through one slice: ``register_selector`` indexes the
+basis states whose registers read given values.  ``collapse`` copies that
+slice alone onto the layout of the remaining registers, and
+``amplify.postselect_probability`` sums its weight.
+
 A StateVector owns its buffer; the concurrency contract is one writer per
 state, and callers must not alias buffers across states.
 """
@@ -257,10 +262,6 @@ class Circuit:
         self.layout = layout
         self.gates: list = list(gates) if gates is not None else []
 
-    def add(self, *ops) -> "Circuit":
-        self.gates.extend(ops)
-        return self
-
     def extend(self, ops) -> "Circuit":
         self.gates.extend(ops)
         return self
@@ -381,29 +382,24 @@ def register_selector(layout: RegisterLayout, conditions: Mapping[str, int]) -> 
     return tuple(sel)
 
 
-def project_probability(state: StateVector, register: str, value: int) -> float:
-    """Total probability of reading ``value`` on one register.
+def collapse(state: StateVector, conditions: Mapping[str, int]) -> StateVector:
+    """Post-select the conditioned registers and drop them.
 
-    Summed over everything else; no collapse.
+    Returns a fresh StateVector holding the renormalized matching slice on
+    the layout of the remaining registers, in their original order.  Only
+    slice-sized buffers are allocated: 2**(n - w) amplitudes for w
+    conditioned qubits.  Raises if the slice has ~zero weight.
     """
+    layout = state.layout
+    rest = RegisterLayout((name, layout.width(name)) for name in layout.names()
+                          if name not in conditions)
     psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    return float(np.sum(np.abs(psi[register_selector(state.layout, {register: value})]) ** 2))
-
-
-def collapse(state: StateVector, register: str, value: int) -> StateVector:
-    """Post-selected state: project onto register==value and renormalize.
-
-    Returns a fresh StateVector; raises if the outcome has ~zero weight.
-    """
-    p = project_probability(state, register, value)
+    amps = psi[register_selector(layout, conditions)].flatten()  # always a copy
+    p = float(np.sum(np.abs(amps) ** 2))
     if p < 1e-300:
-        raise ValueError(f"cannot collapse onto zero-probability outcome {register}={value}")
-    shape = (2,) * state.num_qubits
-    sel = register_selector(state.layout, {register: value})
-    amps = np.zeros_like(state.amplitudes)
-    amps.reshape(shape)[sel] = state.amplitudes.reshape(shape)[sel]
+        raise ValueError(f"cannot collapse onto zero-probability outcome {dict(conditions)}")
     amps /= math.sqrt(p)
-    return StateVector(state.layout, amps)
+    return StateVector(rest, amps)
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amplify import postselect_probability
 from .simcore import (
     Circuit,
     RegisterLayout,
@@ -32,7 +33,6 @@ from .simcore import (
     StateVector,
     apply_circuit,
     h,
-    project_probability,
     roty,
     x,
 )
@@ -223,20 +223,19 @@ def build_L_oracle(table: AmplitudeTable, layout: RegisterLayout) -> RegisterXor
     return op
 
 
-def apply_L(state: StateVector, oracle: RegisterXor, check_zero_d: bool = True) -> StateVector:
+def apply_L(state: StateVector, oracle: RegisterXor) -> StateVector:
     """Apply the exponent oracle, enforcing the D == |0> precondition.
 
     Inside composed circuits (inverses, amplification iterates) the oracle
-    legitimately sees nonzero D and is applied unchecked; this entry point
-    is for direct synthesis steps.
+    legitimately sees nonzero D and runs unchecked through
+    ``oracle.apply``; this entry point is for direct synthesis steps.
     """
-    if check_zero_d:
-        p0 = project_probability(state, oracle.target_register, 0)
-        if p0 < 1.0 - 1e-9:
-            raise ValueError(
-                f"register {oracle.target_register!r} carries nonzero-value amplitude "
-                f"(P(0) = {p0:.6g}); the exponent oracle expects |0>"
-            )
+    p0 = postselect_probability(state, {oracle.target_register: 0})
+    if p0 < 1.0 - 1e-9:
+        raise ValueError(
+            f"register {oracle.target_register!r} carries nonzero-value amplitude "
+            f"(P(0) = {p0:.6g}); the exponent oracle expects |0>"
+        )
     return oracle.apply(state)
 
 

@@ -88,11 +88,10 @@ def magnetization_runs():
     runs = {}
     for rel in (0.1, 2.0):
         lattice = ising.IsingLattice.from_relative_beta(4, 4, rel)
-        state, diag = ising.synthesize_boltzmann(lattice, variant="direct",
-                                                 with_amplification=False)
-        reduced = collapse(state, diag.target_register, 0)
+        state, diag = ising.synthesize_boltzmann(lattice, variant="direct", nu=0)
+        reduced = collapse(state, {diag.target_register: 0})
         counts = sample(reduced, SHOTS, seed=19)
-        c_counts = counts_by_register(counts, state.layout, "C")
+        c_counts = counts_by_register(counts, reduced.layout, "C")
         runs[rel] = (lattice, c_counts)
     return runs
 
@@ -162,10 +161,7 @@ def test_criterion_4_sigma_histograms(amplified_runs):
         lattice = ising.IsingLattice(size, size, BETA_J)
         reference = analysis.boltzmann_reference(lattice)
         c_counts = counts_by_register(kept, state.layout, "C")
-        sigma_counts = {}
-        for config, cnt in c_counts.items():
-            s = int(reference.sigma[config])
-            sigma_counts[s] = sigma_counts.get(s, 0) + cnt
+        sigma_counts = analysis.tally(c_counts, reference.sigma)
         ref_probs = {int(s): float(p) for s, p in
                      zip(reference.sigma_support, reference.sigma_probability)}
         fit = analysis.distribution_tests(sigma_counts, ref_probs)
@@ -180,12 +176,8 @@ def test_criterion_5_magnetization(magnetization_runs):
     details = []
     ok = True
     for rel, (lattice, c_counts) in sorted(magnetization_runs.items()):
-        n = lattice.num_sites
-        mag_counts = {}
-        for config, cnt in c_counts.items():
-            m = 2 * int(config).bit_count() - n
-            mag_counts[m] = mag_counts.get(m, 0) + cnt
         reference = analysis.boltzmann_reference(lattice)
+        mag_counts = analysis.tally(c_counts, reference.magnetization)
         ref_mag = {int(m): float(p) for m, p in
                    zip(reference.magnetization_support,
                        reference.magnetization_probability)}

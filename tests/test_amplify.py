@@ -26,7 +26,6 @@ from multamp.simcore import (
     StateVector,
     apply_circuit,
     h,
-    project_probability,
     roty,
     x,
 )
@@ -93,6 +92,17 @@ def test_postselect_probability_multi_register():
     got = postselect_probability(state, {"A": 1, "B": 2})
     want = abs(amps[1 | (2 << 2)]) ** 2
     assert math.isclose(got, want, rel_tol=1e-12)
+    # one register alone: the marginal, summed over everything else
+    layout = RegisterLayout([("A", 2), ("B", 3)])
+    amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    amps /= np.linalg.norm(amps)
+    state = StateVector(layout, amps.astype(np.complex128))
+    probs = np.abs(amps) ** 2
+    for value in range(8):
+        want = probs[[i for i in range(32) if (i >> 2) == value]].sum()
+        assert math.isclose(postselect_probability(state, {"B": value}), want, rel_tol=1e-12)
+    total = sum(postselect_probability(state, {"A": v}) for v in range(4))
+    assert math.isclose(total, 1.0, rel_tol=1e-12)
 
 
 # --- the rotation law ----------------------------------------------------------
@@ -118,7 +128,7 @@ def test_run_amplified_reports_u_and_final_state():
     state, u_sq = run_amplified(spec)
     assert math.isclose(u_sq, math.sin(theta) ** 2, rel_tol=1e-12)
     want = oracles.grover_amplitude(math.sin(theta), 3) ** 2
-    assert math.isclose(project_probability(state, "t", 1), want, rel_tol=1e-10)
+    assert math.isclose(postselect_probability(state, {"t": 1}), want, rel_tol=1e-10)
 
 
 def test_amplified_slice_keeps_the_conditional_distribution():
@@ -278,7 +288,7 @@ def test_closed_form_at_zero_iterates_and_past_the_peak():
     for nu in (0, 2, 5, 9):
         assert closed_form_error(AmplificationSpec(synthesis, {"t": 1}, nu)) <= CLOSED_FORM_TOL
     state, _ = run_amplified(AmplificationSpec(synthesis, {"t": 1}, 5))
-    assert project_probability(state, "t", 1) < predicted_postamp(math.sin(0.3), 2)
+    assert postselect_probability(state, {"t": 1}) < predicted_postamp(math.sin(0.3), 2)
 
 
 # u**2 reads exactly 1, 1 - 2e-16 (rounding) and exactly 0

@@ -13,6 +13,7 @@ from multamp.analysis import (
     magnetization_rows,
     sigma_expected_counts,
     sigma_histogram_rows,
+    tally,
     write_csv,
 )
 from multamp.ising import IsingLattice
@@ -65,6 +66,35 @@ def test_reference_marginals_are_consistent():
     # spin-flip symmetry of the magnetization
     assert np.allclose(reference.magnetization_probability,
                        reference.magnetization_probability[::-1], atol=1e-14)
+
+
+def test_reference_magnetization_is_the_spin_sum_per_configuration():
+    lattice = IsingLattice(2, 3, 0.3)
+    reference = boltzmann_reference(lattice)
+    # bit k set means spin k is up (+1)
+    want = [sum(1 if (config >> k) & 1 else -1 for k in range(6)) for config in range(1 << 6)]
+    assert reference.magnetization.tolist() == want
+    for m, p in zip(reference.magnetization_support, reference.magnetization_probability):
+        assert math.isclose(reference.probabilities[reference.magnetization == m].sum(), p,
+                            rel_tol=1e-12)
+
+
+def test_tally_regroups_counts_by_label():
+    labels = np.array([4, -2, 4, 0, -2, 7])
+    assert tally({0: 3, 2: 5, 1: 2, 4: 1, 3: 6}, labels) == {-2: 3, 0: 6, 4: 8}
+    assert list(tally({5: 1, 1: 2, 3: 4}, labels)) == [-2, 0, 7]  # ascending keys
+    assert tally({}, labels) == {}
+
+
+def test_tally_matches_the_raw_draws():
+    reference = boltzmann_reference(IsingLattice(3, 3, 0.2))
+    rng = np.random.default_rng(13)
+    configs = rng.integers(0, 1 << 9, size=2000)
+    counts = {int(c): int(n) for c, n in zip(*np.unique(configs, return_counts=True))}
+    # the same tally straight from the raw draws
+    for labels in (reference.sigma, reference.magnetization):
+        keys, n = np.unique(labels[configs], return_counts=True)
+        assert tally(counts, labels) == {int(k): int(c) for k, c in zip(keys, n)}
 
 
 def test_reference_refuses_oversized_lattices():

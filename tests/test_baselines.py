@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from multamp.analysis import exact_norms
+from multamp.amplify import postselect_probability
 from multamp.baselines import (
     build_comparator_synthesis,
     comparator_flag_gates,
@@ -19,7 +20,6 @@ from multamp.simcore import (
     StateVector,
     apply_circuit,
     apply_permutation_to_index,
-    project_probability,
 )
 from multamp.transduce import build_lambda_table
 
@@ -37,7 +37,7 @@ def test_rotation_oracle_encodes_amplitudes_exactly():
         assert math.isclose(abs(drop) ** 2, (1 - alpha ** 2) / 4.0,
                             rel_tol=1e-12, abs_tol=1e-15)
     want = float(np.mean(alphas ** 2))
-    assert math.isclose(project_probability(state, "a", 0), want, rel_tol=1e-12)
+    assert math.isclose(postselect_probability(state, {"a": 0}), want, rel_tol=1e-12)
 
 
 # --- comparator truth table ------------------------------------------------------
@@ -91,7 +91,7 @@ def test_comparator_synthesis_prepares_truncated_amplitudes():
         got = state.amplitudes[index].real
         assert math.isclose(got, scaled[i] / math.sqrt(8), rel_tol=0, abs_tol=1e-12)
     # work and probe registers fully restored outside the kept slice too
-    assert math.isclose(project_probability(state, "w", 0), 1.0, rel_tol=1e-12)
+    assert math.isclose(postselect_probability(state, {"w": 0}), 1.0, rel_tol=1e-12)
 
 
 def test_comparator_boundary_amplitude_is_exact():

@@ -126,6 +126,35 @@ def test_sample_reruns_are_byte_identical(tmp_path, capsys):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+# kept_shots and the observed column of sigma_hist.csv for
+# `sample --rows S --cols S --beta-j 0.1 --shots 4096 --seed 23`: pinned
+# fixed-seed output, so a refactor of the sampling path cannot move a draw
+# unnoticed (a rerun compared with itself cannot see that)
+GOLDEN_COUNTS = {
+    ("2", "direct", "postselect"): (3077, [796, 2113, 168]),
+    ("2", "direct", "conditional"): (4096, [978, 2902, 216]),
+    ("2", "controlled", "postselect"): (2212, [536, 1573, 103]),
+    ("2", "controlled", "conditional"): (4096, [1025, 2886, 185]),
+    ("3", "direct", "postselect"): (3948, [80, 304, 589, 1732, 814, 429]),
+    ("3", "direct", "conditional"): (4096, [89, 356, 603, 1733, 901, 414]),
+    ("3", "controlled", "postselect"): (2685, [61, 211, 408, 1152, 576, 277]),
+    ("3", "controlled", "conditional"): (4096, [88, 339, 630, 1820, 842, 377]),
+}
+
+
+@pytest.mark.parametrize("size,variant,keep", list(GOLDEN_COUNTS))
+def test_sample_counts_match_the_recorded_values(size, variant, keep, tmp_path, capsys):
+    argv = ["sample", "--rows", size, "--cols", size, "--beta-j", "0.1",
+            "--variant", variant, "--keep", keep, "--shots", "4096", "--seed", "23",
+            "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] == EXIT_OK
+    kept = json.loads((tmp_path / "run.json").read_text())["kept_shots"]
+    rows = (tmp_path / "sigma_hist.csv").read_text().splitlines()
+    assert rows[0].split(",")[:2] == ["sigma", "observed"]
+    observed = [int(row.split(",")[1]) for row in rows[1:]]
+    assert (kept, observed) == GOLDEN_COUNTS[(size, variant, keep)]
+
+
 COMPLEX64_POSTAMP_TOL = 1e-5  # measured drift from complex128 is below 1e-6
 
 

@@ -202,7 +202,7 @@ def test_layouts_count_the_published_qubits():
 def test_unamplified_synthesis_matches_the_exact_norm(variant):
     from multamp.analysis import exact_norms
     lattice = IsingLattice(2, 2, 0.1)
-    state, diag = synthesize_boltzmann(lattice, variant=variant, with_amplification=False)
+    state, diag = synthesize_boltzmann(lattice, variant=variant, nu=0)
     target = BoltzmannTarget.from_lattice(lattice)
     norms = exact_norms(target.lambdas, target.gamma, target.d)
     oracle_u = norms.u_direct if variant == "direct" else norms.u_controlled
@@ -217,8 +217,7 @@ def test_post_selected_state_is_boltzmann_distributed():
     lattice = IsingLattice(2, 3, 0.35)
     reference = boltzmann_reference(lattice)
     for variant in ("direct", "controlled"):
-        state, diag = synthesize_boltzmann(lattice, variant=variant,
-                                           with_amplification=False)
+        state, diag = synthesize_boltzmann(lattice, variant=variant, nu=0)
         layout = state.layout
         probs = np.abs(state.amplitudes) ** 2
         idx = np.arange(probs.shape[0])
@@ -231,7 +230,7 @@ def test_post_selected_state_is_boltzmann_distributed():
 
 def test_amplification_preserves_the_conditional_distribution():
     lattice = IsingLattice(2, 2, 0.6)
-    plain, _ = synthesize_boltzmann(lattice, variant="direct", with_amplification=False)
+    plain, _ = synthesize_boltzmann(lattice, variant="direct", nu=0)
     boosted, diag = synthesize_boltzmann(lattice, variant="direct", nu=3)
     layout = plain.layout
     probs0 = np.abs(plain.amplitudes) ** 2
@@ -274,9 +273,7 @@ def test_synthesize_rejects_bad_arguments():
 def test_enforce_zero_variant_runs_and_matches_norms():
     # no saturated entries exist here, so enforcement must not move anything
     lattice = IsingLattice(2, 2, 0.1)
-    plain, diag0 = synthesize_boltzmann(lattice, variant="direct",
-                                        with_amplification=False)
-    forced, diag1 = synthesize_boltzmann(lattice, variant="direct",
-                                         with_amplification=False, enforce_zero=True)
+    plain, diag0 = synthesize_boltzmann(lattice, variant="direct", nu=0)
+    forced, diag1 = synthesize_boltzmann(lattice, variant="direct", nu=0, enforce_zero=True)
     assert diag1.total_qubits == diag0.total_qubits + 1
     assert abs(diag0.u_sq - diag1.u_sq) < 1e-12

@@ -20,7 +20,6 @@ from multamp.simcore import (
     filter_counts,
     h,
     phase,
-    project_probability,
     roty,
     sample,
     swap,
@@ -200,39 +199,66 @@ def test_apply_circuit_requires_matching_layout():
         apply_circuit(state, Circuit(b, [x(0)]))
 
 
-# --- projection, collapse, sampling ---------------------------------------
-
-def test_project_probability_sums_register_marginal():
-    rng = np.random.default_rng(29)
-    layout = RegisterLayout([("A", 2), ("B", 3)])
-    state = random_state(layout, rng)
-    probs = np.abs(state.amplitudes) ** 2
-    for value in range(8):
-        want = probs[[i for i in range(32) if (i >> 2) == value]].sum()
-        assert math.isclose(project_probability(state, "B", value), want, rel_tol=1e-12)
-    total = sum(project_probability(state, "A", v) for v in range(4))
-    assert math.isclose(total, 1.0, rel_tol=1e-12)
-
+# --- collapse, sampling ---------------------------------------------------
 
 def test_collapse_renormalizes_the_kept_slice():
     rng = np.random.default_rng(31)
     layout = RegisterLayout([("A", 3), ("B", 2)])
     state = random_state(layout, rng)
-    reduced = collapse(state, "B", 2)
+    before = state.amplitudes.copy()
+    reduced = collapse(state, {"B": 2})
+    assert reduced.layout == RegisterLayout([("A", 3)])
+    assert reduced.amplitudes.shape == (1 << 3,)
     assert math.isclose(reduced.norm(), 1.0, rel_tol=1e-12)
-    assert math.isclose(project_probability(reduced, "B", 2), 1.0, rel_tol=1e-12)
-    # conditional ratios survive the renormalization
-    keep = [i for i in range(32) if (i >> 3) == 2]
-    original = np.abs(state.amplitudes[keep]) ** 2
-    conditioned = np.abs(reduced.amplitudes[keep]) ** 2
-    assert np.allclose(conditioned, original / original.sum(), atol=1e-12)
+    # conditional ratios and relative phases survive the renormalization
+    kept = state.amplitudes[[layout.pack("B", 2) | a for a in range(8)]]
+    assert np.allclose(reduced.amplitudes, kept / np.linalg.norm(kept), atol=1e-12)
+    # B is the top register, so its slice is a contiguous view: still copied
+    assert np.array_equal(state.amplitudes, before)
+
+
+@pytest.mark.parametrize("conditions,rest", [
+    ({"A": 1, "C": 1}, [("B", 3)]),
+    ({"B": 5}, [("A", 2), ("C", 1)]),
+    ({"A": 3, "B": 0}, [("C", 1)]),
+])
+def test_collapse_drops_the_conditioned_registers(conditions, rest):
+    rng = np.random.default_rng(33)
+    layout = RegisterLayout([("A", 2), ("B", 3), ("C", 1)])
+    state = random_state(layout, rng)
+    reduced = collapse(state, conditions)
+    assert reduced.layout == RegisterLayout(rest)
+    width = sum(layout.width(name) for name in conditions)
+    assert reduced.amplitudes.shape == (1 << (layout.total_qubits - width),)
+    # reduced index i is the full index with the conditioned bits put back
+    fixed = sum(layout.pack(name, value) for name, value in conditions.items())
+    full = [fixed | sum(layout.pack(name, reduced.layout.value(i, name)) for name, _ in rest)
+            for i in range(reduced.amplitudes.shape[0])]
+    kept = state.amplitudes[full]
+    assert np.allclose(reduced.amplitudes, kept / np.linalg.norm(kept), atol=1e-12)
 
 
 def test_collapse_on_zero_probability_slice_raises():
     layout = RegisterLayout([("A", 1), ("B", 1)])
     state = StateVector.basis_state(layout, 0)
     with pytest.raises(ValueError):
-        collapse(state, "B", 1)
+        collapse(state, {"B": 1})
+    with pytest.raises(ValueError):
+        collapse(state, {"A": 0, "B": 1})
+
+
+def test_sampling_the_slice_draws_what_the_zero_filled_state_draws():
+    # exact zeros add nothing to the cumulative sum, so a seeded draw on
+    # the reduced state lands on the same configuration as on the
+    # full-size state with everything outside the slice zeroed
+    rng = np.random.default_rng(35)
+    layout = RegisterLayout([("B", 2), ("A", 3)])
+    state = random_state(layout, rng)
+    reduced = collapse(state, {"B": 2})
+    full = np.zeros_like(state.amplitudes)
+    full[[layout.pack("B", 2) | layout.pack("A", a) for a in range(8)]] = reduced.amplitudes
+    want = sample(StateVector(layout, full), 5000, seed=3)
+    assert sample(reduced, 5000, seed=3) == {layout.value(i, "A"): c for i, c in want.items()}
 
 
 def test_sample_is_deterministic_per_seed():

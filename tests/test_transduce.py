@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from multamp import transduce
-from multamp.simcore import StateVector, apply_circuit, project_probability
+from multamp.amplify import postselect_probability
+from multamp.simcore import StateVector, apply_circuit
 from multamp.transduce import (
     OverflowLambdaError,
     apply_L,
@@ -229,7 +230,7 @@ def test_oracle_requires_zeroed_exponent_register():
     bad = StateVector.basis_state(layout, layout.pack("D", 1))
     with pytest.raises(ValueError):
         apply_L(bad, oracle)
-    apply_L(bad, oracle, check_zero_d=False)  # permutations are still legal
+    oracle.apply(bad)  # unchecked, the permutation is still legal
 
 
 def test_oracle_writes_exponents_for_every_index():
@@ -317,7 +318,7 @@ def test_synthesis_post_selection_probability_is_u_squared():
         plan = make_plan(variant, gamma, d)
         state = run_synthesis(table, plan)
         post = "D" if variant == "direct" else "E"
-        got = project_probability(state, post, 0)
+        got = postselect_probability(state, {post: 0})
         weights = (gamma ** (-2.0 * table.lambdas.astype(float))).mean()
         phi_sq = phi_product(gamma, d) ** 2 if variant == "direct" else 1.0
         assert math.isclose(got, phi_sq * weights, rel_tol=1e-12)
