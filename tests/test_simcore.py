@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from multamp import simcore
+from multamp.amplify import postselect_probability
 from multamp.simcore import (
     Circuit,
     RegisterLayout,
@@ -199,7 +200,19 @@ def test_apply_circuit_requires_matching_layout():
         apply_circuit(state, Circuit(b, [x(0)]))
 
 
-# --- collapse, sampling ---------------------------------------------------
+# --- projection, collapse, sampling ---------------------------------------
+
+def test_project_probability_sums_register_marginal():
+    rng = np.random.default_rng(29)
+    layout = RegisterLayout([("A", 2), ("B", 3)])
+    state = random_state(layout, rng)
+    probs = np.abs(state.amplitudes) ** 2
+    for value in range(8):
+        want = probs[[i for i in range(32) if (i >> 2) == value]].sum()
+        assert math.isclose(postselect_probability(state, {"B": value}), want, rel_tol=1e-12)
+    total = sum(postselect_probability(state, {"A": v}) for v in range(4))
+    assert math.isclose(total, 1.0, rel_tol=1e-12)
+
 
 def test_collapse_renormalizes_the_kept_slice():
     rng = np.random.default_rng(31)
