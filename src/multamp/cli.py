@@ -155,10 +155,13 @@ def _check_memory(total_qubits: int, allow_large: bool, dtype) -> None:
     if allow_large:
         return
     if total_qubits > DEFAULT_QUBIT_BUDGET:
-        nbytes = (1 << total_qubits) * np.dtype(dtype).itemsize
+        # kernels add cache-sized scratch only; sampling adds probabilities and a float64 cumsum
+        itemsize = np.dtype(dtype).itemsize
+        nbytes = (1 << total_qubits) * itemsize
+        peak = nbytes + (1 << total_qubits) * (itemsize // 2 + 8)
         raise MemoryRefusal(
             f"{total_qubits} qubits need a {nbytes / 2**30:.1f} GiB amplitude buffer "
-            f"(plus transient slices); rerun with --allow-large to proceed"
+            f"and peak at {peak / 2**30:.1f} GiB while sampling; rerun with --allow-large"
         )
 
 

@@ -4,11 +4,12 @@ Bit order is little endian throughout: qubit ``i`` holds bit ``i`` of the
 basis index, and a register occupying qubits ``[lo, hi)`` reads its value
 the same way.  Gates act in place on a ``(2,)*n`` view of the amplitude
 buffer, so a gate with ``c`` controls touches ``2**(n-c)`` amplitudes.
-The kernels are plain numpy expressions and allocate as they go: ``h``
-and ``ry`` make several temporaries the size of half the touched slice,
-``x`` and ``swap`` copy one half-slice, and ``RegisterXor`` builds
-full-size int64 index arrays plus a gathered copy of the whole buffer.
-No kernel runs in parallel.
+``z`` and ``phase`` allocate nothing.  ``x``, ``swap``, ``h`` and ``ry`` take
+the slice's |0> and |1> halves in pieces of ``2**_PIECE_QUBITS`` amplitudes,
+with ``out=`` ufuncs into at most two piece-sized scratch arrays: 512 KiB for
+complex128 whatever the state size (Häner and Steiger, arXiv:1704.01127).
+``RegisterXor`` permutes only the qubit span of its registers, one block of
+``2**hi`` amplitudes at a time (``hi``: top of the span).  No kernel runs in parallel.
 
 Post-selection goes through one slice: ``register_selector`` indexes the
 basis states whose registers read given values.  ``collapse`` copies that
@@ -24,12 +25,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping
 
 import numpy as np
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _NORM_BLOCK = 1 << 16
+_PIECE_QUBITS = 14  # half-slice piece of 2**14 amplitudes: four such arrays fill 1 MiB of L2
 
 
 def norm_tolerance(dtype) -> float:
@@ -241,10 +244,19 @@ class RegisterXor:
     def apply(self, state: StateVector) -> StateVector:
         layout = state.layout
         self.validate(layout)
-        idx = np.arange(state.amplitudes.shape[0], dtype=np.int64)
-        keys = layout.values(idx, self.key_register)
-        perm = idx ^ (self.values[keys] << layout.offset(self.target_register))
-        state.amplitudes[:] = state.amplitudes[perm]
+        key, target = layout.qubits(self.key_register), layout.qubits(self.target_register)
+        lo, hi = min(key.start, target.start), max(key.stop, target.stop)
+        # permute the qubit span [lo, hi) alone, one block of 2**hi amplitudes at a time
+        perm = np.arange(1 << (hi - lo), dtype=np.int64)
+        keys = self.values[(perm >> (key.start - lo)) & ((1 << len(key)) - 1)]
+        keys <<= target.start - lo
+        perm ^= keys
+        blocks = state.amplitudes.reshape(-1, 1 << (hi - lo), 1 << lo)
+        gathered = np.empty_like(blocks[0])
+        for block in blocks:
+            # perm is a permutation of its index range, so "clip" never clips; "raise" would buffer
+            np.take(block, perm, axis=0, out=gathered, mode="clip")
+            block[...] = gathered
         return state
 
     def inverse(self) -> "RegisterXor":
@@ -332,28 +344,52 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True) -> StateVe
         ax2 = n - 1 - gate.target2
         s0[ax2] = 1  # |01> half
         s1[ax2] = 0  # |10> half
-    s0 = tuple(s0)
-    s1 = tuple(s1)
-
-    if kind in ("x", "swap"):
-        tmp = psi[s0].copy()
-        psi[s0] = psi[s1]
-        psi[s1] = tmp
+    if len(gate.controls) + (kind == "swap") + 1 == n:
+        s0[ax], s1[ax] = slice(0, 1), slice(1, 2)  # every axis fixed: keep the halves views
+    v0, v1 = psi[tuple(s0)], psi[tuple(s1)]
+    half = gate.angle / 2.0
+    c, s = (math.cos(half), math.sin(half)) if kind == "ry" else (_SQRT1_2, _SQRT1_2)
+    lead = v0.ndim - _PIECE_QUBITS
+    if lead <= 0:
+        _butterfly(kind, v0, v1, c, s)
         return state
-
-    v0 = psi[s0]
-    v1 = psi[s1]
-    if kind == "h":
-        t = (v0 + v1) * _SQRT1_2
-        psi[s1] = (v0 - v1) * _SQRT1_2
-        psi[s0] = t
-    else:  # ry
-        c = math.cos(gate.angle / 2.0)
-        s = math.sin(gate.angle / 2.0)
-        t = v0 * c - v1 * s
-        psi[s1] = v0 * s + v1 * c
-        psi[s0] = t
+    t = np.empty(v0.shape[lead:], v0.dtype)
+    w = None if kind in ("x", "swap") else np.empty_like(t)
+    for i in np.ndindex(v0.shape[:lead]):
+        _butterfly(kind, v0[i], v1[i], c, s, t, w)
     return state
+
+
+def _butterfly(kind, a, b, c, s, t=None, w=None):
+    """One piece of an x/swap/h/ry gate, in place: ``a``, ``b`` are the |0>, |1> halves.
+
+    ``t``, ``w``: contiguous scratch of the piece's shape, allocated here if not given.
+    Each term of ``a*c - b*s``, ``a*s + b*c`` (h: ``(a+b)*s``, ``(a-b)*s``) reads the
+    strided halves once, with the per-element arithmetic of those whole-slice expressions.
+    """
+    if kind in ("x", "swap"):
+        if t is None:
+            t = a.copy()
+        else:
+            t[...] = a
+        a[...] = b
+        b[...] = t
+    elif kind == "h":
+        t = np.add(a, b, out=t)
+        np.multiply(t, s, out=t)
+        w = np.subtract(a, b, out=w)
+        np.multiply(w, s, out=w)
+        a[...] = t
+        b[...] = w
+    else:  # ry
+        t = np.multiply(a, c, out=t)
+        w = np.multiply(b, s, out=w)
+        np.subtract(t, w, out=t)
+        np.multiply(a, s, out=w)
+        a[...] = t
+        np.multiply(b, c, out=t)
+        np.add(w, t, out=t)
+        b[...] = t
 
 
 def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True) -> StateVector:
@@ -418,6 +454,7 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
         raise ValueError("state is not normalized")
     rng = np.random.default_rng(seed)
     draws = rng.random(shots) * cum[-1]
+    draws.sort()  # sorted keys search several times faster; the counts ignore draw order
     idx = np.searchsorted(cum, draws, side="right")
     np.clip(idx, 0, p.shape[0] - 1, out=idx)
     values, counts = np.unique(idx, return_counts=True)
@@ -436,11 +473,11 @@ def counts_by_register(counts: Mapping[int, int], layout: RegisterLayout, regist
 def filter_counts(counts: Mapping[int, int], layout: RegisterLayout,
                   conditions: Mapping[str, int]) -> dict[int, int]:
     """Keep only the counts whose registers match every condition."""
-    out = {}
-    for index, c in counts.items():
-        if all(layout.value(index, reg) == val for reg, val in conditions.items()):
-            out[index] = c
-    return out
+    keys = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    keep = np.ones(keys.shape, dtype=bool)
+    for reg, val in conditions.items():
+        keep &= layout.values(keys, reg) == val
+    return dict(compress(counts.items(), keep))
 
 
 def apply_permutation_to_index(ops, index: int, layout: RegisterLayout | None = None) -> int:

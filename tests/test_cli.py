@@ -69,6 +69,16 @@ def test_synth_exit_codes(capsys):
     assert code == EXIT_CONFIG  # mutually exclusive couplings
 
 
+@pytest.mark.parametrize("flags, buffer, peak", [([], "2.0", "4.0"),
+                                                  (["--single-precision"], "1.0", "2.5")])
+def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, capsys):
+    # 4x4 controlled is 27 qubits; sampling holds probabilities and a float64 cumsum
+    code, _, err = run(["sample", "--rows", "4", "--cols", "4", "--beta-j", "0.1",
+                        "--variant", "controlled", *flags], capsys)
+    assert code == EXIT_MEMORY
+    assert f"27 qubits need a {buffer} GiB amplitude buffer and peak at {peak} GiB" in err
+
+
 def test_synth_rejects_unknown_variant():
     with pytest.raises(SystemExit) as info:
         main(["synth", *LATTICE, "--variant", "sideways"])

@@ -1,6 +1,7 @@
 """Statevector engine vs dense-matrix oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,113 @@ def test_register_xor_is_an_involution():
     op.apply(state)
     op.inverse().apply(state)
     assert np.array_equal(state.amplitudes, before)
+
+
+# --- chunked kernels ---------------------------------------------------------
+
+def whole_slice_reference(state, gate):
+    """The x/swap/h/ry butterflies as whole-slice numpy expressions, out of place."""
+    n = state.num_qubits
+    psi = state.amplitudes.reshape((2,) * n)
+    s0 = [slice(None)] * n
+    for q, pol in gate.controls:
+        s0[n - 1 - q] = pol
+    s1 = list(s0)
+    s0[n - 1 - gate.target], s1[n - 1 - gate.target] = 0, 1
+    if gate.kind == "swap":
+        s0[n - 1 - gate.target2], s1[n - 1 - gate.target2] = 1, 0
+    s0, s1 = tuple(s0), tuple(s1)
+    v0, v1 = psi[s0], psi[s1]
+    if gate.kind in ("x", "swap"):
+        new0, new1 = v1, v0
+    elif gate.kind == "h":
+        new0, new1 = (v0 + v1) * simcore._SQRT1_2, (v0 - v1) * simcore._SQRT1_2
+    else:
+        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+        new0, new1 = v0 * c - v1 * s, v0 * s + v1 * c
+    out = psi.copy()
+    out[s0], out[s1] = new0, new1
+    return out.reshape(-1)
+
+
+def edge_gates(kind, n):
+    """The top qubit as target, controls above the target, and a gate fixing every axis."""
+    two = kind == "swap"
+    return [
+        simcore.Gate(kind, n - 1, 0.7, 0 if two else None),
+        simcore.Gate(kind, 1, -1.9, 2 if two else None, ((n - 1, 1), (n - 2, 0))),
+        simcore.Gate(kind, 0, 2.3, 1 if two else None, tuple((q, q % 2) for q in range(1 + two, n))),
+    ]
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_chunked_gates_match_dense_matrix(kind, monkeypatch):
+    monkeypatch.setattr(simcore, "_PIECE_QUBITS", 2)
+    rng = np.random.default_rng(211)
+    for n in (6, 7):
+        layout = RegisterLayout([("R", n)])
+        gates = edge_gates(kind, n) + [random_gate(n, rng, kinds=(kind,)) for _ in range(6)]
+        for gate in gates:
+            state = random_state(layout, rng)
+            expected = oracles.dense_unitary(n, gate) @ state.amplitudes
+            apply_gate(state, gate)
+            assert np.allclose(state.amplitudes, expected, atol=1e-12), gate
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("kind", ("h", "ry", "x", "swap"))
+def test_chunked_gates_equal_the_whole_slice_expressions(kind, dtype, monkeypatch):
+    monkeypatch.setattr(simcore, "_PIECE_QUBITS", 2)
+    rng = np.random.default_rng(227)
+    n = 7
+    layout = RegisterLayout([("R", n)])
+    for gate in edge_gates(kind, n) + [random_gate(n, rng, kinds=(kind,)) for _ in range(6)]:
+        state = StateVector(layout, random_state(layout, rng).amplitudes.astype(dtype))
+        expected = whole_slice_reference(state, gate)
+        apply_gate(state, gate, validate=False)
+        assert np.array_equal(state.amplitudes, expected), gate
+
+
+def test_piece_size_does_not_change_results(monkeypatch):
+    rng = np.random.default_rng(223)
+    layout = RegisterLayout([("R", 12)])
+    circuit = Circuit(layout, [random_gate(12, rng, max_controls=3) for _ in range(80)])
+    start = random_state(layout, rng)
+    default = apply_circuit(start.copy(), circuit).amplitudes
+    monkeypatch.setattr(simcore, "_PIECE_QUBITS", 2)
+    small = apply_circuit(start.copy(), circuit).amplitudes
+    assert np.array_equal(small, default)
+
+
+@pytest.mark.parametrize("registers", [
+    [("K", 3), ("T", 2)],                                  # key below the target
+    [("T", 2), ("K", 3)],                                  # key above the target
+    [("lo", 1), ("K", 2), ("M", 1), ("T", 2), ("hi", 1)],  # a register between them
+    [("T", 2), ("M", 2), ("K", 2), ("hi", 1)],             # and with the key above
+])
+def test_register_xor_spans_match_permutation_matrix(registers):
+    rng = np.random.default_rng(229)
+    layout = RegisterLayout(registers)
+    op = RegisterXor("K", "T", rng.integers(0, 1 << layout.width("T"), size=1 << layout.width("K")))
+    state = random_state(layout, rng)
+    expected = oracles.xor_permutation_matrix(layout, op) @ state.amplitudes
+    op.apply(state)
+    assert np.array_equal(state.amplitudes, expected)
+
+
+def test_kernels_allocate_only_cache_sized_scratch():
+    layout = RegisterLayout([("lo", 2), ("K", 6), ("M", 2), ("T", 4), ("hi", 4)])
+    state = random_state(layout, np.random.default_rng(233))  # 2**18 amplitudes, 4 MiB
+    ops = [h(0), h(9), h(17), roty(0.4, 9), roty(-1.1, 17), swap(0, 17), swap(5, 12),
+           RegisterXor("K", "T", np.arange(64) % 16)]
+    for op in ops:
+        tracemalloc.start()
+        try:
+            apply_circuit(state, Circuit(layout, [op]), validate=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20, (op, peak)
 
 
 def test_register_xor_validates_value_range():
@@ -319,6 +427,18 @@ def test_counts_by_register_and_filter():
     assert kept == {0b0110: 5}
     kept2 = filter_counts(counts, layout, {"D": 0, "C": 1})
     assert kept2 == {0b0001: 2}
+
+
+def test_filter_counts_matches_the_per_key_loop():
+    rng = np.random.default_rng(239)
+    layout = RegisterLayout([("C", 4), ("D", 3), ("z", 1)])
+    keys = rng.permutation(1 << 8)[:150]
+    counts = {int(k): int(c) for k, c in zip(keys, rng.integers(1, 50, size=150))}
+    for conditions in ({"z": 0}, {"D": 5, "z": 1}, {"C": 3, "D": 0}, {"D": 8}, {}):
+        expected = {k: c for k, c in counts.items()
+                    if all(layout.value(k, reg) == val for reg, val in conditions.items())}
+        kept = filter_counts(counts, layout, conditions)
+        assert list(kept.items()) == list(expected.items())  # same entries, same order
 
 
 # --- classical permutation tracking ----------------------------------------
