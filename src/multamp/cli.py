@@ -10,8 +10,12 @@ overflow (d too small), 4 memory refusal (state too large without
 --allow-large), 5 benchmark comparison failure.
 
 A config file (--config, ``key = value`` lines, ``#`` comments) supplies
-defaults; explicit flags win.  All file outputs are deterministic for a
-fixed seed: no timestamps, sorted JSON keys, repr-round-trip floats.
+defaults; explicit flags win.  Its keys are flag names (``beta_j`` or
+``beta-j`` for --beta-j), and its values are checked like the flags: the
+flag's type and choices, and yes/no/true/false/on/off/1/0 for on/off
+flags.  Keys of other subcommands are ignored; unknown keys exit 2.  All
+file outputs are deterministic for a fixed seed: no timestamps, sorted
+JSON keys, repr-round-trip floats.
 """
 
 from __future__ import annotations
@@ -78,52 +82,42 @@ def _load_config(path) -> dict:
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
-# value types for config keys whose hard default is None
-_CONFIG_TYPES = {
-    "beta_j": float, "beta_rel_critical": float, "d": int, "nu": int,
-    "gamma": float, "eps": float, "delta": float,
-}
 
-
-def _coerce(raw: str, typ: type):
-    if typ is bool:
-        word = raw.lower()
-        if word not in _BOOL_WORDS:
-            raise ConfigError(f"expected a boolean, got {raw!r}")
-        return _BOOL_WORDS[word]
+def _config_value(key: str, raw: str, action: argparse.Action):
+    """One config value, converted and checked as its flag would be."""
+    if action.const is True:  # an on/off (store_true) flag
+        if raw.lower() not in _BOOL_WORDS:
+            raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
+        return _BOOL_WORDS[raw.lower()]
+    typ = action.type or str
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
+        value = typ(raw)
     except ValueError:
-        raise ConfigError(f"expected a {typ.__name__}, got {raw!r}") from None
-    return raw
+        raise ConfigError(f"config key {key}: expected a {typ.__name__}, got {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key}: {raw!r} is not one of {', '.join(action.choices)}")
+    return value
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill None-valued options from the config file, then hard defaults."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    for key, default in defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in config:
-            typ = type(default) if default is not None else _CONFIG_TYPES.get(key, str)
-            setattr(args, key, _coerce(config[key], typ))
-        else:
-            setattr(args, key, default)
+def _apply_config(parser: argparse.ArgumentParser, command: str, path) -> None:
+    """Make a config file's values the defaults of ``command``'s flags."""
+    config = _load_config(path)
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {name: {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
+             for name, p in subparsers.items()}
     # tolerate keys that belong to other subcommands, reject real typos
-    unknown = set(config) - _ALL_CONFIG_KEYS
+    unknown = set(config).difference(*flags.values())
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return args
+    own = flags[command]
+    subparsers[command].set_defaults(
+        **{key: _config_value(key, raw, own[key]) for key, raw in config.items() if key in own})
 
 
 def _outdir(args) -> str | None:
-    out = getattr(args, "out", None)
-    if out:
-        os.makedirs(out, exist_ok=True)
-    return out
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _write_json(path, payload):
@@ -166,7 +160,7 @@ def _check_memory(total_qubits: int, allow_large: bool, dtype) -> None:
 
 
 def _dtype(args):
-    return np.complex64 if getattr(args, "single_precision", False) else np.complex128
+    return np.complex64 if args.single_precision else np.complex128
 
 
 def _layout_qubits(lattice, variant, d=None, enforce_zero=False) -> int:
@@ -187,16 +181,7 @@ def _synthesize(args):
     return lattice, state, diag
 
 
-_SYNTH_DEFAULTS = {
-    "rows": 2, "cols": 2, "beta_j": None, "beta_rel_critical": None,
-    "variant": "direct", "d": None, "nu": None, "nu_rule": "paper",
-    "enforce_zero": False, "allow_large": False, "single_precision": False,
-    "out": None, "format": "csv",
-}
-
-
 def cmd_synth(args) -> int:
-    args = _resolve(args, _SYNTH_DEFAULTS)
     lattice, state, diag = _synthesize(args)
     payload = diag.to_dict()
     payload["version"] = __version__
@@ -210,15 +195,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_SAMPLE_DEFAULTS = dict(_SYNTH_DEFAULTS, shots=1 << 17, seed=11, keep="postselect")
-
-
 def cmd_sample(args) -> int:
-    args = _resolve(args, _SAMPLE_DEFAULTS)
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
-    if args.keep not in ("postselect", "conditional"):
-        raise ConfigError("--keep must be postselect or conditional")
     lattice, state, diag = _synthesize(args)
     conditions = {diag.target_register: 0}
 
@@ -278,11 +257,7 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-_PLAN_DEFAULTS = {"eps": None, "delta": None, "out": None, "format": "csv"}
-
-
 def cmd_plan(args) -> int:
-    args = _resolve(args, _PLAN_DEFAULTS)
     if args.eps is None or args.delta is None:
         raise ConfigError("plan needs --eps and --delta")
     d = transduce.plan_precision(args.eps, args.delta)
@@ -309,17 +284,9 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-_TABLE1_DEFAULTS = {
-    "shots": 1 << 17, "seed": 11, "sizes": "2,3,4",
-    "allow_large": False, "single_precision": False,
-    "out": None, "format": "csv",
-}
-
-
 def cmd_table1(args) -> int:
-    args = _resolve(args, _TABLE1_DEFAULTS)
     try:
-        sizes = sorted({int(tok) for tok in str(args.sizes).replace("x", ",").split(",") if tok})
+        sizes = sorted({int(tok) for tok in args.sizes.replace("x", ",").split(",") if tok})
     except ValueError:
         raise ConfigError(f"bad --sizes value: {args.sizes!r}") from None
     if not set(sizes) <= {2, 3, 4}:
@@ -379,17 +346,7 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
-_BASELINES_DEFAULTS = {
-    "table": None, "d": None, "gamma": None, "eps": None,
-    "out": None, "format": "csv",
-}
-
-_ALL_CONFIG_KEYS = (set(_SYNTH_DEFAULTS) | set(_SAMPLE_DEFAULTS) | set(_PLAN_DEFAULTS)
-                    | set(_TABLE1_DEFAULTS) | set(_BASELINES_DEFAULTS))
-
-
 def cmd_baselines(args) -> int:
-    args = _resolve(args, _BASELINES_DEFAULTS)
     if args.table is None or args.d is None:
         raise ConfigError("baselines needs --table and --d")
     if not os.path.exists(args.table):
@@ -406,29 +363,38 @@ def cmd_baselines(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p):
+def _add_common(p, tabular=True):
     p.add_argument("--config", help="key = value defaults file; flags override")
     p.add_argument("--out", help="output directory (created if missing)")
-    p.add_argument("--format", choices=("csv", "json"), help="tabular output format")
+    if tabular:
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="tabular output format")
+
+
+def _add_budget(p):
+    p.add_argument("--allow-large", action="store_true",
+                   help=f"permit states beyond {DEFAULT_QUBIT_BUDGET} qubits")
+    p.add_argument("--single-precision", action="store_true", help="complex64 amplitudes")
+
+
+def _add_sampling(p):
+    p.add_argument("--shots", type=int, default=1 << 17)
+    p.add_argument("--seed", type=int, default=11)
 
 
 def _add_lattice(p):
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--beta-j", type=float, dest="beta_j",
-                   help="dimensionless coupling beta*J")
-    p.add_argument("--beta-rel-critical", type=float, dest="beta_rel_critical",
+    p.add_argument("--rows", type=int, default=2)
+    p.add_argument("--cols", type=int, default=2)
+    p.add_argument("--beta-j", type=float, help="dimensionless coupling beta*J")
+    p.add_argument("--beta-rel-critical", type=float,
                    help="beta as a multiple of the critical 2.269/J")
-    p.add_argument("--variant", choices=("direct", "controlled"))
+    p.add_argument("--variant", choices=("direct", "controlled"), default="direct")
     p.add_argument("--d", type=int, help="exponent register width (default: minimal)")
     p.add_argument("--nu", type=int, help="amplification iterates (default: rule)")
-    p.add_argument("--nu-rule", choices=("paper", "optimal"), dest="nu_rule")
-    p.add_argument("--enforce-zero", action="store_const", const=True, dest="enforce_zero",
+    p.add_argument("--nu-rule", choices=("paper", "optimal"), default="paper")
+    p.add_argument("--enforce-zero", action="store_true",
                    help="exact-zero handling of saturated exponents (extra ancilla)")
-    p.add_argument("--allow-large", action="store_const", const=True, dest="allow_large",
-                   help=f"permit states beyond {DEFAULT_QUBIT_BUDGET} qubits")
-    p.add_argument("--single-precision", action="store_const", const=True,
-                   dest="single_precision", help="complex64 amplitudes")
+    _add_budget(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="precision planning: exponent widths from (eps, delta)")
     p.add_argument("--eps", type=float, help="amplitude cutoff")
     p.add_argument("--delta", type=float, help="relative precision (gamma = e**delta)")
-    _add_common(p)
+    _add_common(p, tabular=False)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("synth", help="one Boltzmann synthesis with diagnostics")
@@ -451,21 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="synthesis plus sampling and histogram files")
     _add_lattice(p)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--keep", choices=("postselect", "conditional"),
+    _add_sampling(p)
+    p.add_argument("--keep", choices=("postselect", "conditional"), default="postselect",
                    help="postselect: discard nonzero readouts; conditional: "
                         "sample the renormalized target slice")
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("table1", help="recompute the benchmark table and compare")
-    p.add_argument("--shots", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sizes", help="comma-separated lattice sizes, e.g. 2,3")
-    p.add_argument("--allow-large", action="store_const", const=True, dest="allow_large")
-    p.add_argument("--single-precision", action="store_const", const=True,
-                   dest="single_precision")
+    _add_sampling(p)
+    p.add_argument("--sizes", default="2,3,4", help="comma-separated lattice sizes, e.g. 2,3")
+    _add_budget(p)
     _add_common(p)
     p.set_defaults(func=cmd_table1)
 
@@ -481,9 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # built per call: --config edits the parser's defaults, which must not reach the next call
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            _apply_config(parser, args.command, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

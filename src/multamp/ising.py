@@ -76,16 +76,6 @@ class IsingLattice:
         return cls(rows, cols, CRITICAL_BETA_TIMES_J * relative_beta)
 
 
-def sigma_count(lattice: IsingLattice, config: int) -> int:
-    """Number of ordered neighbor pairs with differing spins."""
-    if not 0 <= config < (1 << lattice.num_sites):
-        raise ValueError("configuration out of range")
-    total = 0
-    for i, j in lattice.pairs():
-        total += ((config >> i) ^ (config >> j)) & 1
-    return total
-
-
 def sigma_counts_all(lattice: IsingLattice) -> np.ndarray:
     """Sigma for every configuration at once; brute force, 20 sites max."""
     n = lattice.num_sites

@@ -271,13 +271,12 @@ def build_T2(plan: TransductionPlan, layout: RegisterLayout) -> Circuit:
     return Circuit(layout, gates)
 
 
-def enforce_exact_zero(plan: TransductionPlan, layout: RegisterLayout,
-                       saturated_value: int | None = None) -> Circuit:
+def enforce_exact_zero(plan: TransductionPlan, layout: RegisterLayout) -> Circuit:
     """Transduction with exactly zero post-selected weight on saturation.
 
     Computes the NAND of the D qubits into the flag ancilla z (z == 0 only
-    when D holds the saturated value), runs the rotations with z as an
-    extra control, then a NOT anti-controlled on z kicks saturated
+    when D holds the saturated value 2^d - 1), runs the rotations with z
+    as an extra control, then a NOT anti-controlled on z kicks saturated
     branches out of the post-selected |0> slice entirely.  On
     non-saturated branches the amplitudes match the plain builders.
 
@@ -289,17 +288,11 @@ def enforce_exact_zero(plan: TransductionPlan, layout: RegisterLayout,
         raise ValueError("enforce_exact_zero needs a width-1 ancilla register 'z'")
     if layout.width("D") != plan.d:
         raise ValueError("D register width does not match the plan")
-    if saturated_value is None:
-        saturated_value = (1 << plan.d) - 1
-    if not 0 <= saturated_value < (1 << plan.d):
-        raise ValueError("saturated_value out of range for the D register")
-    if plan.variant == "direct" and saturated_value == 0:
-        raise ValueError("direct variant cannot exclude the post-selected value 0")
 
     dq = list(layout.qubits("D"))
     zq = layout.offset("z")
-    detect = tuple((dq[k], (saturated_value >> k) & 1) for k in range(plan.d))
-    gates = [x(zq), x(zq, controls=detect)]  # z = NOT(D == saturated_value)
+    detect = tuple((q, 1) for q in dq)
+    gates = [x(zq), x(zq, controls=detect)]  # z = NOT(D == 2^d - 1)
     if plan.variant == "direct":
         # saturated branches keep D at the (nonzero) saturation value, so
         # gating the rotations on z already empties their |0> component

@@ -204,6 +204,14 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     code, out, _ = run(["synth", "--config", str(cfg), "--variant", "direct"], capsys)
     assert code == EXIT_OK
     assert "qubits = 8" in out  # explicit flag wins
+    with cfg.open("a") as fh:
+        fh.write("enforce_zero = yes\nd = 4\n")
+    code, out, _ = run(["synth", "--config", str(cfg)], capsys)
+    assert code == EXIT_OK
+    assert "qubits = 14" in out  # controlled, d = 4 and the z flag, all from the file
+    code, out, _ = run(["synth", "--config", str(cfg), "--variant", "direct"], capsys)
+    assert code == EXIT_OK
+    assert "qubits = 10" in out
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -223,6 +231,14 @@ def test_config_file_errors(tmp_path, capsys):
     badvalue.write_text("rows = two\n")
     code, _, err = run(["synth", "--config", str(badvalue)], capsys)
     assert code == EXIT_CONFIG
+    # values are checked like the flags: on/off words and choices
+    for line, key in [("enforce_zero = maybe", "enforce_zero"),
+                      ("format = xml", "format"), ("keep = all", "keep")]:
+        badvalue.write_text(f"{line}\n")
+        code, _, err = run(["sample", *LATTICE, "--shots", "100",
+                            "--config", str(badvalue), "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert key in err
 
 
 # --- table1 -----------------------------------------------------------------

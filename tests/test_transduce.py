@@ -305,9 +305,6 @@ def test_enforce_zero_needs_the_flag_register():
     layout = standard_layout(4, 2, "direct", zero_flag=False)
     with pytest.raises(ValueError):
         enforce_exact_zero(plan, layout)
-    layout = standard_layout(4, 2, "direct", zero_flag=True)
-    with pytest.raises(ValueError):
-        enforce_exact_zero(plan, layout, saturated_value=0)
 
 
 def test_synthesis_post_selection_probability_is_u_squared():
