@@ -6,10 +6,12 @@ Run from the repository root:  python3 demos/transduction_basics.py
 import math
 
 from multamp import (
+    StateVector,
+    apply_circuit,
     build_lambda_table,
+    build_synthesis,
     make_plan,
     phi_product,
-    run_synthesis,
 )
 from multamp.amplify import postselect_probability
 
@@ -33,8 +35,9 @@ print("\nworst truncation ratio:", round(min(
 
 for variant in ("direct", "controlled"):
     plan = make_plan(variant, GAMMA, D)
-    state = run_synthesis(table, plan)
-    layout = state.layout
+    circuit = build_synthesis(table, plan)
+    layout = circuit.layout
+    state = apply_circuit(StateVector.zero_state(layout), circuit)
     post = "D" if variant == "direct" else "E"
     print(f"\n{variant} variant on {layout.total_qubits} qubits; "
           f"post-select {post} = 0")

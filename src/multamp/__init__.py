@@ -37,7 +37,6 @@ from .transduce import (
     make_plan,
     phi_product,
     plan_precision,
-    run_synthesis,
     standard_layout,
 )
 from .amplify import (
@@ -91,7 +90,6 @@ __all__ = [
     "plan_precision",
     "predicted_postamp",
     "run_amplified",
-    "run_synthesis",
     "sample",
     "select_nu",
     "standard_layout",

@@ -9,8 +9,10 @@ inside the target slice is unchanged at every nu.
 
 Q acts only on span{Pi U|0>, (1 - Pi) U|0>}, so ``run_amplified`` applies
 U once and rescales the two halves in closed form (Brassard, Hoyer, Mosca
-and Tapp, quant-ph/0005055).  ``grover_iterate`` and the reflection
-circuits are the gate-level reference it is tested against.
+and Tapp, quant-ph/0005055).  ``grover_iterate`` is the iterate-by-iterate
+reference it is tested against.  Its reflections act on the amplitudes
+directly; their gate-level specifications (a multi-controlled Z for I_t,
+an X-wrapped one for I_s) live with the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,16 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .simcore import (
-    Circuit,
-    RegisterLayout,
-    StateVector,
-    apply_circuit,
-    phase,
-    register_selector,
-    x,
-    z,
-)
+from .simcore import Circuit, StateVector, apply_circuit, register_selector
 
 NU_RULES = ("paper", "optimal")
 
@@ -38,8 +31,7 @@ class AmplificationSpec:
     """Synthesis circuit plus the reflection data for its iterates.
 
     ``target`` maps register names to required values (the |t> subspace);
-    the source is the all-zero basis state.  The inverse circuit is built
-    once and cached.
+    the source is the all-zero basis state.
     """
 
     def __init__(self, synthesis: Circuit, target: Mapping[str, int], nu: int):
@@ -54,13 +46,6 @@ class AmplificationSpec:
         self.synthesis = synthesis
         self.target = dict(target)
         self.nu = int(nu)
-        self._inverse = None
-
-    @property
-    def synthesis_inverse(self) -> Circuit:
-        if self._inverse is None:
-            self._inverse = self.synthesis.inverse()
-        return self._inverse
 
 
 def phase_flip(state: StateVector, conditions: Mapping[str, int]) -> StateVector:
@@ -79,33 +64,6 @@ def postselect_probability(state: StateVector, conditions: Mapping[str, int]) ->
     return float(np.sum(np.abs(psi[register_selector(state.layout, conditions)]) ** 2))
 
 
-def predicate_flip_circuit(layout: RegisterLayout, conditions: Mapping[str, int]) -> Circuit:
-    """Gate-level equivalent of phase_flip: one multi-controlled Z.
-
-    The first conditioned qubit is the Z target (X-conjugated when its
-    required bit is 0); the rest become polarity controls.
-    """
-    bits = []
-    for reg, val in conditions.items():
-        for k, q in enumerate(layout.qubits(reg)):
-            bits.append((q, (val >> k) & 1))
-    if not bits:
-        # global -1: Z X Z X on any one qubit
-        return Circuit(layout, [z(0), x(0), z(0), x(0)])
-    (q0, b0), rest = bits[0], tuple(bits[1:])
-    core = phase(math.pi, q0, controls=rest)
-    gates = [core] if b0 == 1 else [x(q0), core, x(q0)]
-    return Circuit(layout, gates)
-
-
-def source_flip_circuit(layout: RegisterLayout) -> Circuit:
-    """Flip |00...0>: X on every qubit around a multi-controlled Z."""
-    n = layout.total_qubits
-    wrap = [x(q) for q in range(n)]
-    core = phase(math.pi, 0, controls=tuple((q, 1) for q in range(1, n)))
-    return Circuit(layout, wrap + [core] + list(reversed(wrap)))
-
-
 def grover_iterate(state: StateVector, spec: AmplificationSpec) -> StateVector:
     """Advance U Q^k |0> to U Q^(k+1) |0>, in place.
 
@@ -114,7 +72,7 @@ def grover_iterate(state: StateVector, spec: AmplificationSpec) -> StateVector:
     frame.  The source flip targets the single all-zero basis state.
     """
     phase_flip(state, spec.target)
-    apply_circuit(state, spec.synthesis_inverse, validate=False)
+    apply_circuit(state, spec.synthesis.inverse(), validate=False)
     state.amplitudes[0] *= -1.0  # I_s: the source predicate matches index 0 only
     apply_circuit(state, spec.synthesis, validate=False)
     np.negative(state.amplitudes, out=state.amplitudes)

@@ -187,11 +187,6 @@ def sigma_histogram_rows(sigma_counts: Mapping[int, int], reference: BoltzmannRe
     return rows
 
 
-def sigma_expected_counts(reference: BoltzmannReference, kept_shots: int) -> dict[int, float]:
-    return {int(s): float(p) * kept_shots
-            for s, p in zip(reference.sigma_support, reference.sigma_probability)}
-
-
 def magnetization_rows(mag_counts: Mapping[int, int], num_sites: int) -> list[dict]:
     """Rows (m, probability) over the full support -N..N step 2."""
     total = float(sum(mag_counts.values()))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis
 from .simcore import Circuit, RegisterLayout, RegisterXor, StateVector, apply_circuit, h, x
-from .transduce import build_lambda_table, make_plan, num_index_qubits
+from .transduce import build_lambda_table, check_alphas, num_index_qubits
 
 
 def rotation_oracle_synthesis(alphas, dtype=np.complex128) -> tuple[StateVector, RegisterLayout]:
@@ -30,9 +30,7 @@ def rotation_oracle_synthesis(alphas, dtype=np.complex128) -> tuple[StateVector,
     classical arccos, which is what makes this an oracle rather than a
     circuit construction.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas < 0.0) or np.any(alphas > 1.0):
-        raise ValueError("all amplitudes must lie in [0, 1]")
+    alphas = check_alphas(alphas)
     n = num_index_qubits(alphas.shape[0])
     layout = RegisterLayout([("C", n), ("a", 1)])
     num = alphas.shape[0]
@@ -80,9 +78,7 @@ def build_comparator_synthesis(alphas, d: int) -> tuple[Circuit, dict]:
     x, realizing "no x reaches the threshold" and a post-selected
     amplitude of exactly 1/sqrt(N).
     """
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas < 0.0) or np.any(alphas > 1.0):
-        raise ValueError("all amplitudes must lie in [0, 1]")
+    alphas = check_alphas(alphas)
     if d < 1:
         raise ValueError("d must be >= 1")
     layout = comparator_layout(alphas.shape[0], d)
@@ -117,9 +113,7 @@ def compare_norms(alphas, d: int, gamma: float | None = None,
     gamma = cutoff_eps**(-1 / (2**d - 1)), which spends the full exponent
     range on [cutoff_eps, 1] without overflow.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas < 0.0) or np.any(alphas > 1.0):
-        raise ValueError("all amplitudes must lie in [0, 1]")
+    alphas = check_alphas(alphas)
     if d < 1:
         raise ValueError("d must be >= 1")
     n = num_index_qubits(alphas.shape[0])

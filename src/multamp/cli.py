@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -183,7 +184,7 @@ def _synthesize(args):
 
 def cmd_synth(args) -> int:
     lattice, state, diag = _synthesize(args)
-    payload = diag.to_dict()
+    payload = asdict(diag)
     payload["version"] = __version__
     for key in ("u_sq", "u_sq_oracle", "predicted_postamp", "measured_postamp"):
         print(f"{key} = {payload[key]:.6f}")
@@ -229,7 +230,7 @@ def cmd_sample(args) -> int:
         fit = {"chi2_stat": tests.chi2_stat, "dof": tests.dof,
                "p_value": tests.p_value, "tvd": tests.tvd}
 
-    payload = diag.to_dict()
+    payload = asdict(diag)
     payload.update({
         "version": __version__,
         "shots": args.shots,
@@ -289,6 +290,8 @@ def cmd_table1(args) -> int:
         sizes = sorted({int(tok) for tok in args.sizes.replace("x", ",").split(",") if tok})
     except ValueError:
         raise ConfigError(f"bad --sizes value: {args.sizes!r}") from None
+    if not sizes:
+        raise ConfigError("--sizes names no lattice size")
     if not set(sizes) <= {2, 3, 4}:
         raise ConfigError("--sizes entries must be lattice sizes 2, 3, or 4")
 
@@ -412,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="one Boltzmann synthesis with diagnostics")
     _add_lattice(p)
-    _add_common(p)
+    _add_common(p, tabular=False)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sample", help="synthesis plus sampling and histogram files")

@@ -21,7 +21,7 @@ stays untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,9 +218,6 @@ class SynthesisDiagnostics:
     u_sq_oracle: float      # exact_norms prediction of the same
     predicted_postamp: float
     measured_postamp: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None = None,

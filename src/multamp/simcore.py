@@ -478,34 +478,3 @@ def filter_counts(counts: Mapping[int, int], layout: RegisterLayout,
     for reg, val in conditions.items():
         keep &= layout.values(keys, reg) == val
     return dict(compress(counts.items(), keep))
-
-
-def apply_permutation_to_index(ops, index: int, layout: RegisterLayout | None = None) -> int:
-    """Track one basis state through a permutation-only circuit classically.
-
-    Accepts x/swap gates (with controls) and RegisterXor instructions; any
-    amplitude-mixing gate raises.  Runs in O(gates) independent of the
-    qubit count, which makes exhaustive truth-table checks cheap.
-    """
-    if isinstance(ops, Circuit):
-        layout = ops.layout
-        ops = ops.gates
-    for op in ops:
-        if isinstance(op, RegisterXor):
-            if layout is None:
-                raise ValueError("RegisterXor tracking needs a layout")
-            key = layout.value(index, op.key_register)
-            index ^= int(op.values[key]) << layout.offset(op.target_register)
-            continue
-        if op.kind not in ("x", "swap"):
-            raise ValueError(f"{op.kind} is not a basis permutation")
-        if not all((index >> q) & 1 == pol for q, pol in op.controls):
-            continue
-        if op.kind == "x":
-            index ^= 1 << op.target
-        else:
-            b1 = (index >> op.target) & 1
-            b2 = (index >> op.target2) & 1
-            if b1 != b2:
-                index ^= (1 << op.target) | (1 << op.target2)
-    return index

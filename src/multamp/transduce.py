@@ -25,13 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplify import postselect_probability
 from .simcore import (
     Circuit,
     RegisterLayout,
     RegisterXor,
-    StateVector,
-    apply_circuit,
     h,
     roty,
     x,
@@ -78,29 +75,6 @@ class TransductionPlan:
     gamma: float
     d: int
     angles: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "gamma": self.gamma,
-            "d": self.d,
-            "angles": list(self.angles),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransductionPlan":
-        plan = make_plan(data["variant"], data["gamma"], data["d"])
-        stored = np.asarray(data.get("angles", plan.angles), dtype=float)
-        if stored.shape != (plan.d,) or not np.allclose(stored, plan.angles, atol=1e-12):
-            raise ValueError("stored angles disagree with (variant, gamma, d)")
-        return plan
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TransductionPlan":
-        return cls.from_dict(json.loads(text))
 
 
 def make_plan(variant: str, gamma: float, d: int) -> TransductionPlan:
@@ -153,17 +127,19 @@ class AmplitudeTable:
     def num_entries(self) -> int:
         return int(self.alphas.shape[0])
 
-    @property
-    def saturation_value(self) -> int:
-        return (1 << self.d) - 1
+
+def check_alphas(alphas) -> np.ndarray:
+    """The amplitudes as a float array, every one in [0, 1]; NaN is rejected too."""
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
+        raise ValueError("all amplitudes must lie in [0, 1]")
+    return alphas
 
 
 def build_lambda_table(alphas, gamma: float, d: int, cutoff_eps: float) -> AmplitudeTable:
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = check_alphas(alphas)
     if alphas.ndim != 1 or alphas.shape[0] < 1:
         raise ValueError("alphas must be a non-empty 1-D array")
-    if np.any(alphas < 0.0) or np.any(alphas > 1.0):
-        raise ValueError("all amplitudes must lie in [0, 1]")
     if gamma <= 1.0:
         raise ValueError("gamma must be > 1")
     if d < 1:
@@ -212,7 +188,7 @@ def build_L_oracle(table: AmplitudeTable, layout: RegisterLayout) -> RegisterXor
 
     A classically keyed basis permutation, exactly unitary and its own
     inverse.  On the intended input (D == |0> on every branch) it writes
-    |l>|0> -> |l>|lambda~_l>; use apply_L to assert that precondition.
+    |l>|0> -> |l>|lambda~_l>; on any other D it XORs lambda~_l in.
     """
     if layout.width("C") != num_index_qubits(table.num_entries):
         raise ValueError("C register width does not match the table size")
@@ -221,22 +197,6 @@ def build_L_oracle(table: AmplitudeTable, layout: RegisterLayout) -> RegisterXor
     op = RegisterXor("C", "D", table.lambdas)
     op.validate(layout)
     return op
-
-
-def apply_L(state: StateVector, oracle: RegisterXor) -> StateVector:
-    """Apply the exponent oracle, enforcing the D == |0> precondition.
-
-    Inside composed circuits (inverses, amplification iterates) the oracle
-    legitimately sees nonzero D and runs unchecked through
-    ``oracle.apply``; this entry point is for direct synthesis steps.
-    """
-    p0 = postselect_probability(state, {oracle.target_register: 0})
-    if p0 < 1.0 - 1e-9:
-        raise ValueError(
-            f"register {oracle.target_register!r} carries nonzero-value amplitude "
-            f"(P(0) = {p0:.6g}); the exponent oracle expects |0>"
-        )
-    return oracle.apply(state)
 
 
 def build_T1(plan: TransductionPlan, layout: RegisterLayout) -> Circuit:
@@ -324,13 +284,6 @@ def assemble_synthesis(plan: TransductionPlan, layout: RegisterLayout, oracle_op
     if enforce_zero:
         return circ.extend(enforce_exact_zero(plan, layout).gates)
     return circ.extend((build_T1 if plan.variant == "direct" else build_T2)(plan, layout).gates)
-
-
-def run_synthesis(table: AmplitudeTable, plan: TransductionPlan,
-                  enforce_zero: bool = False, dtype=np.complex128) -> StateVector:
-    circ = build_synthesis(table, plan, enforce_zero)
-    state = StateVector.zero_state(circ.layout, dtype=dtype)
-    return apply_circuit(state, circ, validate=False)
 
 
 def load_alphas_csv(path) -> np.ndarray:

@@ -4,11 +4,21 @@ Everything here deliberately avoids the code paths used by the package:
 gates become dense matrices built by bit arithmetic, lattice sums come
 from literal spin loops, and closed-form amplitudes are evaluated from
 first principles.  Slow and obvious on purpose; keep sizes small.
+
+The exceptions are the gate-level specifications at the end, which are
+built from ``multamp.simcore`` gate constructors: the amplification
+reflections as circuits, which ``amplify.phase_flip`` and the iterate's
+index-0 sign flip must equal, and a classical tracker that runs
+permutation circuits (the comparator) one basis state at a time for
+exhaustive truth tables.
 """
 
 import math
+from typing import Mapping
 
 import numpy as np
+
+from multamp.simcore import Circuit, RegisterLayout, RegisterXor, phase, x, z
 
 
 def single_gate_matrix(kind: str, angle: float) -> np.ndarray:
@@ -147,3 +157,63 @@ def grover_amplitude(u: float, nu: int) -> float:
     """Target amplitude after nu ideal reflections starting at sin(theta) = u."""
     theta = math.asin(u)
     return math.sin((2 * nu + 1) * theta)
+
+
+# --- gate-level specifications ------------------------------------------------
+
+def predicate_flip_circuit(layout: RegisterLayout, conditions: Mapping[str, int]) -> Circuit:
+    """Gate-level equivalent of amplify.phase_flip: one multi-controlled Z.
+
+    The first conditioned qubit is the Z target (X-conjugated when its
+    required bit is 0); the rest become polarity controls.
+    """
+    bits = []
+    for reg, val in conditions.items():
+        for k, q in enumerate(layout.qubits(reg)):
+            bits.append((q, (val >> k) & 1))
+    if not bits:
+        # global -1: Z X Z X on any one qubit
+        return Circuit(layout, [z(0), x(0), z(0), x(0)])
+    (q0, b0), rest = bits[0], tuple(bits[1:])
+    core = phase(math.pi, q0, controls=rest)
+    gates = [core] if b0 == 1 else [x(q0), core, x(q0)]
+    return Circuit(layout, gates)
+
+
+def source_flip_circuit(layout: RegisterLayout) -> Circuit:
+    """Flip |00...0>: X on every qubit around a multi-controlled Z."""
+    n = layout.total_qubits
+    wrap = [x(q) for q in range(n)]
+    core = phase(math.pi, 0, controls=tuple((q, 1) for q in range(1, n)))
+    return Circuit(layout, wrap + [core] + list(reversed(wrap)))
+
+
+def apply_permutation_to_index(ops, index: int, layout: RegisterLayout | None = None) -> int:
+    """Track one basis state through a permutation-only circuit classically.
+
+    Accepts x/swap gates (with controls) and RegisterXor instructions; any
+    amplitude-mixing gate raises.  Runs in O(gates) independent of the
+    qubit count, which makes exhaustive truth-table checks cheap.
+    """
+    if isinstance(ops, Circuit):
+        layout = ops.layout
+        ops = ops.gates
+    for op in ops:
+        if isinstance(op, RegisterXor):
+            if layout is None:
+                raise ValueError("RegisterXor tracking needs a layout")
+            key = layout.value(index, op.key_register)
+            index ^= int(op.values[key]) << layout.offset(op.target_register)
+            continue
+        if op.kind not in ("x", "swap"):
+            raise ValueError(f"{op.kind} is not a basis permutation")
+        if not all((index >> q) & 1 == pol for q, pol in op.controls):
+            continue
+        if op.kind == "x":
+            index ^= 1 << op.target
+        else:
+            b1 = (index >> op.target) & 1
+            b2 = (index >> op.target2) & 1
+            if b1 != b2:
+                index ^= (1 << op.target) | (1 << op.target2)
+    return index

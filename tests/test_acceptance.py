@@ -21,7 +21,6 @@ from multamp.simcore import (
     RegisterLayout,
     StateVector,
     apply_circuit,
-    apply_permutation_to_index,
     collapse,
     counts_by_register,
     filter_counts,
@@ -274,7 +273,7 @@ def test_criterion_7_property_suites():
         for value in range(1 << d):
             for probe in range(1 << d):
                 index = layout.pack("D", value) | layout.pack("E", probe)
-                out = apply_permutation_to_index(gates, index, layout)
+                out = oracles.apply_permutation_to_index(gates, index, layout)
                 comparator_ok &= layout.value(out, "g") == (1 if probe >= value else 0)
                 comparator_ok &= layout.value(out, "w") == 0
 

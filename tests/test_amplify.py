@@ -14,11 +14,9 @@ from multamp.amplify import (
     grover_iterate,
     phase_flip,
     postselect_probability,
-    predicate_flip_circuit,
     predicted_postamp,
     run_amplified,
     select_nu,
-    source_flip_circuit,
 )
 from multamp.simcore import (
     Circuit,
@@ -59,7 +57,7 @@ def test_predicate_flip_circuit_matches_direct_flip():
         amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         amps /= np.linalg.norm(amps)
         via_gates = StateVector(layout, amps.astype(np.complex128))
-        apply_circuit(via_gates, predicate_flip_circuit(layout, conditions))
+        apply_circuit(via_gates, oracles.predicate_flip_circuit(layout, conditions))
         direct = StateVector(layout, amps.astype(np.complex128))
         phase_flip(direct, conditions)
         assert np.allclose(via_gates.amplitudes, direct.amplitudes, atol=1e-12)
@@ -69,7 +67,7 @@ def test_empty_predicate_is_a_global_minus_sign():
     layout = RegisterLayout([("A", 2)])
     state = StateVector.basis_state(layout, 2)
     before = state.amplitudes.copy()
-    apply_circuit(state, predicate_flip_circuit(layout, {}))
+    apply_circuit(state, oracles.predicate_flip_circuit(layout, {}))
     assert np.allclose(state.amplitudes, -before, atol=0)
     phase_flip(state, {})
     assert np.allclose(state.amplitudes, before, atol=0)
@@ -77,7 +75,7 @@ def test_empty_predicate_is_a_global_minus_sign():
 
 def test_source_flip_circuit_negates_only_the_all_zero_state():
     layout = RegisterLayout([("A", 2), ("B", 1)])
-    mat = oracles.circuit_matrix(source_flip_circuit(layout))
+    mat = oracles.circuit_matrix(oracles.source_flip_circuit(layout))
     want = np.eye(8, dtype=complex)
     want[0, 0] = -1.0
     assert np.allclose(mat, want, atol=1e-12)

@@ -11,7 +11,6 @@ from multamp.analysis import (
     distribution_tests,
     exact_norms,
     magnetization_rows,
-    sigma_expected_counts,
     sigma_histogram_rows,
     tally,
     write_csv,
@@ -177,9 +176,9 @@ def test_sigma_histogram_rows_scale_theory_per_state():
     # per-state theory: kept * exp(-2 beta J sigma) / Z_reduced
     want0 = 1000 * 1.0 / reference.partition_reduced
     assert math.isclose(rows[0]["theory"], want0, rel_tol=1e-12)
-    expected = sigma_expected_counts(reference, 1000)
-    assert math.isclose(expected[4],
-                        1000 * float(reference.sigma_probability[1]), rel_tol=1e-12)
+    # times the density of states, theory is the expected count per sigma
+    for row, g, p in zip(rows, reference.sigma_multiplicity, reference.sigma_probability):
+        assert math.isclose(row["theory"] * g, 1000 * float(p), rel_tol=1e-12)
 
 
 def test_magnetization_rows_cover_the_full_support():

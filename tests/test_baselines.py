@@ -16,11 +16,7 @@ from multamp.baselines import (
     compare_norms,
     rotation_oracle_synthesis,
 )
-from multamp.simcore import (
-    StateVector,
-    apply_circuit,
-    apply_permutation_to_index,
-)
+from multamp.simcore import StateVector, apply_circuit
 from multamp.transduce import build_lambda_table
 
 
@@ -50,7 +46,7 @@ def test_comparator_truth_table_is_exhaustive(d):
     for value in range(1 << d):
         for probe in range(1 << d):
             index = layout.pack("D", value) | layout.pack("E", probe)
-            out = apply_permutation_to_index(gates, index, layout)
+            out = oracles.apply_permutation_to_index(gates, index, layout)
             assert layout.value(out, "g") == (1 if probe >= value else 0)
             assert layout.value(out, "w") == 0  # borrow chain uncomputed
             assert layout.value(out, "D") == value

@@ -80,9 +80,11 @@ def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, capsys):
 
 
 def test_synth_rejects_unknown_variant():
-    with pytest.raises(SystemExit) as info:
-        main(["synth", *LATTICE, "--variant", "sideways"])
-    assert info.value.code == 2  # argparse usage error
+    # synth writes only run.json, so it takes no --format either
+    for flags in (["--variant", "sideways"], ["--format", "json"]):
+        with pytest.raises(SystemExit) as info:
+            main(["synth", *LATTICE, *flags])
+        assert info.value.code == 2  # argparse usage error
 
 
 # --- sample -----------------------------------------------------------------
@@ -286,6 +288,9 @@ def test_table1_gates_on_the_computed_layout(monkeypatch, capsys):
 def test_table1_rejects_unknown_sizes(capsys):
     code, _, _ = run(["table1", "--sizes", "5"], capsys)
     assert code == EXIT_CONFIG
+    code, _, err = run(["table1", "--sizes", ","], capsys)  # no row would be checked
+    assert code == EXIT_CONFIG
+    assert "--sizes" in err
 
 
 def test_table1_mismatch_exit_code(monkeypatch, capsys):
@@ -315,3 +320,10 @@ def test_baselines_from_csv_table(tmp_path, capsys):
     code, _, _ = run(["baselines", "--table", str(tmp_path / "nope.csv"),
                       "--d", "4"], capsys)
     assert code == EXIT_CONFIG
+    for name, text in [("nan.csv", "0,0.9\n1,nan\n2,0.25\n3,0.1\n"),
+                       ("nan.json", "[0.9, NaN, 0.25, 0.1]")]:
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, out, err = run(["baselines", "--table", str(bad), "--d", "4"], capsys)
+        assert code == EXIT_CONFIG
+        assert "[0, 1]" in err and "norm=" not in out

@@ -1,6 +1,7 @@
 """Lattice bookkeeping, the arithmetic oracle, and Boltzmann synthesis."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_diagnostics_consistency():
     assert math.isclose(diag.gamma, math.exp(0.2), rel_tol=1e-15)
     assert abs(diag.u_sq - diag.u_sq_oracle) < 1e-12
     assert abs(diag.predicted_postamp - diag.measured_postamp) < 1e-10
-    data = diag.to_dict()
+    data = asdict(diag)
     assert data["nu"] == diag.nu and data["beta_j"] == 0.1
 
 

@@ -16,7 +16,6 @@ from multamp.simcore import (
     StateVector,
     apply_circuit,
     apply_gate,
-    apply_permutation_to_index,
     collapse,
     counts_by_register,
     filter_counts,
@@ -461,9 +460,9 @@ def test_permutation_tracker_matches_statevector():
         state = StateVector.basis_state(layout, index)
         apply_circuit(state, circuit)
         landed = int(np.flatnonzero(np.abs(state.amplitudes) > 0.5)[0])
-        assert apply_permutation_to_index(ops, index, layout) == landed
+        assert oracles.apply_permutation_to_index(ops, index, layout) == landed
 
 
 def test_permutation_tracker_rejects_non_permutation_gates():
     with pytest.raises(ValueError):
-        apply_permutation_to_index([h(0)], 0, RegisterLayout([("R", 1)]))
+        oracles.apply_permutation_to_index([h(0)], 0, RegisterLayout([("R", 1)]))
