@@ -165,9 +165,10 @@ def _dtype(args):
 
 
 def _layout_qubits(lattice, variant, d=None, enforce_zero=False) -> int:
-    """Qubits of the synthesis layout, with the exponent width it really gets."""
+    """Qubits the simulated state allocates (no idle ancilla), at the d it really gets."""
     target = ising.BoltzmannTarget.from_lattice(lattice, d)
-    return ising.boltzmann_layout(lattice, target.d, variant, enforce_zero).total_qubits
+    return transduce.standard_layout(1 << lattice.num_sites, target.d, variant,
+                                     enforce_zero).total_qubits
 
 
 def _synthesize(args):

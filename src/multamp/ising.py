@@ -9,13 +9,16 @@ alpha_l = exp(-beta_j * Sigma_l) = gamma**(-Sigma_l / 2) with
 gamma = exp(+2 beta_j), so the exponents lambda_l = Sigma_l / 2 are exact
 integers and nothing saturates.
 
-The exponent oracle here is gate-level: Hadamards put the exponent
-register D in the phase basis, each pair XORs its spin parity into one
-spin qubit and kicks phase pi * x / 2**d onto D when the spins differ,
-and an inverse Fourier transform turns the accumulated phase into the
-binary value Sigma/2.  An ancilla prepared in |1> rides along to match
-the usual phase-kickback drawing; with phases written directly on D it
-stays untouched.
+The pipeline loads the exponents as the keyed XOR the amplitude-table
+pipeline uses, RegisterXor("C", "D", Sigma/2), through the same
+transduce.build_synthesis.  build_ising_L is the gate-level circuit that
+oracle stands for, kept as its tested specification: Hadamards put the
+exponent register D in the phase basis, each pair XORs its spin parity
+into one spin qubit and kicks phase pi * x / 2**d onto D when the spins
+differ, and an inverse Fourier transform turns the accumulated phase
+into the binary value Sigma/2.  An ancilla prepared in |1> rides along
+to match the usual phase-kickback drawing; with phases written directly
+on D it stays untouched, so the simulated state leaves it out.
 """
 
 from __future__ import annotations
@@ -33,13 +36,15 @@ from .transduce import (
     AmplitudeTable,
     OverflowLambdaError,
     TransductionPlan,
-    assemble_synthesis,
+    build_synthesis,
     make_plan,
 )
 
 # "inverse critical temperature" of the infinite square lattice in 1/J
 # units; relative-temperature runs use beta*J = 2.269 * relative_beta
 CRITICAL_BETA_TIMES_J = 2.269
+# largest beta_j whose gamma = exp(2 beta_j) is still a finite float
+MAX_BETA_J = math.log(np.finfo(float).max) / 2.0
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,9 @@ class IsingLattice:
     def __post_init__(self):
         if self.rows < 2 or self.cols < 2:
             raise ValueError("lattice needs rows >= 2 and cols >= 2")
-        if not self.beta_j > 0.0:
-            raise ValueError("beta_j must be positive")
+        if not 0.0 < self.beta_j <= MAX_BETA_J:
+            raise ValueError(f"beta_j must be positive and at most {MAX_BETA_J:.2f} "
+                             f"(gamma = exp(2 beta_j) overflows), got {self.beta_j}")
 
     @property
     def num_sites(self) -> int:
@@ -211,7 +217,7 @@ class SynthesisDiagnostics:
     variant: str
     gamma: float
     d: int
-    total_qubits: int
+    total_qubits: int       # of the gate-level circuit, one more than the simulated state
     target_register: str
     nu: int
     u_sq: float             # statevector post-selection probability before iterates
@@ -222,12 +228,10 @@ class SynthesisDiagnostics:
 
 def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None = None,
                               enforce_zero: bool = False) -> tuple[Circuit, BoltzmannTarget, TransductionPlan]:
-    """The full preparation unitary: H on C, pair-counting oracle, transduction."""
+    """H on C, Sigma/2 XORed into D (build_ising_L's action on D = 0), transduction."""
     target = BoltzmannTarget.from_lattice(lattice, d)
     plan = make_plan(variant, target.gamma, target.d)
-    layout = boltzmann_layout(lattice, target.d, variant, enforce_zero)
-    oracle = build_ising_L(lattice, target.d, layout).gates
-    return assemble_synthesis(plan, layout, oracle, enforce_zero), target, plan
+    return build_synthesis(target.amplitude_table(), plan, enforce_zero), target, plan
 
 
 def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
@@ -257,7 +261,7 @@ def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
         variant=variant,
         gamma=target.gamma,
         d=target.d,
-        total_qubits=circ.layout.total_qubits,
+        total_qubits=boltzmann_layout(lattice, target.d, variant, enforce_zero).total_qubits,
         target_register=next(iter(conditions)),
         nu=nu_used,
         u_sq=u_sq,

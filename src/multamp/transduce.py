@@ -274,13 +274,7 @@ def build_synthesis(table: AmplitudeTable, plan: TransductionPlan,
     if plan.gamma != table.gamma or plan.d != table.d:
         raise ValueError("plan and table disagree on (gamma, d)")
     layout = standard_layout(table.num_entries, plan.d, plan.variant, enforce_zero)
-    return assemble_synthesis(plan, layout, [build_L_oracle(table, layout)], enforce_zero)
-
-
-def assemble_synthesis(plan: TransductionPlan, layout: RegisterLayout, oracle_ops,
-                       enforce_zero: bool = False) -> Circuit:
-    """H on C, the exponent oracle's ops, then the transduction the plan and flag pick."""
-    circ = Circuit(layout, [h(q) for q in layout.qubits("C")] + list(oracle_ops))
+    circ = Circuit(layout, [h(q) for q in layout.qubits("C")] + [build_L_oracle(table, layout)])
     if enforce_zero:
         return circ.extend(enforce_exact_zero(plan, layout).gates)
     return circ.extend((build_T1 if plan.variant == "direct" else build_T2)(plan, layout).gates)

@@ -6,11 +6,12 @@ from literal spin loops, and closed-form amplitudes are evaluated from
 first principles.  Slow and obvious on purpose; keep sizes small.
 
 The exceptions are the gate-level specifications at the end, which are
-built from ``multamp.simcore`` gate constructors: the amplification
-reflections as circuits, which ``amplify.phase_flip`` and the iterate's
-index-0 sign flip must equal, and a classical tracker that runs
-permutation circuits (the comparator) one basis state at a time for
-exhaustive truth tables.
+built from ``multamp`` gate constructors and circuit builders: the
+amplification reflections as circuits, which ``amplify.phase_flip`` and
+the iterate's index-0 sign flip must equal; the Ising preparation with
+the gate-level pair counter, which the pipeline's keyed exponent oracle
+must equal; and a classical tracker that runs permutation circuits (the
+comparator) one basis state at a time for exhaustive truth tables.
 """
 
 import math
@@ -18,7 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
-from multamp.simcore import Circuit, RegisterLayout, RegisterXor, phase, x, z
+from multamp import ising, transduce
+from multamp.simcore import Circuit, RegisterLayout, RegisterXor, h, phase, x, z
 
 
 def single_gate_matrix(kind: str, angle: float) -> np.ndarray:
@@ -186,6 +188,26 @@ def source_flip_circuit(layout: RegisterLayout) -> Circuit:
     wrap = [x(q) for q in range(n)]
     core = phase(math.pi, 0, controls=tuple((q, 1) for q in range(1, n)))
     return Circuit(layout, wrap + [core] + list(reversed(wrap)))
+
+
+def gate_level_boltzmann_synthesis(lattice, variant: str, enforce_zero: bool = False) -> Circuit:
+    """The Ising preparation U with the counter as gates: H on C, build_ising_L, the ladder.
+
+    It acts on ``ising.boltzmann_layout``, which holds the counter's idle
+    ancilla ``a`` that the pipeline's keyed oracle leaves out.
+    """
+    target = ising.BoltzmannTarget.from_lattice(lattice)
+    plan = transduce.make_plan(variant, target.gamma, target.d)
+    layout = ising.boltzmann_layout(lattice, target.d, variant, enforce_zero)
+    circ = Circuit(layout, [h(q) for q in layout.qubits("C")])
+    circ.extend(ising.build_ising_L(lattice, target.d, layout).gates)
+    if enforce_zero:
+        ladder = transduce.enforce_exact_zero(plan, layout)
+    elif variant == "direct":
+        ladder = transduce.build_T1(plan, layout)
+    else:
+        ladder = transduce.build_T2(plan, layout)
+    return circ.extend(ladder.gates)
 
 
 def apply_permutation_to_index(ops, index: int, layout: RegisterLayout | None = None) -> int:

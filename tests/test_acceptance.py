@@ -2,8 +2,8 @@
 
 Each test prints one ``[criterion N] PASS/FAIL`` line (replayed in the
 terminal summary).  Heavy statevector runs are shared through
-module-scoped fixtures.  The 27-qubit 4x4 controlled configuration is
-gated behind MULTAMP_LARGE=1; everything else runs by default.
+module-scoped fixtures.  All six Table-1 rows run, the 4x4 controlled
+one as a 27-qubit circuit simulated on 26 qubits.
 """
 
 import math
@@ -31,7 +31,6 @@ from multamp.baselines import comparator_flag_gates, comparator_layout
 
 SHOTS = 1 << 17
 BETA_J = 0.1
-RUN_LARGE = os.environ.get("MULTAMP_LARGE") == "1"
 
 # published benchmark rows (the ones `multamp table1` rechecks)
 EXPECTED = {
@@ -46,10 +45,6 @@ U_SQ_TOL = 0.0005
 POSTAMP_TOL = 0.002
 
 CONFIGS = [(variant, size) for variant in ("direct", "controlled") for size in (2, 3, 4)]
-
-
-def is_gated(variant: str, size: int) -> bool:
-    return variant == "controlled" and size == 4 and not RUN_LARGE
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +65,6 @@ def amplified_runs():
     """Statevector synthesis + amplification + 2**17 shots per configuration."""
     runs = {}
     for variant, size in CONFIGS:
-        if is_gated(variant, size):
-            continue
         lattice = ising.IsingLattice(size, size, BETA_J)
         state, diag = ising.synthesize_boltzmann(lattice, variant=variant,
                                                  nu_rule="paper")
@@ -104,15 +97,13 @@ def test_criterion_1_table_norms(oracle_norms, amplified_runs):
         want = EXPECTED[(variant, size)]
         u_oracle, d = oracle_norms[(variant, size)]
         good = abs(u_oracle ** 2 - want["u_sq"]) <= U_SQ_TOL and d == want["d"]
-        if (variant, size) in amplified_runs:
-            _, diag, _ = amplified_runs[(variant, size)]
-            good &= abs(diag.u_sq - want["u_sq"]) <= U_SQ_TOL
-            good &= abs(diag.u_sq - u_oracle ** 2) < 1e-9
-            good &= diag.total_qubits == want["qubits"]
+        _, diag, _ = amplified_runs[(variant, size)]
+        good &= abs(diag.u_sq - want["u_sq"]) <= U_SQ_TOL
+        good &= abs(diag.u_sq - u_oracle ** 2) < 1e-9
+        good &= diag.total_qubits == want["qubits"]
         ok &= good
         details.append(f"{size}x{size} {variant[0].upper()} u2={u_oracle ** 2:.4f}")
-    gated = " (27-qubit statevector gated, set MULTAMP_LARGE=1)" if not RUN_LARGE else ""
-    assert record_criterion(1, ok, "; ".join(details) + gated)
+    assert record_criterion(1, ok, "; ".join(details))
 
 
 # --- criterion 2: iterate counts and post-amplification probabilities ---------------
@@ -126,10 +117,9 @@ def test_criterion_2_nu_and_postamp(oracle_norms, amplified_runs):
         nu = select_nu(u_oracle, "paper")
         predicted = predicted_postamp(u_oracle, nu)
         good = nu == want["nu"] and abs(predicted - want["postamp"]) <= POSTAMP_TOL
-        if (variant, size) in amplified_runs:
-            _, diag, _ = amplified_runs[(variant, size)]
-            good &= diag.nu == want["nu"]
-            good &= abs(diag.measured_postamp - want["postamp"]) <= POSTAMP_TOL
+        _, diag, _ = amplified_runs[(variant, size)]
+        good &= diag.nu == want["nu"]
+        good &= abs(diag.measured_postamp - want["postamp"]) <= POSTAMP_TOL
         ok &= good
         details.append(f"{size}x{size} {variant[0].upper()} nu={nu} A2={predicted:.3f}")
     assert record_criterion(2, ok, "; ".join(details))

@@ -67,16 +67,22 @@ def test_synth_exit_codes(capsys):
     assert "--allow-large" in err
     code, _, _ = run(["synth", *LATTICE, "--beta-rel-critical", "1.0"], capsys)
     assert code == EXIT_CONFIG  # mutually exclusive couplings
+    # gamma = exp(2 beta_j) overflows a float past beta_j ~ 354.89
+    for coupling in (["--beta-j", "400"], ["--beta-j", "inf"], ["--beta-rel-critical", "inf"]):
+        code, _, err = run(["synth", "--rows", "2", "--cols", "2", *coupling], capsys)
+        assert code == EXIT_CONFIG
+        assert "beta" in err
 
 
-@pytest.mark.parametrize("flags, buffer, peak", [([], "2.0", "4.0"),
-                                                  (["--single-precision"], "1.0", "2.5")])
+@pytest.mark.parametrize("flags, buffer, peak", [([], "1.0", "2.0"),
+                                                  (["--single-precision"], "0.5", "1.2")])
 def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, capsys):
-    # 4x4 controlled is 27 qubits; sampling holds probabilities and a float64 cumsum
+    # 4x4 controlled is a 27-qubit circuit simulated on 26 qubits (no idle
+    # ancilla); sampling holds probabilities and a float64 cumsum
     code, _, err = run(["sample", "--rows", "4", "--cols", "4", "--beta-j", "0.1",
                         "--variant", "controlled", *flags], capsys)
     assert code == EXIT_MEMORY
-    assert f"27 qubits need a {buffer} GiB amplitude buffer and peak at {peak} GiB" in err
+    assert f"26 qubits need a {buffer} GiB amplitude buffer and peak at {peak} GiB" in err
 
 
 def test_synth_rejects_unknown_variant():
@@ -258,9 +264,9 @@ def test_table1_smallest_rows_pass(tmp_path, capsys):
 
 
 def test_table1_skips_gated_sizes_without_allow_large(monkeypatch, capsys):
-    # shrink the budget so both 3x3 rows (13 and 16 qubits) gate out
+    # shrink the budget so both 3x3 rows (12 and 15 simulated qubits) gate out
     from multamp import cli
-    monkeypatch.setattr(cli, "DEFAULT_QUBIT_BUDGET", 12)
+    monkeypatch.setattr(cli, "DEFAULT_QUBIT_BUDGET", 11)
     code, out, _ = run(["table1", "--sizes", "3", "--shots", "100"], capsys)
     assert code == EXIT_OK
     assert out.count("skipped") == 2
@@ -269,11 +275,11 @@ def test_table1_skips_gated_sizes_without_allow_large(monkeypatch, capsys):
 
 def test_table1_gates_on_the_computed_layout(monkeypatch, capsys):
     # the expected-row qubit counts are poisoned to 0, so only the layouts
-    # computed for the rows (22 and 27 qubits) can skip them
+    # the simulated states need for the rows (21 and 26 qubits) can skip them
     from multamp import cli, ising
     poisoned = {key: dict(row, qubits=0) for key, row in cli.TABLE1_EXPECTED.items()}
     monkeypatch.setattr(cli, "TABLE1_EXPECTED", poisoned)
-    monkeypatch.setattr(cli, "DEFAULT_QUBIT_BUDGET", 21)  # gates the direct row too
+    monkeypatch.setattr(cli, "DEFAULT_QUBIT_BUDGET", 20)  # gates the direct row too
 
     def refuse(*args, **kwargs):
         raise AssertionError("a gated row was synthesized")
@@ -281,8 +287,8 @@ def test_table1_gates_on_the_computed_layout(monkeypatch, capsys):
     monkeypatch.setattr(ising, "synthesize_boltzmann", refuse)
     code, out, _ = run(["table1", "--sizes", "4"], capsys)
     assert code == EXIT_OK
-    assert "4x4 direct: skipped (22 qubits" in out
-    assert "4x4 controlled: skipped (27 qubits" in out
+    assert "4x4 direct: skipped (21 qubits" in out
+    assert "4x4 controlled: skipped (26 qubits" in out
 
 
 def test_table1_rejects_unknown_sizes(capsys):

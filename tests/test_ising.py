@@ -33,6 +33,9 @@ def test_lattice_validation():
         IsingLattice(2, 2, 0.0)
     with pytest.raises(ValueError):
         IsingLattice(2, 2, -0.3)
+    for beta_j in (math.inf, 400.0):  # gamma = exp(2 beta_j) would overflow
+        with pytest.raises(ValueError, match="beta_j"):
+            IsingLattice(2, 2, beta_j)
 
 
 def test_pair_list_counts_right_and_down_for_every_site():
@@ -246,13 +249,35 @@ def test_amplification_preserves_the_conditional_distribution():
                         rel_tol=1e-10)
 
 
+KEYED_CONFIGS = [(rows, cols, variant, enforce_zero)
+                 for rows, cols in ((2, 2), (2, 3), (3, 3))
+                 for variant in ("direct", "controlled")
+                 for enforce_zero in (False, True)] + [(4, 4, "direct", False)]
+
+
+@pytest.mark.parametrize("rows,cols,variant,enforce_zero", KEYED_CONFIGS)
+def test_keyed_oracle_prepares_what_the_gate_level_counter_does(rows, cols, variant, enforce_zero):
+    lattice = IsingLattice(rows, cols, 0.1)
+    circ, _, _ = ising.build_boltzmann_synthesis(lattice, variant, enforce_zero=enforce_zero)
+    keyed = StateVector.zero_state(circ.layout)
+    apply_circuit(keyed, circ)
+    spec = oracles.gate_level_boltzmann_synthesis(lattice, variant, enforce_zero)
+    gate_level = StateVector.zero_state(spec.layout)
+    apply_circuit(gate_level, spec)
+    # split each gate-level index into (qubits above a, a, qubits below a)
+    halves = gate_level.amplitudes.reshape(-1, 2, 1 << spec.layout.offset("a"))
+    assert not np.any(halves[:, 0, :])
+    assert np.max(np.abs(halves[:, 1, :].ravel() - keyed.amplitudes)) <= 1e-14
+
+
 def test_diagnostics_consistency():
     lattice = IsingLattice(2, 2, 0.1)
     state, diag = synthesize_boltzmann(lattice, variant="controlled")
     assert diag.rows == 2 and diag.cols == 2
     assert diag.variant == "controlled"
     assert diag.target_register == "E"
-    assert diag.total_qubits == state.layout.total_qubits == 11
+    assert diag.total_qubits == 11  # the gate-level circuit, counter ancilla included
+    assert state.layout.total_qubits == 10
     assert math.isclose(diag.gamma, math.exp(0.2), rel_tol=1e-15)
     assert abs(diag.u_sq - diag.u_sq_oracle) < 1e-12
     assert abs(diag.predicted_postamp - diag.measured_postamp) < 1e-10
