@@ -9,12 +9,12 @@ import os
 from multamp import IsingLattice, boltzmann_reference, synthesize_boltzmann
 from multamp.analysis import (
     distribution_tests,
+    histograms,
     magnetization_rows,
     sigma_histogram_rows,
-    tally,
     write_csv,
 )
-from multamp.simcore import counts_by_register, filter_counts, sample
+from multamp.simcore import filter_counts, sample
 
 SHOTS = 1 << 17
 lattice = IsingLattice(3, 3, beta_j=0.1)
@@ -31,23 +31,19 @@ kept_shots = sum(kept.values())
 print(f"kept {kept_shots}/{SHOTS} shots ({kept_shots / SHOTS:.1%})")
 
 reference = boltzmann_reference(lattice)
-c_counts = counts_by_register(kept, state.layout, "C")
-sigma_counts = tally(c_counts, reference.sigma)
-mag_counts = tally(c_counts, reference.magnetization)
+sigma_counts, mag_counts = histograms(kept, state.layout, reference)
 
 print(f"\n{'Sigma':>6} {'observed/state':>15} {'theory/state':>13}")
 rows = sigma_histogram_rows(sigma_counts, reference, kept_shots)
 for row in rows:
     print(f"{row['sigma']:6d} {row['observed_per_state']:15.1f} {row['theory']:13.1f}")
 
-ref_sigma = {int(s): float(p) for s, p in
-             zip(reference.sigma_support, reference.sigma_probability)}
-fit = distribution_tests(sigma_counts, ref_sigma)
+fit = distribution_tests(sigma_counts, reference.sigma_probability)
 print(f"\nchi-square p = {fit.p_value:.3f}, total variation distance = {fit.tvd:.4f}")
 
 os.makedirs("demo_out", exist_ok=True)
 write_csv("demo_out/sigma_hist.csv", rows,
           ["sigma", "observed", "observed_per_state", "theory"])
 write_csv("demo_out/magnetization_hist.csv",
-          magnetization_rows(mag_counts, lattice.num_sites), ["m", "probability"])
+          magnetization_rows(mag_counts, reference), ["m", "probability"])
 print("wrote demo_out/sigma_hist.csv and demo_out/magnetization_hist.csv")

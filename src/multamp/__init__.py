@@ -23,7 +23,6 @@ from .simcore import (
     apply_circuit,
     apply_gate,
     collapse,
-    counts_by_register,
     filter_counts,
     sample,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "build_synthesis",
     "collapse",
     "compare_norms",
-    "counts_by_register",
     "distribution_tests",
     "exact_norms",
     "filter_counts",

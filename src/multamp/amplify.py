@@ -39,10 +39,7 @@ class AmplificationSpec:
             raise ValueError("nu must be >= 0")
         if not target:
             raise ValueError("target predicate must name at least one register")
-        for reg, val in target.items():
-            width = synthesis.layout.width(reg)
-            if not 0 <= val < (1 << width):
-                raise ValueError(f"target value {val} out of range for register {reg!r}")
+        register_selector(synthesis.layout, target)  # KeyError/ValueError on a bad register value
         self.synthesis = synthesis
         self.target = dict(target)
         self.nu = int(nu)

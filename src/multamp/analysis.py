@@ -102,25 +102,28 @@ class DistributionTests:
     pooled_bins: int
 
 
-def distribution_tests(observed: Mapping, reference: Mapping[object, float]) -> DistributionTests:
+def distribution_tests(observed, probabilities) -> DistributionTests:
     """Pearson chi-square (pooled) and TVD of counts against probabilities.
 
-    ``reference`` must be a probability distribution over the full
-    support; keys observed outside it get expected probability 0 and make
-    the test fail hard.  Bins with expected count below CHI2_MIN_EXPECTED
-    are pooled with their successors in sorted key order.
+    ``observed`` and ``probabilities`` are aligned arrays over one sorted
+    support (e.g. a reference's ``sigma_support``) and the probabilities
+    sum to 1.  A count in a zero-probability bin makes the test fail hard.
+    Bins with expected count below CHI2_MIN_EXPECTED are pooled with their
+    successors.
     """
-    keys = sorted(set(observed) | set(reference))
-    total = float(sum(observed.values()))
+    obs = np.asarray(observed, dtype=float)
+    probs = np.asarray(probabilities, dtype=float)
+    if obs.shape != probs.shape:
+        raise ValueError(f"observed counts {obs.shape} and probabilities {probs.shape} "
+                         "are not aligned")
+    total = float(obs.sum())
     if total <= 0:
         raise ValueError("observed counts are empty")
-    obs = np.array([float(observed.get(k, 0)) for k in keys])
-    probs = np.array([float(reference.get(k, 0.0)) for k in keys])
     if abs(probs.sum() - 1.0) > 1e-6:
         raise ValueError("reference probabilities must sum to 1")
     if np.any((probs == 0.0) & (obs > 0)):
-        return DistributionTests(math.inf, max(len(keys) - 1, 1), 0.0,
-                                 _tvd(obs, probs, total), len(keys))
+        return DistributionTests(math.inf, max(len(obs) - 1, 1), 0.0,
+                                 _tvd(obs, probs, total), len(obs))
     exp = probs * total
 
     pooled_obs, pooled_exp = [], []
@@ -152,48 +155,54 @@ def _tvd(obs: np.ndarray, probs: np.ndarray, total: float) -> float:
     return float(0.5 * np.abs(obs / total - probs).sum())
 
 
-def tally(counts: Mapping[int, int], labels: np.ndarray) -> dict[int, int]:
-    """Regroup configuration counts by label: {labels[config]: total count}.
+def histograms(counts: Mapping[int, int], layout,
+               reference: BoltzmannReference) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma and magnetization counts of sampled basis states.
 
-    ``labels`` holds one value per configuration, e.g. a reference's
-    ``sigma`` or ``magnetization``; keys come out in ascending order.
+    ``counts`` maps basis indices of ``layout`` to shot counts; register C
+    holds the spin configuration.  Returns int64 counts aligned with
+    ``reference.sigma_support`` and ``reference.magnetization_support``.
     """
-    configs = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    index = np.fromiter(counts, dtype=np.int64, count=len(counts))
     weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    keys, inverse = np.unique(labels[configs], return_inverse=True)
-    totals = np.zeros(keys.shape[0], dtype=np.int64)
-    np.add.at(totals, inverse, weights)
-    return {int(k): int(c) for k, c in zip(keys, totals)}
+    configs = layout.values(index, "C")
+
+    def binned(support, labels):
+        bins = np.searchsorted(support, labels[configs])
+        return np.bincount(bins, weights, minlength=support.shape[0]).astype(np.int64)
+
+    return (binned(reference.sigma_support, reference.sigma),
+            binned(reference.magnetization_support, reference.magnetization))
 
 
-def sigma_histogram_rows(sigma_counts: Mapping[int, int], reference: BoltzmannReference,
+def sigma_histogram_rows(sigma_counts: np.ndarray, reference: BoltzmannReference,
                          kept_shots: int) -> list[dict]:
-    """Rows for the per-sigma histogram CSV.
+    """Rows for the per-sigma histogram CSV, from counts aligned with ``sigma_support``.
 
     observed_per_state divides the raw count by the density of states
     g(sigma); theory is the expected per-state count at the same scale,
     kept_shots * exp(-2 beta_j sigma) / partition_reduced.
     """
     rows = []
-    for s, g in zip(reference.sigma_support, reference.sigma_multiplicity):
-        observed = int(sigma_counts.get(int(s), 0))
-        theory = kept_shots * math.exp(-2.0 * reference.beta_j * float(s)) / reference.partition_reduced
+    for s, g, observed in zip(reference.sigma_support.tolist(),
+                              reference.sigma_multiplicity.tolist(), sigma_counts.tolist()):
+        theory = kept_shots * math.exp(-2.0 * reference.beta_j * s) / reference.partition_reduced
         rows.append({
-            "sigma": int(s),
+            "sigma": s,
             "observed": observed,
-            "observed_per_state": observed / float(g),
+            "observed_per_state": observed / g,
             "theory": theory,
         })
     return rows
 
 
-def magnetization_rows(mag_counts: Mapping[int, int], num_sites: int) -> list[dict]:
-    """Rows (m, probability) over the full support -N..N step 2."""
-    total = float(sum(mag_counts.values()))
+def magnetization_rows(mag_counts: np.ndarray, reference: BoltzmannReference) -> list[dict]:
+    """Rows (m, probability) over ``magnetization_support``, -N..N step 2."""
+    total = float(mag_counts.sum())
     if total <= 0:
         raise ValueError("magnetization counts are empty")
-    return [{"m": m, "probability": mag_counts.get(m, 0) / total}
-            for m in range(-num_sites, num_sites + 1, 2)]
+    return [{"m": m, "probability": c / total}
+            for m, c in zip(reference.magnetization_support.tolist(), mag_counts.tolist())]
 
 
 def write_csv(path, rows: list[dict], columns: list[str]):

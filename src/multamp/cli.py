@@ -7,7 +7,7 @@ table1 (the six benchmark rows with pass/fail comparison), baselines
 
 Exit codes: 0 success, 2 configuration or usage error, 3 exponent
 overflow (d too small), 4 memory refusal (state too large without
---allow-large), 5 benchmark comparison failure.
+--allow-large) or a failed allocation, 5 benchmark comparison failure.
 
 A config file (--config, ``key = value`` lines, ``#`` comments) supplies
 defaults; explicit flags win.  Its keys are flag names (``beta_j`` or
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, baselines, ising, transduce
-from .simcore import collapse, counts_by_register, filter_counts, sample
+from .simcore import collapse, filter_counts, sample
 from .transduce import OverflowLambdaError
 
 EXIT_OK = 0
@@ -219,15 +219,11 @@ def cmd_sample(args) -> int:
         efficiency = kept / args.shots
 
     reference = analysis.boltzmann_reference(lattice)
-    c_counts = counts_by_register(kept_counts, kept_layout, "C")
-    sigma_counts = analysis.tally(c_counts, reference.sigma)
-    mag_counts = analysis.tally(c_counts, reference.magnetization)
+    sigma_counts, mag_counts = analysis.histograms(kept_counts, kept_layout, reference)
 
     fit = None
     if kept:
-        ref_sigma = {int(s): float(p) for s, p in
-                     zip(reference.sigma_support, reference.sigma_probability)}
-        tests = analysis.distribution_tests(sigma_counts, ref_sigma)
+        tests = analysis.distribution_tests(sigma_counts, reference.sigma_probability)
         fit = {"chi2_stat": tests.chi2_stat, "dof": tests.dof,
                "p_value": tests.p_value, "tvd": tests.tvd}
 
@@ -253,7 +249,7 @@ def cmd_sample(args) -> int:
             srows = analysis.sigma_histogram_rows(sigma_counts, reference, kept)
             _write_rows(outdir, "sigma_hist", srows,
                         ["sigma", "observed", "observed_per_state", "theory"], args.format)
-            mrows = analysis.magnetization_rows(mag_counts, lattice.num_sites)
+            mrows = analysis.magnetization_rows(mag_counts, reference)
             _write_rows(outdir, "magnetization_hist", mrows, ["m", "probability"], args.format)
         print(f"wrote outputs under {outdir}/")
     return EXIT_OK
@@ -263,9 +259,8 @@ def cmd_plan(args) -> int:
     if args.eps is None or args.delta is None:
         raise ConfigError("plan needs --eps and --delta")
     d = transduce.plan_precision(args.eps, args.delta)
-    comp = 0
-    while (1 << comp) < 1.0 / args.eps:
-        comp += 1
+    # smallest comp with 2**-comp <= eps, read off eps's binary exponent (1 / eps can overflow)
+    comp = 1 - math.frexp(args.eps)[1]
     payload = {
         "cutoff_eps": args.eps,
         "rel_prec_delta": args.delta,
@@ -461,7 +456,7 @@ def main(argv=None) -> int:
     except OverflowLambdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except MemoryRefusal as exc:
+    except (MemoryRefusal, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MEMORY
     except (ValueError, KeyError, OSError) as exc:

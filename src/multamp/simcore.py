@@ -461,15 +461,6 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def counts_by_register(counts: Mapping[int, int], layout: RegisterLayout, register: str) -> dict[int, int]:
-    """Marginalize basis-index counts onto one register."""
-    out: dict[int, int] = {}
-    for index, c in counts.items():
-        v = layout.value(index, register)
-        out[v] = out.get(v, 0) + c
-    return out
-
-
 def filter_counts(counts: Mapping[int, int], layout: RegisterLayout,
                   conditions: Mapping[str, int]) -> dict[int, int]:
     """Keep only the counts whose registers match every condition."""

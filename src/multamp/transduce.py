@@ -49,9 +49,11 @@ def plan_precision(cutoff_eps: float, rel_prec_delta: float) -> int:
     """
     if not 0.0 < cutoff_eps < 1.0:
         raise ValueError("cutoff_eps must be in (0, 1)")
-    if rel_prec_delta <= 0.0:
-        raise ValueError("rel_prec_delta must be positive")
+    if not 0.0 < rel_prec_delta < math.inf:
+        raise ValueError("rel_prec_delta must be positive and finite")
     ratio = -math.log(cutoff_eps) / rel_prec_delta
+    if math.isinf(ratio):
+        raise ValueError("rel_prec_delta too small: -ln(cutoff_eps) / rel_prec_delta overflows")
     d = max(0, math.ceil(math.log2(ratio))) if ratio > 0 else 0
     # guard the float log against boundary rounding
     while (1 << d) <= ratio:

@@ -22,7 +22,6 @@ from multamp.simcore import (
     StateVector,
     apply_circuit,
     collapse,
-    counts_by_register,
     filter_counts,
     h,
     sample,
@@ -83,8 +82,7 @@ def magnetization_runs():
         state, diag = ising.synthesize_boltzmann(lattice, variant="direct", nu=0)
         reduced = collapse(state, {diag.target_register: 0})
         counts = sample(reduced, SHOTS, seed=19)
-        c_counts = counts_by_register(counts, reduced.layout, "C")
-        runs[rel] = (lattice, c_counts)
+        runs[rel] = (lattice, reduced.layout, counts)
     return runs
 
 
@@ -149,11 +147,8 @@ def test_criterion_4_sigma_histograms(amplified_runs):
         state, diag, kept = amplified_runs[("direct", size)]
         lattice = ising.IsingLattice(size, size, BETA_J)
         reference = analysis.boltzmann_reference(lattice)
-        c_counts = counts_by_register(kept, state.layout, "C")
-        sigma_counts = analysis.tally(c_counts, reference.sigma)
-        ref_probs = {int(s): float(p) for s, p in
-                     zip(reference.sigma_support, reference.sigma_probability)}
-        fit = analysis.distribution_tests(sigma_counts, ref_probs)
+        sigma_counts, _ = analysis.histograms(kept, state.layout, reference)
+        fit = analysis.distribution_tests(sigma_counts, reference.sigma_probability)
         ok &= fit.p_value > 0.01
         details.append(f"{size}x{size} p={fit.p_value:.3f}")
     assert record_criterion(4, ok, "chi-square on Sigma at 2^17 shots: " + "; ".join(details))
@@ -164,23 +159,20 @@ def test_criterion_4_sigma_histograms(amplified_runs):
 def test_criterion_5_magnetization(magnetization_runs):
     details = []
     ok = True
-    for rel, (lattice, c_counts) in sorted(magnetization_runs.items()):
+    for rel, (lattice, layout, counts) in sorted(magnetization_runs.items()):
         reference = analysis.boltzmann_reference(lattice)
-        mag_counts = analysis.tally(c_counts, reference.magnetization)
-        ref_mag = {int(m): float(p) for m, p in
-                   zip(reference.magnetization_support,
-                       reference.magnetization_probability)}
-        fit = analysis.distribution_tests(mag_counts, ref_mag)
-        peak = max(mag_counts.values())
-        modes = sorted(m for m, c in mag_counts.items() if c == peak)
+        _, mag_counts = analysis.histograms(counts, layout, reference)
+        fit = analysis.distribution_tests(mag_counts, reference.magnetization_probability)
+        support = reference.magnetization_support
+        modes = support[mag_counts == mag_counts.max()].tolist()
         if rel == 0.1:
             good = modes == [0]
         else:
-            top_two = sorted(mag_counts, key=mag_counts.get)[-2:]
-            good = sorted(top_two) == [-16, 16]
+            top_two = sorted(support[np.argsort(mag_counts, kind="stable")[-2:]].tolist())
+            good = top_two == [-16, 16]
         good &= fit.tvd < 0.05
         ok &= good
-        details.append(f"{rel}x critical: modes {modes if rel == 0.1 else sorted(top_two)}, "
+        details.append(f"{rel}x critical: modes {modes if rel == 0.1 else top_two}, "
                        f"tvd={fit.tvd:.4f}")
     assert record_criterion(5, ok, "; ".join(details))
 

@@ -10,12 +10,13 @@ from multamp.analysis import (
     boltzmann_reference,
     distribution_tests,
     exact_norms,
+    histograms,
     magnetization_rows,
     sigma_histogram_rows,
-    tally,
     write_csv,
 )
 from multamp.ising import IsingLattice
+from multamp.simcore import RegisterLayout
 from multamp.transduce import phi_product
 
 
@@ -78,22 +79,32 @@ def test_reference_magnetization_is_the_spin_sum_per_configuration():
                             rel_tol=1e-12)
 
 
-def test_tally_regroups_counts_by_label():
-    labels = np.array([4, -2, 4, 0, -2, 7])
-    assert tally({0: 3, 2: 5, 1: 2, 4: 1, 3: 6}, labels) == {-2: 3, 0: 6, 4: 8}
-    assert list(tally({5: 1, 1: 2, 3: 4}, labels)) == [-2, 0, 7]  # ascending keys
-    assert tally({}, labels) == {}
+def test_histograms_bin_counts_over_the_reference_support():
+    reference = boltzmann_reference(IsingLattice(2, 2, 0.1))  # sigma support 0, 4, 8
+    layout = RegisterLayout([("C", 4), ("D", 2)])
+    # configurations 0 and 15 (sigma 0, m = -4 and +4), 1 (sigma 4, m = -2),
+    # 6 (checkerboard: sigma 8, m = 0); the D bits above C must be ignored
+    counts = {0: 3, 15 | (2 << 4): 5, 1 | (3 << 4): 2, 6: 7}
+    sigma_counts, mag_counts = histograms(counts, layout, reference)
+    assert sigma_counts.tolist() == [8, 2, 7]
+    assert mag_counts.tolist() == [3, 2, 7, 0, 5]
+    assert sigma_counts.dtype == mag_counts.dtype == np.int64
+    empty = histograms({}, layout, reference)
+    assert [a.tolist() for a in empty] == [[0, 0, 0], [0, 0, 0, 0, 0]]
 
 
-def test_tally_matches_the_raw_draws():
+def test_histograms_match_the_raw_draws():
     reference = boltzmann_reference(IsingLattice(3, 3, 0.2))
+    layout = RegisterLayout([("C", 9), ("t", 1)])
     rng = np.random.default_rng(13)
     configs = rng.integers(0, 1 << 9, size=2000)
     counts = {int(c): int(n) for c, n in zip(*np.unique(configs, return_counts=True))}
-    # the same tally straight from the raw draws
-    for labels in (reference.sigma, reference.magnetization):
-        keys, n = np.unique(labels[configs], return_counts=True)
-        assert tally(counts, labels) == {int(k): int(c) for k, c in zip(keys, n)}
+    got = histograms(counts, layout, reference)
+    # the same histograms straight from the raw draws
+    for labels, support, hist in ((reference.sigma, reference.sigma_support, got[0]),
+                                  (reference.magnetization, reference.magnetization_support,
+                                   got[1])):
+        assert hist.tolist() == [int(np.sum(labels[configs] == v)) for v in support]
 
 
 def test_reference_refuses_oversized_lattices():
@@ -112,46 +123,40 @@ def test_two_by_two_reduced_partition_value():
 
 def test_chi2_is_calibrated_across_seeds():
     # sampling straight from the reference: p > 0.01 should hold ~99% of the time
-    probs = {0: 0.3, 4: 0.45, 8: 0.15, 12: 0.1}
-    values = sorted(probs)
-    p = np.array([probs[v] for v in values])
+    probs = np.array([0.3, 0.45, 0.15, 0.1])
     passed = 0
     trials = 300
     for seed in range(trials):
         rng = np.random.default_rng(seed)
-        draw = rng.multinomial(4000, p)
-        observed = {v: int(c) for v, c in zip(values, draw) if c}
-        result = distribution_tests(observed, probs)
+        draw = rng.multinomial(4000, probs)
+        result = distribution_tests(draw, probs)
         passed += result.p_value > 0.01
     assert passed >= 291
 
 
 def test_chi2_rejects_a_wrong_distribution():
-    probs = {0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}
+    probs = np.full(4, 0.25)
     rng = np.random.default_rng(9)
     draw = rng.multinomial(4000, [0.4, 0.3, 0.2, 0.1])
-    observed = {v: int(c) for v, c in enumerate(draw)}
-    result = distribution_tests(observed, probs)
+    result = distribution_tests(draw, probs)
     assert result.p_value < 1e-6
 
 
 def test_tvd_limits():
-    exact = distribution_tests({0: 500, 1: 500}, {0: 0.5, 1: 0.5})
+    exact = distribution_tests([500, 500], [0.5, 0.5])
     assert exact.tvd < 0.05
-    skewed = distribution_tests({0: 1000}, {0: 0.5, 1: 0.5})
+    skewed = distribution_tests([1000, 0], [0.5, 0.5])
     assert math.isclose(skewed.tvd, 0.5, rel_tol=1e-12)
 
 
-def test_observed_outside_support_fails_hard():
-    result = distribution_tests({0: 10, 7: 1}, {0: 1.0})
+def test_count_in_zero_probability_bin_fails_hard():
+    result = distribution_tests([10, 1], [1.0, 0.0])
     assert result.p_value == 0.0
     assert math.isinf(result.chi2_stat)
 
 
 def test_small_expected_bins_are_pooled():
-    probs = {0: 0.995, 1: 0.004, 2: 0.001}
-    observed = {0: 995, 1: 4, 2: 1}
-    result = distribution_tests(observed, probs)
+    result = distribution_tests([995, 4, 1], [0.995, 0.004, 0.001])
     assert result.pooled_bins == 2
     assert result.dof == 1
     assert result.p_value > 0.5
@@ -159,7 +164,12 @@ def test_small_expected_bins_are_pooled():
 
 def test_reference_probabilities_must_normalize():
     with pytest.raises(ValueError):
-        distribution_tests({0: 1}, {0: 0.5, 1: 0.4})
+        distribution_tests([1, 0], [0.5, 0.4])
+
+
+def test_counts_and_probabilities_must_align():
+    with pytest.raises(ValueError, match="not aligned"):
+        distribution_tests([5, 5], [0.5, 0.25, 0.25])
 
 
 # --- report helpers --------------------------------------------------------------------
@@ -167,8 +177,7 @@ def test_reference_probabilities_must_normalize():
 def test_sigma_histogram_rows_scale_theory_per_state():
     lattice = IsingLattice(2, 2, 0.1)
     reference = boltzmann_reference(lattice)
-    counts = {0: 380, 4: 560, 8: 60}
-    rows = sigma_histogram_rows(counts, reference, kept_shots=1000)
+    rows = sigma_histogram_rows(np.array([380, 560, 60]), reference, kept_shots=1000)
     assert [r["sigma"] for r in rows] == [0, 4, 8]
     assert [r["observed"] for r in rows] == [380, 560, 60]
     assert math.isclose(rows[0]["observed_per_state"], 380 / 2, rel_tol=1e-12)
@@ -182,9 +191,12 @@ def test_sigma_histogram_rows_scale_theory_per_state():
 
 
 def test_magnetization_rows_cover_the_full_support():
-    rows = magnetization_rows({-4: 10, 0: 30, 4: 10}, num_sites=4)
+    reference = boltzmann_reference(IsingLattice(2, 2, 0.1))
+    rows = magnetization_rows(np.array([10, 0, 30, 0, 10]), reference)
     assert [r["m"] for r in rows] == [-4, -2, 0, 2, 4]
     assert [r["probability"] for r in rows] == [0.2, 0.0, 0.6, 0.0, 0.2]
+    # plain Python numbers, so the CSV (repr) and JSON outputs stay as they were
+    assert all(type(r["m"]) is int and type(r["probability"]) is float for r in rows)
 
 
 def test_write_csv_is_deterministic(tmp_path):

@@ -34,12 +34,21 @@ def test_plan_reports_register_widths(tmp_path, capsys):
     assert data["controlled_exponent_qubits"] == 26
     assert data["comparator_bits_per_register"] == 10
     assert data["comparator_ancilla_qubits"] == 31
+    # subnormal cutoffs, where 1 / eps overflows: the smallest comp with 2**-comp <= eps
+    for eps, comp in (("1e-310", 1030), ("5e-324", 1074)):
+        code, out, _ = run(["plan", "--eps", eps, "--delta", "0.01"], capsys)
+        assert code == EXIT_OK
+        assert f"comparator alternative: {comp} bits per register" in out
 
 
 def test_plan_requires_both_tolerances(capsys):
     code, _, err = run(["plan", "--eps", "0.001"], capsys)
     assert code == EXIT_CONFIG
     assert "delta" in err
+    for delta in ("nan", "inf", "1e-320"):  # 1e-320: -ln(eps) / delta overflows
+        code, _, err = run(["plan", "--eps", "0.001", "--delta", delta], capsys)
+        assert code == EXIT_CONFIG
+        assert "rel_prec_delta" in err
 
 
 # --- synth -----------------------------------------------------------------
@@ -144,10 +153,11 @@ def test_sample_reruns_are_byte_identical(tmp_path, capsys):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-# kept_shots and the observed column of sigma_hist.csv for
+# kept_shots, the observed column of sigma_hist.csv, the sigma_fit of
+# run.json and the probability column of magnetization_hist.csv for
 # `sample --rows S --cols S --beta-j 0.1 --shots 4096 --seed 23`: pinned
-# fixed-seed output, so a refactor of the sampling path cannot move a draw
-# unnoticed (a rerun compared with itself cannot see that)
+# fixed-seed output, so a refactor of the sampling or counting path cannot
+# move a draw or a digit unnoticed (a rerun compared with itself cannot see that)
 GOLDEN_COUNTS = {
     ("2", "direct", "postselect"): (3077, [796, 2113, 168]),
     ("2", "direct", "conditional"): (4096, [978, 2902, 216]),
@@ -159,6 +169,49 @@ GOLDEN_COUNTS = {
     ("3", "controlled", "conditional"): (4096, [88, 339, 630, 1820, 842, 377]),
 }
 
+# (chi2_stat, dof, p_value, tvd)
+GOLDEN_SIGMA_FIT = {
+    ("2", "direct", "postselect"):
+        (0.6302922049249771, 2, 0.7296822581060609, 0.004945192383996926),
+    ("2", "direct", "conditional"):
+        (6.797228825776429, 2, 0.03341954358372613, 0.017780821209862793),
+    ("2", "controlled", "postselect"):
+        (4.128635091211971, 2, 0.12690486780678287, 0.01946813263549963),
+    ("2", "controlled", "conditional"):
+        (5.102732057456864, 2, 0.07797507702061143, 0.01293681906181066),
+    ("3", "direct", "postselect"):
+        (10.054139384912737, 5, 0.07371568429813259, 0.01951302453286784),
+    ("3", "direct", "conditional"):
+        (4.436227667365732, 5, 0.4884610288895683, 0.013340835961993466),
+    ("3", "controlled", "postselect"):
+        (3.2365154265090985, 5, 0.6635742671706907, 0.011200212764563523),
+    ("3", "controlled", "conditional"):
+        (5.486762927549812, 5, 0.3593995573550134, 0.015739992628300392),
+}
+
+GOLDEN_MAGNETIZATION = {
+    ("2", "direct", "postselect"): [0.1225219369515762, 0.21936951576210595,
+        0.27884302892427687, 0.2430939226519337, 0.13617159571010726],
+    ("2", "direct", "conditional"): [0.1220703125, 0.23193359375, 0.29052734375,
+        0.23876953125, 0.11669921875],
+    ("2", "controlled", "postselect"): [0.12115732368896925, 0.2314647377938517,
+        0.28526220614828207, 0.24095840867992765, 0.12115732368896925],
+    ("2", "controlled", "conditional"): [0.1220703125, 0.240966796875, 0.2880859375,
+        0.220703125, 0.128173828125],
+    ("3", "direct", "postselect"): [0.012664640324214792, 0.03951367781155015,
+        0.09599797365754813, 0.14893617021276595, 0.19199594731509625, 0.20947315096251268,
+        0.1595744680851064, 0.09675785207700101, 0.037487335359675786, 0.007598784194528876],
+    ("3", "direct", "conditional"): [0.012451171875, 0.041748046875, 0.09326171875,
+        0.151611328125, 0.19921875, 0.19873046875, 0.15478515625, 0.09375, 0.045166015625,
+        0.00927734375],
+    ("3", "controlled", "postselect"): [0.012290502793296089, 0.03687150837988827,
+        0.10502793296089385, 0.15195530726256984, 0.19441340782122904, 0.1888268156424581,
+        0.16387337057728119, 0.09459962756052141, 0.041713221601489756, 0.010428305400372439],
+    ("3", "controlled", "conditional"): [0.012451171875, 0.038818359375, 0.089599609375,
+        0.16162109375, 0.189208984375, 0.198486328125, 0.15625, 0.1005859375, 0.0439453125,
+        0.009033203125],
+}
+
 
 @pytest.mark.parametrize("size,variant,keep", list(GOLDEN_COUNTS))
 def test_sample_counts_match_the_recorded_values(size, variant, keep, tmp_path, capsys):
@@ -166,11 +219,17 @@ def test_sample_counts_match_the_recorded_values(size, variant, keep, tmp_path, 
             "--variant", variant, "--keep", keep, "--shots", "4096", "--seed", "23",
             "--out", str(tmp_path)]
     assert run(argv, capsys)[0] == EXIT_OK
-    kept = json.loads((tmp_path / "run.json").read_text())["kept_shots"]
+    data = json.loads((tmp_path / "run.json").read_text())
     rows = (tmp_path / "sigma_hist.csv").read_text().splitlines()
     assert rows[0].split(",")[:2] == ["sigma", "observed"]
     observed = [int(row.split(",")[1]) for row in rows[1:]]
-    assert (kept, observed) == GOLDEN_COUNTS[(size, variant, keep)]
+    key = (size, variant, keep)
+    assert (data["kept_shots"], observed) == GOLDEN_COUNTS[key]
+    fit = data["sigma_fit"]
+    assert (fit["chi2_stat"], fit["dof"], fit["p_value"], fit["tvd"]) == GOLDEN_SIGMA_FIT[key]
+    rows = (tmp_path / "magnetization_hist.csv").read_text().splitlines()
+    assert rows[0] == "m,probability"
+    assert [float(row.split(",")[1]) for row in rows[1:]] == GOLDEN_MAGNETIZATION[key]
 
 
 COMPLEX64_POSTAMP_TOL = 1e-5  # measured drift from complex128 is below 1e-6
@@ -198,6 +257,20 @@ def test_table1_single_precision_rows_pass(capsys):
 def test_sample_rejects_bad_shots(capsys):
     code, _, _ = run(["sample", *LATTICE, "--shots", "0"], capsys)
     assert code == EXIT_CONFIG
+
+
+def test_sample_reports_a_failed_allocation(monkeypatch, capsys):
+    from multamp import cli
+
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000,)"
+
+    def unaffordable(state, shots, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sample", unaffordable)
+    code, _, err = run(["sample", *LATTICE, "--shots", "100000000000"], capsys)
+    assert code == EXIT_MEMORY
+    assert err == f"error: {message}\n"
 
 
 # --- config files -----------------------------------------------------------

@@ -17,7 +17,6 @@ from multamp.simcore import (
     apply_circuit,
     apply_gate,
     collapse,
-    counts_by_register,
     filter_counts,
     h,
     phase,
@@ -417,11 +416,9 @@ def test_sample_excludes_zero_probability_outcomes():
 
 # --- counts helpers --------------------------------------------------------
 
-def test_counts_by_register_and_filter():
+def test_filter_counts_keeps_the_matching_keys():
     layout = RegisterLayout([("C", 2), ("D", 2)])
     counts = {0b0000: 3, 0b0110: 5, 0b1110: 7, 0b0001: 2}
-    by_c = counts_by_register(counts, layout, "C")
-    assert by_c == {0: 3, 2: 12, 1: 2}
     kept = filter_counts(counts, layout, {"D": 1})
     assert kept == {0b0110: 5}
     kept2 = filter_counts(counts, layout, {"D": 0, "C": 1})

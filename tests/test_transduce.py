@@ -53,6 +53,9 @@ def test_plan_precision_rejects_bad_inputs():
         plan_precision(1.5, 0.1)
     with pytest.raises(ValueError):
         plan_precision(0.1, 0.0)
+    for delta in (math.nan, math.inf, 1e-320):  # 1e-320: -ln(eps) / delta overflows
+        with pytest.raises(ValueError, match="rel_prec_delta"):
+            plan_precision(0.1, delta)
 
 
 # --- exponent tables ---------------------------------------------------------
