@@ -119,7 +119,7 @@ def distribution_tests(observed, probabilities) -> DistributionTests:
     total = float(obs.sum())
     if total <= 0:
         raise ValueError("observed counts are empty")
-    if abs(probs.sum() - 1.0) > 1e-6:
+    if not abs(probs.sum() - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError("reference probabilities must sum to 1")
     if np.any((probs == 0.0) & (obs > 0)):
         return DistributionTests(math.inf, max(len(obs) - 1, 1), 0.0,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, baselines, ising, transduce
-from .simcore import collapse, filter_counts, sample
+from .simcore import collapse, filter_counts, sample, sample_overhead
 from .transduce import OverflowLambdaError
 
 EXIT_OK = 0
@@ -146,18 +146,17 @@ def _lattice_from_args(args) -> ising.IsingLattice:
     raise ConfigError("one of --beta-j or --beta-rel-critical is required")
 
 
-def _check_memory(total_qubits: int, allow_large: bool, dtype) -> None:
+def _check_memory(total_qubits: int, allow_large: bool, dtype, shots: int) -> None:
     if allow_large:
         return
     if total_qubits > DEFAULT_QUBIT_BUDGET:
-        # kernels add cache-sized scratch only; sampling adds probabilities and a float64 cumsum
-        itemsize = np.dtype(dtype).itemsize
-        nbytes = (1 << total_qubits) * itemsize
-        peak = nbytes + (1 << total_qubits) * (itemsize // 2 + 8)
-        raise MemoryRefusal(
-            f"{total_qubits} qubits need a {nbytes / 2**30:.1f} GiB amplitude buffer "
-            f"and peak at {peak / 2**30:.1f} GiB while sampling; rerun with --allow-large"
-        )
+        # kernels add cache-sized scratch only; sampling adds one cumsum block and the shots
+        nbytes = (1 << total_qubits) * np.dtype(dtype).itemsize
+        need = f"{total_qubits} qubits need a {nbytes / 2**30:.1f} GiB amplitude buffer"
+        if shots:
+            peak = nbytes + sample_overhead(1 << total_qubits, shots)
+            need += f" and peak at {peak / 2**30:.2f} GiB while sampling {shots} shots"
+        raise MemoryRefusal(f"{need}; rerun with --allow-large")
 
 
 def _dtype(args):
@@ -171,11 +170,11 @@ def _layout_qubits(lattice, variant, d=None, enforce_zero=False) -> int:
                                      enforce_zero).total_qubits
 
 
-def _synthesize(args):
+def _synthesize(args, shots=0):
     lattice = _lattice_from_args(args)
     variant = args.variant
     _check_memory(_layout_qubits(lattice, variant, args.d, args.enforce_zero),
-                  args.allow_large, _dtype(args))
+                  args.allow_large, _dtype(args), shots)
     state, diag = ising.synthesize_boltzmann(
         lattice, variant=variant, d=args.d, nu=args.nu, nu_rule=args.nu_rule,
         enforce_zero=args.enforce_zero, dtype=_dtype(args),
@@ -200,7 +199,7 @@ def cmd_synth(args) -> int:
 def cmd_sample(args) -> int:
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
-    lattice, state, diag = _synthesize(args)
+    lattice, state, diag = _synthesize(args, args.shots)
     conditions = {diag.target_register: 0}
 
     if args.keep == "conditional":

@@ -16,6 +16,11 @@ basis states whose registers read given values.  ``collapse`` copies that
 slice alone onto the layout of the remaining registers, and
 ``amplify.postselect_probability`` sums its weight.
 
+``sample`` holds no state-sized array: a float64 cumsum of one block of
+``_SAMPLE_BLOCK`` amplitudes (512 KiB; plus a float32 |a|^2 block for
+complex64), the block ends, the sorted draws (8 B per shot), the counting
+arrays of one block and the returned counts (``sample_overhead`` bounds it).
+
 A StateVector owns its buffer; the concurrency contract is one writer per
 state, and callers must not alias buffers across states.
 """
@@ -33,16 +38,18 @@ import numpy as np
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _NORM_BLOCK = 1 << 16
 _PIECE_QUBITS = 14  # half-slice piece of 2**14 amplitudes: four such arrays fill 1 MiB of L2
+_SAMPLE_BLOCK = 1 << 16  # amplitudes per cumsum block of ``sample``: 512 KiB of float64
 
 
-def norm_tolerance(dtype) -> float:
-    """Accepted |norm - 1| of a state in ``dtype``: 1e-6 or 4096 epsilons, if larger.
+def _require_normalized(value: float, dtype, message: str) -> None:
+    """Raise ``ValueError(message)`` unless |value - 1| <= max(1e-6, 4096 epsilons of ``dtype``).
 
     Rounding moves the norm by about one epsilon per gate (the float32
     1/sqrt(2) alone is off by 1e-8), and 4096 is several times the gate
-    count of the largest synthesis circuit here.
+    count of the largest synthesis circuit here.  A NaN value fails.
     """
-    return max(1e-6, 4096 * float(np.finfo(dtype).eps))
+    if not abs(value - 1.0) <= max(1e-6, 4096 * float(np.finfo(dtype).eps)):
+        raise ValueError(message)
 
 
 GATE_KINDS = ("h", "x", "z", "ry", "phase", "swap")
@@ -159,11 +166,6 @@ class StateVector:
             block = self.amplitudes[lo:lo + _NORM_BLOCK].astype(np.complex128, copy=False)
             total += np.vdot(block, block).real
         return math.sqrt(total)
-
-    def probabilities(self) -> np.ndarray:
-        p = np.abs(self.amplitudes)
-        np.multiply(p, p, out=p)
-        return p
 
     def copy(self) -> "StateVector":
         return StateVector(self.layout, self.amplitudes.copy())
@@ -317,8 +319,8 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True) -> StateVe
     if gate.kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     _check_qubits(n, gate)
-    if validate and abs(state.norm() - 1.0) > norm_tolerance(state.amplitudes.dtype):
-        raise ValueError("input state is not normalized")
+    if validate:
+        _require_normalized(state.norm(), state.amplitudes.dtype, "input state is not normalized")
 
     psi = state.amplitudes.reshape((2,) * n)
     sel = [slice(None)] * n
@@ -396,8 +398,8 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True) -
     """Apply every instruction of the circuit in order, in place."""
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match the state layout")
-    if validate and abs(state.norm() - 1.0) > norm_tolerance(state.amplitudes.dtype):
-        raise ValueError("input state is not normalized")
+    if validate:
+        _require_normalized(state.norm(), state.amplitudes.dtype, "input state is not normalized")
     for op in circuit.gates:
         if isinstance(op, Gate):
             apply_gate(state, op, validate=False)
@@ -438,27 +440,85 @@ def collapse(state: StateVector, conditions: Mapping[str, int]) -> StateVector:
     return StateVector(rest, amps)
 
 
+def _block_cumsum(amplitudes: np.ndarray, lo: int, start: float, out: np.ndarray) -> np.ndarray:
+    """``start`` plus the running sum of |a|^2 over ``amplitudes[lo:lo + len(out)]``, in ``out``.
+
+    |a|^2 is rounded in the buffer's real dtype and then widened, and numpy
+    accumulates in order, so the block is bit-equal to its slice of one
+    float64 cumsum over the whole buffer.
+    """
+    block = amplitudes[lo:lo + out.shape[0]]
+    p = np.abs(block, out=out if block.dtype == np.complex128 else None)
+    np.multiply(p, p, out=p)
+    if p is not out:
+        out[...] = p
+    out[0] += start
+    return np.cumsum(out, out=out)
+
+
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     """Draw basis-index counts from the state's Born distribution.
 
     The generator is numpy's PCG64 via ``default_rng(seed)``; a given
-    (state, shots, seed) triple reproduces identical counts.  To split
-    streams for parallel sampling, spawn child seeds with
-    ``np.random.SeedSequence(seed).spawn(k)`` and run one call per child.
+    (state, shots, seed) triple reproduces identical counts, keyed in
+    ascending order.  To split streams for parallel sampling, spawn child
+    seeds with ``np.random.SeedSequence(seed).spawn(k)`` and run one call
+    per child.
+
+    A draw ``r * total`` (``r`` uniform in [0, 1)) lands on the first index
+    whose cumulative |a|^2 exceeds it, or on the last index past the end.
+    Pass 1 keeps only the end of each block's cumsum; pass 2 rebuilds the
+    cumsum of each block that holds draws and counts them there, by searching
+    the shorter of the block's sorted draws and its cumsum in the longer.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = state.probabilities()
-    cum = np.cumsum(p, dtype=np.float64)
-    if abs(cum[-1] - 1.0) > norm_tolerance(state.amplitudes.dtype):
-        raise ValueError("state is not normalized")
-    rng = np.random.default_rng(seed)
-    draws = rng.random(shots) * cum[-1]
-    draws.sort()  # sorted keys search several times faster; the counts ignore draw order
-    idx = np.searchsorted(cum, draws, side="right")
-    np.clip(idx, 0, p.shape[0] - 1, out=idx)
-    values, counts = np.unique(idx, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    amplitudes = state.amplitudes
+    cum = np.empty(min(amplitudes.shape[0], _SAMPLE_BLOCK))
+    width = cum.shape[0]
+    ends = np.empty(amplitudes.shape[0] // width)
+    total = 0.0
+    for b in range(ends.shape[0]):
+        total = ends[b] = _block_cumsum(amplitudes, b * width, total, cum)[-1]
+    _require_normalized(total, amplitudes.dtype, "state is not normalized")
+    draws = np.random.default_rng(seed).random(shots)
+    draws *= total
+    draws.sort()
+    splits = np.searchsorted(draws, ends, side="left")
+    splits[-1] = shots  # draws at or past the total count on the last index
+    keys, counts = [], []
+    first = 0
+    for b in np.flatnonzero(np.diff(splits, prepend=0)).tolist():
+        mine = draws[first:splits[b]]
+        first = splits[b]
+        if ends.shape[0] > 1:
+            _block_cumsum(amplitudes, b * width, ends[b - 1] if b else 0.0, cum)
+        if mine.shape[0] < width:
+            idx = np.searchsorted(cum, mine, side="right")  # sorted, like the draws
+            np.minimum(idx, width - 1, out=idx)
+            starts = np.flatnonzero(np.diff(idx, prepend=-1))
+            hit, num = idx[starts], np.diff(starts, append=idx.shape[0])
+        else:
+            below = np.searchsorted(mine, cum, side="left")
+            below[-1] = mine.shape[0]
+            num = np.diff(below, prepend=0)
+            hit = np.flatnonzero(num)
+            num = num[hit]
+        counts += num.tolist()
+        hit += b * width
+        keys += hit.tolist()
+    return dict(zip(keys, counts))
+
+
+def sample_overhead(size: int, shots: int) -> int:
+    """Upper bound on the bytes ``sample`` holds beside a ``size``-amplitude buffer.
+
+    Block-sized scratch (the cumsum, a float32 |a|^2 for complex64, the
+    counting arrays: 32 B per block entry) plus 128 B per shot: the sorted
+    draws and, when every shot is its own outcome, its search index, list
+    slots and dict entry (~120 B measured with ``tracemalloc``).
+    """
+    return 32 * min(size, _SAMPLE_BLOCK) + 128 * shots
 
 
 def filter_counts(counts: Mapping[int, int], layout: RegisterLayout,

@@ -239,3 +239,20 @@ def apply_permutation_to_index(ops, index: int, layout: RegisterLayout | None = 
             if b1 != b2:
                 index ^= (1 << op.target) | (1 << op.target2)
     return index
+
+
+def reference_sample(state, shots: int, seed: int) -> dict[int, int]:
+    """The whole-buffer sampler that ``simcore.sample`` must reproduce draw for draw.
+
+    One |a|^2 array and one float64 cumsum over the whole state; the sorted
+    draws ``r * total`` are searched in it and clipped onto the last index.
+    """
+    p = np.abs(state.amplitudes)
+    np.multiply(p, p, out=p)
+    cum = np.cumsum(p, dtype=np.float64)
+    draws = np.random.default_rng(seed).random(shots) * cum[-1]
+    draws.sort()
+    idx = np.searchsorted(cum, draws, side="right")
+    np.clip(idx, 0, p.shape[0] - 1, out=idx)
+    values, counts = np.unique(idx, return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}

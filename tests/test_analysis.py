@@ -163,8 +163,9 @@ def test_small_expected_bins_are_pooled():
 
 
 def test_reference_probabilities_must_normalize():
-    with pytest.raises(ValueError):
-        distribution_tests([1, 0], [0.5, 0.4])
+    for probabilities in ([0.5, 0.4], [math.nan, 0.5]):
+        with pytest.raises(ValueError, match="sum to 1"):
+            distribution_tests([1, 0], probabilities)
 
 
 def test_counts_and_probabilities_must_align():

@@ -83,15 +83,23 @@ def test_synth_exit_codes(capsys):
         assert "beta" in err
 
 
-@pytest.mark.parametrize("flags, buffer, peak", [([], "1.0", "2.0"),
-                                                  (["--single-precision"], "0.5", "1.2")])
+@pytest.mark.parametrize("flags, buffer, peak", [([], "1.0", "1.02"),
+                                                  (["--single-precision"], "0.5", "0.52"),
+                                                  (["--shots", str(1 << 30)], "1.0", "129.00")])
 def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, capsys):
     # 4x4 controlled is a 27-qubit circuit simulated on 26 qubits (no idle
-    # ancilla); sampling holds probabilities and a float64 cumsum
+    # ancilla); sampling adds a block-sized cumsum and up to 128 B per shot
     code, _, err = run(["sample", "--rows", "4", "--cols", "4", "--beta-j", "0.1",
                         "--variant", "controlled", *flags], capsys)
     assert code == EXIT_MEMORY
     assert f"26 qubits need a {buffer} GiB amplitude buffer and peak at {peak} GiB" in err
+
+
+def test_memory_refusal_of_synth_names_the_buffer_alone(capsys):
+    code, _, err = run(["synth", "--rows", "4", "--cols", "4", "--beta-j", "0.1",
+                        "--variant", "controlled"], capsys)
+    assert code == EXIT_MEMORY
+    assert "26 qubits need a 1.0 GiB amplitude buffer; rerun with --allow-large" in err
 
 
 def test_synth_rejects_unknown_variant():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from multamp import simcore
+from multamp import ising, simcore
 from multamp.amplify import postselect_probability
 from multamp.simcore import (
     Circuit,
@@ -412,6 +412,98 @@ def test_sample_excludes_zero_probability_outcomes():
     amps = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
     counts = sample(StateVector(layout, amps), 20000, seed=5)
     assert set(counts) <= {0, 3}
+
+
+def zero_runs_state(qubits, rng):
+    """Random state with exact-zero runs at the start, in the middle and at the end."""
+    dim = 1 << qubits
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    amps[:dim // 8] = 0
+    amps[dim // 2:dim // 2 + dim // 8 + 3] = 0
+    amps[-dim // 8 - 5:] = 0
+    amps /= np.linalg.norm(amps)
+    return StateVector(RegisterLayout([("R", qubits)]), amps)
+
+
+def assert_sample_is_the_reference(state, shots, seed):
+    got = sample(state, shots, seed)
+    want = oracles.reference_sample(state, shots, seed)
+    assert list(got.items()) == list(want.items())  # the same counts, keyed in the same order
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_blockwise_sample_draws_what_the_whole_buffer_sampler_draws(dtype, monkeypatch):
+    # 2**10 amplitudes in blocks of 8: whole zero blocks at both ends and in
+    # the middle, shots below and above a block's 8 entries, and shots that
+    # put many draws in some blocks and none in others
+    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 3)
+    rng = np.random.default_rng(61)
+    for state in (zero_runs_state(10, rng), random_state(RegisterLayout([("R", 10)]), rng)):
+        state = StateVector(state.layout, state.amplitudes.astype(dtype))
+        for shots in (1, 5, 8, 9, 700, 1 << 14):
+            for seed in (0, 1, 2):
+                assert_sample_is_the_reference(state, shots, seed)
+
+
+def test_blockwise_sample_draws_what_the_whole_buffer_sampler_draws_at_full_size():
+    # 2**17 amplitudes: two blocks of the real size, with zero runs in both
+    rng = np.random.default_rng(67)
+    state = zero_runs_state(17, rng)
+    for shots in (1, 1000, 1 << 17):
+        assert_sample_is_the_reference(state, shots, 5)
+
+
+@pytest.mark.parametrize("variant", ["direct", "controlled"])
+def test_ising_sample_draws_what_the_whole_buffer_sampler_draws(variant):
+    lattice = ising.IsingLattice(3, 3, 0.35)
+    state, diag = ising.synthesize_boltzmann(lattice, variant=variant)
+    reduced = collapse(state, {diag.target_register: 0})
+    for shots in (1, 4096, 1 << 17):
+        assert_sample_is_the_reference(state, shots, 23)
+        assert_sample_is_the_reference(reduced, shots, 23)
+
+
+@pytest.mark.parametrize("shots", [3, 40])
+def test_draws_at_the_total_count_on_the_last_index(shots, monkeypatch):
+    # r * total can round up to the total; such a draw lands on the last
+    # index even when its probability is zero, as the clipped search does
+    class TopHeavy:
+        def random(self, n):
+            return np.where(np.arange(n) % 2 == 0, 1.0, 0.5)
+
+    state = zero_runs_state(6, np.random.default_rng(71))
+    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 3)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: TopHeavy())
+    assert state.amplitudes[-1] == 0
+    got = sample(state, shots, 0)
+    assert got[63] == (shots + 1) // 2
+    assert list(got.items()) == list(oracles.reference_sample(state, shots, 0).items())
+
+
+def test_sample_memory_stays_block_sized():
+    # 16 MiB of complex128; the whole-buffer sampler peaked at 16.4 MiB above it
+    state = random_state(RegisterLayout([("R", 20)]), np.random.default_rng(73))
+    tracemalloc.start()
+    try:
+        sample(state, 4096, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, peak
+    assert peak <= simcore.sample_overhead(1 << 20, 4096)
+
+
+def test_nan_states_are_not_normalized():
+    # abs(nan - 1) > tol is False, so the checks must be written to fail on NaN
+    layout = RegisterLayout([("R", 2)])
+    state = StateVector(layout, np.array([np.nan, 0.5, 0.5, 0.5], dtype=np.complex128))
+    with pytest.raises(ValueError, match="not normalized"):
+        sample(state, 1000, seed=0)
+    with pytest.raises(ValueError, match="not normalized"):
+        apply_gate(state, h(0))
+    with pytest.raises(ValueError, match="not normalized"):
+        apply_circuit(state, Circuit(layout, [h(0)]))
+    assert np.isnan(state.amplitudes[0]) and np.all(state.amplitudes[1:] == 0.5)  # untouched
 
 
 # --- counts helpers --------------------------------------------------------
