@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -146,16 +147,23 @@ def _lattice_from_args(args) -> ising.IsingLattice:
     raise ConfigError("one of --beta-j or --beta-rel-critical is required")
 
 
+def _gib(nbytes: int, places: int) -> str:
+    """nbytes in GiB to ``places`` decimals, rounded half to even as float
+    formatting rounds, at any size (nbytes / 2**30 overflows a float)."""
+    units = round(Fraction(nbytes * 10**places, 1 << 30))
+    return f"{units // 10**places}.{units % 10**places:0{places}d}"
+
+
 def _check_memory(total_qubits: int, allow_large: bool, dtype, shots: int) -> None:
     if allow_large:
         return
     if total_qubits > DEFAULT_QUBIT_BUDGET:
         # kernels add cache-sized scratch only; sampling adds one cumsum block and the shots
         nbytes = (1 << total_qubits) * np.dtype(dtype).itemsize
-        need = f"{total_qubits} qubits need a {nbytes / 2**30:.1f} GiB amplitude buffer"
+        need = f"{total_qubits} qubits need a {_gib(nbytes, 1)} GiB amplitude buffer"
         if shots:
             peak = nbytes + sample_overhead(1 << total_qubits, shots)
-            need += f" and peak at {peak / 2**30:.2f} GiB while sampling {shots} shots"
+            need += f" and peak at {_gib(peak, 2)} GiB while sampling {shots} shots"
         raise MemoryRefusal(f"{need}; rerun with --allow-large")
 
 
@@ -296,10 +304,11 @@ def cmd_table1(args) -> int:
         for size in sizes:
             expect = TABLE1_EXPECTED[(variant, size)]
             lattice = ising.IsingLattice(size, size, TABLE1_BETA_J)
-            qubits = _layout_qubits(lattice, variant)
-            if qubits > DEFAULT_QUBIT_BUDGET and not args.allow_large:
-                print(f"{size}x{size} {variant}: skipped "
-                      f"({qubits} qubits; rerun with --allow-large)")
+            try:
+                _check_memory(_layout_qubits(lattice, variant), args.allow_large,
+                              _dtype(args), args.shots)
+            except MemoryRefusal as exc:
+                print(f"{size}x{size} {variant}: skipped ({exc})")
                 continue
             state, diag = ising.synthesize_boltzmann(
                 lattice, variant=variant, nu_rule="paper", dtype=_dtype(args))

@@ -94,51 +94,30 @@ def sigma_counts_all(lattice: IsingLattice) -> np.ndarray:
     return sig
 
 
-@dataclass(eq=False)
-class BoltzmannTarget:
-    """Exponent data for one lattice: exact integer lambdas = Sigma/2."""
-
-    lattice: IsingLattice
-    gamma: float
-    d: int
-    sigma: np.ndarray
-    lambdas: np.ndarray
-    alphas: np.ndarray
+class BoltzmannTarget(AmplitudeTable):
+    """The amplitude table of one lattice: the exponents are the exact
+    integers Sigma/2, never the float-log route."""
 
     @classmethod
     def from_lattice(cls, lattice: IsingLattice, d: int | None = None) -> "BoltzmannTarget":
-        n = lattice.num_sites
-        if n > 20:
-            raise ValueError(f"exponent tables are brute-forced, capped at 20 sites (got {n})")
         sigma = sigma_counts_all(lattice)
         if np.any(sigma & 1):
             raise AssertionError("parity violation: Sigma must be even on a torus")
-        lam_max = int(sigma.max()) // 2
-        d_min = 1
-        while (1 << d_min) <= lam_max:
-            d_min += 1
+        lambdas = sigma // 2
+        lam_max = int(lambdas.max())
+        d_min = max(1, lam_max.bit_length())
         if d is None:
             d = d_min
-        elif (1 << d) <= lam_max:
+        elif d < 1:
+            raise ValueError(f"d must be >= 1, got d={d}")
+        elif d < d_min:
             raise OverflowLambdaError(
                 f"d={d} cannot hold max Sigma/2 = {lam_max}; need d >= {d_min}"
             )
-        lambdas = sigma // 2
         gamma = math.exp(2.0 * lattice.beta_j)
         with np.errstate(under="ignore"):
             alphas = np.exp(-lattice.beta_j * sigma.astype(float))
-        return cls(lattice, gamma, int(d), sigma, lambdas, alphas)
-
-    def amplitude_table(self) -> AmplitudeTable:
-        """Adapter for the generic transduction APIs.
-
-        Exponents are the exact integers Sigma/2, never the float-log
-        route; the cutoff recorded is the smallest representable scale at
-        this (gamma, d), clipped to stay a valid positive float.
-        """
-        cutoff = math.exp(-2.0 * self.lattice.beta_j * ((1 << self.d) - 1))
-        cutoff = min(max(cutoff, np.finfo(float).tiny), 0.5)
-        return AmplitudeTable(self.alphas, self.gamma, self.d, cutoff, self.lambdas)
+        return cls(alphas, gamma, int(d), lambdas)
 
 
 def qft_gates(qubits) -> list:
@@ -231,7 +210,7 @@ def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None
     """H on C, Sigma/2 XORed into D (build_ising_L's action on D = 0), transduction."""
     target = BoltzmannTarget.from_lattice(lattice, d)
     plan = make_plan(variant, target.gamma, target.d)
-    return build_synthesis(target.amplitude_table(), plan, enforce_zero), target, plan
+    return build_synthesis(target, plan, enforce_zero), target, plan
 
 
 def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",

@@ -14,6 +14,10 @@ gamma**(-lambda~) as a product of per-bit factors.  Two variants:
 
 Amplitudes below the cutoff saturate at lambda~ = 2**d - 1; an exponent
 that overflows d bits for a non-saturated amplitude is a hard error.
+Whenever the layout holds the width-1 flag register z, build_T1 and
+build_T2 emit the exact-zero form of their ladder: z flags the saturated
+value of D and gates every rotation, so saturated entries get exactly
+zero weight in the post-selected slice.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +59,7 @@ def plan_precision(cutoff_eps: float, rel_prec_delta: float) -> int:
     ratio = -math.log(cutoff_eps) / rel_prec_delta
     if math.isinf(ratio):
         raise ValueError("rel_prec_delta too small: -ln(cutoff_eps) / rel_prec_delta overflows")
-    d = max(0, math.ceil(math.log2(ratio))) if ratio > 0 else 0
-    # guard the float log against boundary rounding
-    while (1 << d) <= ratio:
-        d += 1
-    while d > 0 and (1 << (d - 1)) > ratio:
-        d -= 1
-    return d
+    return int(ratio).bit_length()
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,11 @@ class TransductionPlan:
     angles: tuple
 
 
+def _pow2(k: int) -> float:
+    """2.0**k, or inf where that overflows a float; gamma**(-2**k) is then 0."""
+    return math.ldexp(1.0, k) if k < sys.float_info.max_exp else math.inf
+
+
 def make_plan(variant: str, gamma: float, d: int) -> TransductionPlan:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -88,7 +92,7 @@ def make_plan(variant: str, gamma: float, d: int) -> TransductionPlan:
         raise ValueError("d must be >= 1")
     lg = math.log(gamma)
     # gamma**(-2**k) via exp to dodge float pow overflow at large k
-    factors = [math.exp(-(1 << k) * lg) for k in range(d)]
+    factors = [math.exp(-_pow2(k) * lg) for k in range(d)]
     if variant == "direct":
         angles = tuple(math.atan(f) for f in factors)
     else:
@@ -107,22 +111,16 @@ def phi_product(gamma: float, d: int) -> float:
     if d < 1:
         raise ValueError("d must be >= 1")
     y = math.exp(-2.0 * math.log(gamma))
-    return math.sqrt((1.0 - y) / (1.0 - y ** (1 << d)))
+    return math.sqrt((1.0 - y) / (1.0 - y ** _pow2(d)))
 
 
 @dataclass(eq=False)
 class AmplitudeTable:
-    """Truncated exponents for one amplitude list.
-
-    ``lambdas[l]`` is floor(-log_gamma(alphas[l])) for alphas[l] >=
-    cutoff_eps and the saturation value 2**d - 1 below the cutoff
-    (strictly below: alpha == cutoff_eps is not saturated).
-    """
+    """Integer exponents lambdas[l] on d bits for the amplitudes alphas[l] at base gamma."""
 
     alphas: np.ndarray
     gamma: float
     d: int
-    cutoff_eps: float
     lambdas: np.ndarray
 
     @property
@@ -139,6 +137,8 @@ def check_alphas(alphas) -> np.ndarray:
 
 
 def build_lambda_table(alphas, gamma: float, d: int, cutoff_eps: float) -> AmplitudeTable:
+    """lambdas[l] = floor(-log_gamma(alphas[l])), or the saturation value 2**d - 1
+    strictly below the cutoff (alpha == cutoff_eps is not saturated)."""
     alphas = check_alphas(alphas)
     if alphas.ndim != 1 or alphas.shape[0] < 1:
         raise ValueError("alphas must be a non-empty 1-D array")
@@ -165,7 +165,7 @@ def build_lambda_table(alphas, gamma: float, d: int, cutoff_eps: float) -> Ampli
                 f"non-saturated amplitude (cutoff_eps={cutoff_eps})"
             )
         lambdas[~saturated] = lam
-    return AmplitudeTable(alphas, float(gamma), int(d), float(cutoff_eps), lambdas)
+    return AmplitudeTable(alphas, float(gamma), int(d), lambdas)
 
 
 def num_index_qubits(num_entries: int) -> int:
@@ -201,25 +201,41 @@ def build_L_oracle(table: AmplitudeTable, layout: RegisterLayout) -> RegisterXor
     return op
 
 
+def _zero_flag(layout: RegisterLayout, dq: list) -> tuple[list, tuple]:
+    """Gates computing z = NOT(D == 2^d - 1), and z as one more rotation control;
+    none when the layout has no z.  The flag is left computed (the direct
+    variant rotates D); every post-selected branch carries z = 1."""
+    if "z" not in layout:
+        return [], ()
+    if layout.width("z") != 1:
+        raise ValueError("the exact-zero flag register 'z' must have width 1")
+    zq = layout.offset("z")
+    return [x(zq), x(zq, controls=tuple((q, 1) for q in dq))], ((zq, 1),)
+
+
 def build_T1(plan: TransductionPlan, layout: RegisterLayout) -> Circuit:
     """Direct transduction: d uncontrolled RotY(-2*phi_k) on D.
 
     For a basis input |lambda~>_D the |0>_D output amplitude is
-    phi_product(gamma, d) * gamma**(-lambda~).
+    phi_product(gamma, d) * gamma**(-lambda~).  Gated on the flag z,
+    saturated branches keep D at 2^d - 1, outside the |0>_D slice.
     """
     if plan.variant != "direct":
         raise ValueError("build_T1 needs a direct-variant plan")
-    qubits = layout.qubits("D")
     if layout.width("D") != plan.d:
         raise ValueError("D register width does not match the plan")
-    return Circuit(layout, [roty(-2.0 * phi, q) for phi, q in zip(plan.angles, qubits)])
+    dq = list(layout.qubits("D"))
+    gates, flag = _zero_flag(layout, dq)
+    gates += [roty(-2.0 * phi, q, controls=flag) for phi, q in zip(plan.angles, dq)]
+    return Circuit(layout, gates)
 
 
 def build_T2(plan: TransductionPlan, layout: RegisterLayout) -> Circuit:
     """Controlled transduction: RotY(2*psi_k) on E_k controlled by D_k.
 
     Maps |lambda~>_D |0>_E so that the |lambda~>_D |0>_E output amplitude
-    is gamma**(-lambda~) exactly, with no prefactor.
+    is gamma**(-lambda~) exactly, with no prefactor.  With the flag z, a
+    final NOT on E_0 anti-controlled on z moves saturated branches out of E == 0.
     """
     if plan.variant != "controlled":
         raise ValueError("build_T2 needs a controlled-variant plan")
@@ -229,56 +245,22 @@ def build_T2(plan: TransductionPlan, layout: RegisterLayout) -> Circuit:
         raise ValueError("D/E register widths do not match the plan")
     dq = list(layout.qubits("D"))
     eq = list(layout.qubits("E"))
-    gates = [roty(2.0 * psi, eq[k], controls=((dq[k], 1),)) for k, psi in enumerate(plan.angles)]
-    return Circuit(layout, gates)
-
-
-def enforce_exact_zero(plan: TransductionPlan, layout: RegisterLayout) -> Circuit:
-    """Transduction with exactly zero post-selected weight on saturation.
-
-    Computes the NAND of the D qubits into the flag ancilla z (z == 0 only
-    when D holds the saturated value 2^d - 1), runs the rotations with z
-    as an extra control, then a NOT anti-controlled on z kicks saturated
-    branches out of the post-selected |0> slice entirely.  On
-    non-saturated branches the amplitudes match the plain builders.
-
-    The flag is left as computed rather than uncomputed (the direct
-    variant rotates D, so the detection cannot be reversed); every branch
-    inside the post-selected slice carries z = 1, which factors out.
-    """
-    if "z" not in layout or layout.width("z") != 1:
-        raise ValueError("enforce_exact_zero needs a width-1 ancilla register 'z'")
-    if layout.width("D") != plan.d:
-        raise ValueError("D register width does not match the plan")
-
-    dq = list(layout.qubits("D"))
-    zq = layout.offset("z")
-    detect = tuple((q, 1) for q in dq)
-    gates = [x(zq), x(zq, controls=detect)]  # z = NOT(D == 2^d - 1)
-    if plan.variant == "direct":
-        # saturated branches keep D at the (nonzero) saturation value, so
-        # gating the rotations on z already empties their |0> component
-        gates += [roty(-2.0 * phi, dq[k], controls=((zq, 1),))
-                  for k, phi in enumerate(plan.angles)]
-    else:
-        if "E" not in layout:
-            raise ValueError("controlled transduction needs an E register in the layout")
-        eq = list(layout.qubits("E"))
-        gates += [roty(2.0 * psi, eq[k], controls=((dq[k], 1), (zq, 1)))
-                  for k, psi in enumerate(plan.angles)]
-        gates.append(x(eq[0], controls=((zq, 0),)))
+    gates, flag = _zero_flag(layout, dq)
+    gates += [roty(2.0 * psi, eq[k], controls=((dq[k], 1),) + flag)
+              for k, psi in enumerate(plan.angles)]
+    if flag:
+        gates.append(x(eq[0], controls=((layout.offset("z"), 0),)))
     return Circuit(layout, gates)
 
 
 def build_synthesis(table: AmplitudeTable, plan: TransductionPlan,
                     enforce_zero: bool = False) -> Circuit:
-    """Full preparation unitary: H on C, exponent oracle, transduction."""
+    """Full preparation unitary: H on C, exponent oracle, transduction;
+    ``enforce_zero`` adds the flag z that empties saturated entries exactly."""
     if plan.gamma != table.gamma or plan.d != table.d:
         raise ValueError("plan and table disagree on (gamma, d)")
     layout = standard_layout(table.num_entries, plan.d, plan.variant, enforce_zero)
     circ = Circuit(layout, [h(q) for q in layout.qubits("C")] + [build_L_oracle(table, layout)])
-    if enforce_zero:
-        return circ.extend(enforce_exact_zero(plan, layout).gates)
     return circ.extend((build_T1 if plan.variant == "direct" else build_T2)(plan, layout).gates)
 
 

@@ -201,13 +201,8 @@ def gate_level_boltzmann_synthesis(lattice, variant: str, enforce_zero: bool = F
     layout = ising.boltzmann_layout(lattice, target.d, variant, enforce_zero)
     circ = Circuit(layout, [h(q) for q in layout.qubits("C")])
     circ.extend(ising.build_ising_L(lattice, target.d, layout).gates)
-    if enforce_zero:
-        ladder = transduce.enforce_exact_zero(plan, layout)
-    elif variant == "direct":
-        ladder = transduce.build_T1(plan, layout)
-    else:
-        ladder = transduce.build_T2(plan, layout)
-    return circ.extend(ladder.gates)
+    ladder = transduce.build_T1 if variant == "direct" else transduce.build_T2
+    return circ.extend(ladder(plan, layout).gates)
 
 
 def apply_permutation_to_index(ops, index: int, layout: RegisterLayout | None = None) -> int:

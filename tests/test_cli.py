@@ -76,6 +76,20 @@ def test_synth_exit_codes(capsys):
     assert "--allow-large" in err
     code, _, _ = run(["synth", *LATTICE, "--beta-rel-critical", "1.0"], capsys)
     assert code == EXIT_CONFIG  # mutually exclusive couplings
+    # a state of 2**1104 amplitudes is refused, its size stated exactly
+    code, _, err = run(["synth", *LATTICE, "--d", "1100"], capsys)
+    assert code == EXIT_MEMORY
+    assert "1104 qubits need a" in err
+    # past the memory budget the allocation itself is refused; the plan's
+    # gamma**(-2**k) for k >= 1024 must not overflow on the way there
+    for width in ("60", "1030"):
+        code, _, err = run(["synth", *LATTICE, "--d", width, "--allow-large"], capsys)
+        assert code == EXIT_CONFIG
+        assert "Maximum allowed dimension exceeded" in err
+    for width in ("0", "-1"):
+        code, _, err = run(["synth", *LATTICE, "--d", width], capsys)
+        assert code == EXIT_CONFIG
+        assert f"d={width}" in err
     # gamma = exp(2 beta_j) overflows a float past beta_j ~ 354.89
     for coupling in (["--beta-j", "400"], ["--beta-j", "inf"], ["--beta-rel-critical", "inf"]):
         code, _, err = run(["synth", "--rows", "2", "--cols", "2", *coupling], capsys)

@@ -19,7 +19,7 @@ from multamp.ising import (
     synthesize_boltzmann,
 )
 from multamp.simcore import Circuit, RegisterLayout, StateVector, apply_circuit, h
-from multamp.transduce import OverflowLambdaError
+from multamp.transduce import AmplitudeTable, OverflowLambdaError, build_lambda_table
 
 
 # --- lattice bookkeeping ------------------------------------------------------
@@ -111,12 +111,11 @@ def test_too_small_exponent_width_is_an_overflow():
 def test_amplitude_table_round_trips_the_exponents():
     lattice = IsingLattice(2, 2, 0.4)
     target = BoltzmannTarget.from_lattice(lattice)
-    table = target.amplitude_table()
-    assert np.array_equal(table.lambdas, target.lambdas)
-    assert table.gamma == target.gamma and table.d == target.d
-    # exponents are exact, so rebuilding the table changes nothing
-    from multamp.transduce import build_lambda_table
-    rebuilt = build_lambda_table(target.alphas, target.gamma, target.d, table.cutoff_eps)
+    assert isinstance(target, AmplitudeTable)
+    # exponents are exact, so the float-log route down to the smallest
+    # representable scale at this (gamma, d) rebuilds the same table
+    cutoff = math.exp(-2.0 * lattice.beta_j * ((1 << target.d) - 1))
+    rebuilt = build_lambda_table(target.alphas, target.gamma, target.d, cutoff)
     assert np.array_equal(rebuilt.lambdas, target.lambdas)
 
 

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from multamp import transduce
 from multamp.amplify import postselect_probability
-from multamp.simcore import StateVector, apply_circuit
+from multamp.simcore import StateVector, apply_circuit, roty, x
 from multamp.transduce import (
     OverflowLambdaError,
     build_L_oracle,
@@ -17,7 +17,6 @@ from multamp.transduce import (
     build_synthesis,
     build_T1,
     build_T2,
-    enforce_exact_zero,
     load_alphas,
     load_alphas_csv,
     load_alphas_json,
@@ -36,6 +35,9 @@ from multamp.transduce import (
     (math.exp(-1.0), 1.0, 1),
     (0.01, 0.005, 10),
     (0.5, 1.0, 0),
+    (math.exp(-1.0), 0.125, 4),                      # ratio exactly 8.0
+    (math.exp(-1.0), math.nextafter(0.125, 1.0), 3),  # ratio a hair below 8
+    (0.99, 0.5, 0),                                  # ratio < 1
 ])
 def test_plan_precision_examples(eps, delta, want):
     # smallest d with 2**d > -ln(eps)/delta, checked against direct evaluation
@@ -298,11 +300,32 @@ def test_enforce_zero_empties_saturated_entries(variant):
     assert prob_in_slice == 0.0
 
 
-def test_enforce_zero_needs_the_flag_register():
-    plan = make_plan("direct", 2.0, 2)
-    layout = standard_layout(4, 2, "direct", zero_flag=False)
-    with pytest.raises(ValueError):
-        enforce_exact_zero(plan, layout)
+@pytest.mark.parametrize("variant", ["direct", "controlled"])
+@pytest.mark.parametrize("d", range(1, 6))
+def test_ladder_gate_lists_are_pinned(variant, d):
+    # the ladders written out gate by gate: the plain form and, with the
+    # width-1 flag z, the exact-zero form (flag NAND of D, z as one more
+    # control on every rotation, and for controlled a final X E_0 on z == 0)
+    table = build_lambda_table([1.0, 0.5, 0.0, 1.0], 2.0, d, 0.1)
+    plan = make_plan(variant, 2.0, d)
+    for enforce_zero in (False, True):
+        circuit = build_synthesis(table, plan, enforce_zero)
+        layout = circuit.layout
+        dq = list(layout.qubits("D"))
+        eq = list(layout.qubits("E")) if variant == "controlled" else []
+        flag = ((layout.offset("z"), 1),) if enforce_zero else ()
+        want = []
+        if enforce_zero:
+            zq = layout.offset("z")
+            want += [x(zq), x(zq, controls=tuple((q, 1) for q in dq))]
+        for k, angle in enumerate(plan.angles):
+            if variant == "direct":
+                want.append(roty(-2.0 * angle, dq[k], controls=flag))
+            else:
+                want.append(roty(2.0 * angle, eq[k], controls=((dq[k], 1),) + flag))
+        if enforce_zero and variant == "controlled":
+            want.append(x(eq[0], controls=((zq, 0),)))
+        assert circuit.gates[layout.width("C") + 1:] == want
 
 
 def test_synthesis_post_selection_probability_is_u_squared():
