@@ -60,13 +60,9 @@ class BoltzmannReference:
 
 
 def boltzmann_reference(lattice) -> BoltzmannReference:
-    """Exact reference distribution; refuses lattices beyond 2**20 states."""
-    from . import ising  # runtime import; ising depends on this module
-
+    """Exact reference distribution; lattice.sigma refuses lattices beyond 2**20 states."""
+    sigma = lattice.sigma
     n = lattice.num_sites
-    if n > 20:
-        raise ValueError(f"brute force capped at 20 sites, got {n}")
-    sigma = ising.sigma_counts_all(lattice)
     weights = np.exp(-2.0 * lattice.beta_j * sigma.astype(float))
     partition = float(weights.sum())
     probs = weights / partition

@@ -26,7 +26,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 import numpy as np
 
@@ -101,18 +100,18 @@ def _config_value(key: str, raw: str, action: argparse.Action):
     return value
 
 
-def _apply_config(parser: argparse.ArgumentParser, command: str, path) -> None:
-    """Make a config file's values the defaults of ``command``'s flags."""
+def _config_namespace(command: str, path) -> argparse.Namespace:
+    """A config file's values for ``command``'s flags, as the namespace its parse starts from."""
     config = _load_config(path)
-    subparsers = next(a for a in parser._actions if a.dest == "command").choices
     flags = {name: {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
-             for name, p in subparsers.items()}
+             for name, p in _SUBPARSERS.items()}
     # tolerate keys that belong to other subcommands, reject real typos
     unknown = set(config).difference(*flags.values())
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     own = flags[command]
-    subparsers[command].set_defaults(
+    return argparse.Namespace(
+        command=command,
         **{key: _config_value(key, raw, own[key]) for key, raw in config.items() if key in own})
 
 
@@ -148,10 +147,8 @@ def _lattice_from_args(args) -> ising.IsingLattice:
 
 
 def _gib(nbytes: int, places: int) -> str:
-    """nbytes in GiB to ``places`` decimals, rounded half to even as float
-    formatting rounds, at any size (nbytes / 2**30 overflows a float)."""
-    units = round(Fraction(nbytes * 10**places, 1 << 30))
-    return f"{units // 10**places}.{units % 10**places:0{places}d}"
+    """nbytes in GiB to ``places`` decimals; nbytes / 2**30 is exact up to 2**53 bytes (8 PiB)."""
+    return f"{nbytes / 2**30:.{places}f} GiB" if nbytes <= 1 << 53 else "more than 8 PiB"
 
 
 def _check_memory(total_qubits: int, allow_large: bool, dtype, shots: int) -> None:
@@ -160,10 +157,10 @@ def _check_memory(total_qubits: int, allow_large: bool, dtype, shots: int) -> No
     if total_qubits > DEFAULT_QUBIT_BUDGET:
         # kernels add cache-sized scratch only; sampling adds one cumsum block and the shots
         nbytes = (1 << total_qubits) * np.dtype(dtype).itemsize
-        need = f"{total_qubits} qubits need a {_gib(nbytes, 1)} GiB amplitude buffer"
+        need = f"{total_qubits} qubits need a {_gib(nbytes, 1)} amplitude buffer"
         if shots:
             peak = nbytes + sample_overhead(1 << total_qubits, shots)
-            need += f" and peak at {_gib(peak, 2)} GiB while sampling {shots} shots"
+            need += f" and peak at {_gib(peak, 2)} while sampling {shots} shots"
         raise MemoryRefusal(f"{need}; rerun with --allow-large")
 
 
@@ -298,12 +295,13 @@ def cmd_table1(args) -> int:
     if not set(sizes) <= {2, 3, 4}:
         raise ConfigError("--sizes entries must be lattice sizes 2, 3, or 4")
 
+    # one lattice per size, so both variants read the same Sigma enumeration
+    lattices = {size: ising.IsingLattice(size, size, TABLE1_BETA_J) for size in sizes}
     rows = []
     failures = []
     for variant in ("direct", "controlled"):
-        for size in sizes:
+        for size, lattice in lattices.items():
             expect = TABLE1_EXPECTED[(variant, size)]
-            lattice = ising.IsingLattice(size, size, TABLE1_BETA_J)
             try:
                 _check_memory(_layout_qubits(lattice, variant), args.allow_large,
                               _dtype(args), args.shots)
@@ -415,12 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, help="amplitude cutoff")
     p.add_argument("--delta", type=float, help="relative precision (gamma = e**delta)")
     _add_common(p, tabular=False)
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("synth", help="one Boltzmann synthesis with diagnostics")
     _add_lattice(p)
     _add_common(p, tabular=False)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sample", help="synthesis plus sampling and histogram files")
     _add_lattice(p)
@@ -429,14 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="postselect: discard nonzero readouts; conditional: "
                         "sample the renormalized target slice")
     _add_common(p)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("table1", help="recompute the benchmark table and compare")
     _add_sampling(p)
     p.add_argument("--sizes", default="2,3,4", help="comma-separated lattice sizes, e.g. 2,3")
     _add_budget(p)
     _add_common(p)
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("baselines", help="norm comparison on an amplitude table")
     p.add_argument("--table", help="amplitude table (.csv index,alpha or .json array)")
@@ -444,20 +438,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float)
     p.add_argument("--eps", type=float, help="amplitude cutoff for the exponent table")
     _add_common(p)
-    p.set_defaults(func=cmd_baselines)
 
     return parser
 
 
+_PARSER = build_parser()
+_SUBPARSERS = next(a for a in _PARSER._actions if a.dest == "command").choices
+
+
 def main(argv=None) -> int:
-    # built per call: --config edits the parser's defaults, which must not reach the next call
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.config:
-            _apply_config(parser, args.command, args.config)
-            args = parser.parse_args(argv)
-        return args.func(args)
+            # argparse fills a default only where the file set nothing; argv flags still win
+            args = _SUBPARSERS[args.command].parse_args(
+                argv[1:], namespace=_config_namespace(args.command, args.config))
+        # looked up at call time, so a wrapped cmd_* module attribute is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

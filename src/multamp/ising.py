@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,21 +78,22 @@ class IsingLattice:
                 out.append((s, self.site(r + 1, c)))
         return out
 
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Sigma of every configuration, read-only; brute force, 20 sites max."""
+        n = self.num_sites
+        if n > 20:
+            raise ValueError(f"brute force capped at 20 sites, got {n}")
+        idx = np.arange(1 << n, dtype=np.int64)
+        sig = np.zeros(1 << n, dtype=np.int64)
+        for i, j in self.pairs():
+            sig += ((idx >> i) ^ (idx >> j)) & 1
+        sig.flags.writeable = False
+        return sig
+
     @classmethod
     def from_relative_beta(cls, rows: int, cols: int, relative_beta: float) -> "IsingLattice":
         return cls(rows, cols, CRITICAL_BETA_TIMES_J * relative_beta)
-
-
-def sigma_counts_all(lattice: IsingLattice) -> np.ndarray:
-    """Sigma for every configuration at once; brute force, 20 sites max."""
-    n = lattice.num_sites
-    if n > 20:
-        raise ValueError(f"brute force capped at 20 sites, got {n}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    sig = np.zeros(1 << n, dtype=np.int64)
-    for i, j in lattice.pairs():
-        sig += ((idx >> i) ^ (idx >> j)) & 1
-    return sig
 
 
 class BoltzmannTarget(AmplitudeTable):
@@ -100,7 +102,7 @@ class BoltzmannTarget(AmplitudeTable):
 
     @classmethod
     def from_lattice(cls, lattice: IsingLattice, d: int | None = None) -> "BoltzmannTarget":
-        sigma = sigma_counts_all(lattice)
+        sigma = lattice.sigma
         if np.any(sigma & 1):
             raise AssertionError("parity violation: Sigma must be even on a torus")
         lambdas = sigma // 2
@@ -165,7 +167,7 @@ def build_ising_L(lattice: IsingLattice, d: int, layout: RegisterLayout) -> Circ
         raise ValueError("D register width disagrees with d")
     n = lattice.num_sites
     if n <= 20:
-        lam_max = int(sigma_counts_all(lattice).max()) // 2
+        lam_max = int(lattice.sigma.max()) // 2
     else:
         lam_max = n
     if (1 << d) <= lam_max:

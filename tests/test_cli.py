@@ -344,6 +344,38 @@ def test_config_file_errors(tmp_path, capsys):
         assert key in err
 
 
+def test_config_values_do_not_reach_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("variant = controlled\nkeep = conditional\nenforce_zero = yes\nshots = 300\n")
+    code, _, _ = run(["sample", *LATTICE, "--config", str(cfg), "--out", str(tmp_path / "a")],
+                     capsys)
+    assert code == EXIT_OK
+    code, _, _ = run(["sample", *LATTICE, "--out", str(tmp_path / "b")], capsys)
+    assert code == EXIT_OK
+    fields = ("variant", "keep", "shots", "total_qubits")
+    with_file, after = (json.loads((tmp_path / name / "run.json").read_text())
+                        for name in ("a", "b"))
+    assert [with_file[k] for k in fields] == ["controlled", "conditional", 300, 12]
+    assert [after[k] for k in fields] == ["direct", "postselect", 1 << 17, 8]
+
+
+# --- one set-up per run -----------------------------------------------------
+
+@pytest.mark.parametrize("argv, lattices", [
+    (["sample", *LATTICE, "--shots", "500"], 1),
+    (["synth", *LATTICE], 1),
+    (["table1", "--sizes", "2,3", "--shots", "500"], 2),
+])
+def test_sigma_is_enumerated_once_per_lattice(argv, lattices, monkeypatch, capsys):
+    from multamp.ising import IsingLattice
+    calls = []
+    pairs = IsingLattice.pairs
+    monkeypatch.setattr(IsingLattice, "pairs", lambda self: calls.append(self) or pairs(self))
+    code, _, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    assert len(calls) == lattices
+
+
 # --- table1 -----------------------------------------------------------------
 
 def test_table1_smallest_rows_pass(tmp_path, capsys):

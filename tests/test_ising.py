@@ -15,7 +15,6 @@ from multamp.ising import (
     build_ising_L,
     inverse_qft_gates,
     qft_gates,
-    sigma_counts_all,
     synthesize_boltzmann,
 )
 from multamp.simcore import Circuit, RegisterLayout, StateVector, apply_circuit, h
@@ -63,21 +62,35 @@ def test_relative_beta_scales_the_published_critical_value():
 @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 3)])
 def test_sigma_matches_the_spin_loop_oracle(rows, cols):
     lattice = IsingLattice(rows, cols, 0.5)
-    sigma = sigma_counts_all(lattice)
+    sigma = lattice.sigma
     for config in range(1 << lattice.num_sites):
         assert sigma[config] == oracles.unequal_pair_count(rows, cols, config)
 
 
-def test_sigma_counts_all_is_the_vectorized_scan():
+def test_lattice_sigma_is_the_vectorized_scan():
     lattice = IsingLattice(2, 3, 0.2)
-    sigma = sigma_counts_all(lattice)
+    sigma = lattice.sigma
     assert sigma.shape == (64,)
     assert int(sigma.min()) == 0 and sigma[0] == 0  # aligned configurations
     assert np.all(sigma % 2 == 0)  # periodic loops flip parity twice
 
 
+def test_lattice_sigma_is_computed_once_and_read_only(monkeypatch):
+    lattice = IsingLattice(2, 3, 0.2)
+    calls = []
+    pairs = IsingLattice.pairs
+    monkeypatch.setattr(IsingLattice, "pairs", lambda self: calls.append(self) or pairs(self))
+    assert lattice.sigma is lattice.sigma
+    assert len(calls) == 1
+    assert lattice.sigma.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        lattice.sigma[0] = 1
+    with pytest.raises(ValueError, match="20 sites"):
+        IsingLattice(3, 7, 0.2).sigma
+
+
 def test_two_by_two_sigma_histogram():
-    sigma = sigma_counts_all(IsingLattice(2, 2, 0.1))
+    sigma = IsingLattice(2, 2, 0.1).sigma
     values, counts = np.unique(sigma, return_counts=True)
     assert dict(zip(values.tolist(), counts.tolist())) == {0: 2, 4: 12, 8: 2}
 
@@ -87,7 +100,7 @@ def test_two_by_two_sigma_histogram():
 def test_target_exponents_are_exact_half_sigmas():
     lattice = IsingLattice(3, 3, 0.3)
     target = BoltzmannTarget.from_lattice(lattice)
-    sigma = sigma_counts_all(lattice)
+    sigma = lattice.sigma
     assert np.array_equal(target.lambdas, sigma // 2)
     assert math.isclose(target.gamma, math.exp(2 * 0.3), rel_tol=1e-15)
     assert np.allclose(target.alphas, np.exp(-0.3 * sigma), rtol=1e-15)
