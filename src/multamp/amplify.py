@@ -96,7 +96,7 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
     their closed-form factors, in place: only the slice is copied.
     """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
-    apply_circuit(state, spec.synthesis, validate=False)
+    apply_circuit(state, spec.synthesis, validate=False, from_zero=True)
     u_sq = postselect_probability(state, spec.target)
     if spec.nu:
         inside, outside = _amplification_factors(u_sq, spec.nu)

@@ -11,6 +11,16 @@ complex128 whatever the state size (Häner and Steiger, arXiv:1704.01127).
 ``RegisterXor`` permutes only the qubit span of its registers, one block of
 ``2**hi`` amplitudes at a time (``hi``: top of the span).  No kernel runs in parallel.
 
+``apply_circuit(..., from_zero=True)`` skips the qubits that are still |0>.
+It tracks a top, the number of low qubits that can hold non-zero
+amplitudes: each gate runs on the prefix ``amplitudes[:2**top]`` once the
+top covers its qubits, and a ``RegisterXor`` whose span reaches above the
+top scatters the 2**top live amplitudes instead of gathering its span.
+Every layout here puts the index register C lowest, so H on C and the
+exponent oracle touch 2**|C| amplitudes, not the whole state.  Other
+states, such as the one ``amplify.grover_iterate`` runs U^-1 on, take
+the whole-state path.
+
 Post-selection goes through one slice: ``register_selector`` indexes the
 basis states whose registers read given values.  ``collapse`` copies that
 slice alone onto the layout of the remaining registers, and
@@ -186,6 +196,12 @@ class Gate:
     target2: int | None = None
     controls: tuple = ()
 
+    @property
+    def qubits(self) -> tuple:
+        """Every qubit the gate reads or writes: target, target2, then the controls."""
+        targets = (self.target,) if self.target2 is None else (self.target, self.target2)
+        return targets + tuple(q for q, _ in self.controls)
+
     def inverse(self) -> "Gate":
         if self.kind in ("ry", "phase"):
             return Gate(self.kind, self.target, -self.angle, self.target2, self.controls)
@@ -243,11 +259,34 @@ class RegisterXor:
         if self.values.min() < 0 or self.values.max() >= (1 << tw):
             raise ValueError(f"XOR values do not fit in register {self.target_register!r}")
 
-    def apply(self, state: StateVector) -> StateVector:
+    def spans(self, layout: RegisterLayout) -> tuple[range, range]:
+        """The key and target registers' qubits in ``layout``."""
+        return layout.qubits(self.key_register), layout.qubits(self.target_register)
+
+    def apply(self, state: StateVector, top: int | None = None) -> StateVector:
+        """Permute the state in place and return it.
+
+        ``top``: the caller knows every amplitude at index >= 2**top is 0.
+        When the span reaches above ``top``, the 2**top live amplitudes are
+        copied out, the prefix is zeroed, and each copy is written to its
+        destination; a live index reads 0 on every qubit from ``top`` up,
+        and the permutation sends the zero amplitudes onto the positions
+        left at zero.  Otherwise the span is gathered block by block.
+        """
         layout = state.layout
         self.validate(layout)
-        key, target = layout.qubits(self.key_register), layout.qubits(self.target_register)
+        key, target = self.spans(layout)
         lo, hi = min(key.start, target.start), max(key.stop, target.stop)
+        if top is not None and top < hi:
+            live = state.amplitudes[:1 << top]
+            moved = live.copy()
+            live[...] = 0
+            dest = np.arange(1 << top, dtype=np.int64)
+            keys = self.values[(dest >> key.start) & ((1 << len(key)) - 1)]
+            keys <<= target.start
+            dest ^= keys
+            state.amplitudes[dest] = moved
+            return state
         # permute the qubit span [lo, hi) alone, one block of 2**hi amplitudes at a time
         perm = np.arange(1 << (hi - lo), dtype=np.int64)
         keys = self.values[(perm >> (key.start - lo)) & ((1 << len(key)) - 1)]
@@ -291,17 +330,14 @@ class Circuit:
 
 
 def _check_qubits(n: int, gate: Gate):
-    used = [gate.target]
-    if gate.kind == "swap":
-        if gate.target2 is None:
-            raise ValueError("swap needs a second target")
-        used.append(gate.target2)
-    elif gate.target2 is not None:
+    if gate.kind == "swap" and gate.target2 is None:
+        raise ValueError("swap needs a second target")
+    if gate.kind != "swap" and gate.target2 is not None:
         raise ValueError(f"{gate.kind} takes a single target")
     for q, pol in gate.controls:
         if pol not in (0, 1):
             raise ValueError(f"control polarity must be 0 or 1, got {pol}")
-        used.append(q)
+    used = gate.qubits
     for q in used:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n}-qubit state")
@@ -394,17 +430,41 @@ def _butterfly(kind, a, b, c, s, t=None, w=None):
         b[...] = t
 
 
-def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True) -> StateVector:
-    """Apply every instruction of the circuit in order, in place."""
+def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
+                  from_zero: bool = False) -> StateVector:
+    """Apply every instruction of the circuit in order, in place.
+
+    ``from_zero=True`` promises that ``state`` is |0...0> (only
+    ``amplitudes[0] == 1`` is checked).  The call then tracks a top: the
+    number of low qubits that can hold non-zero amplitudes, 0 at the start
+    and local to this call.  A gate runs through ``apply_gate`` on the
+    prefix ``amplitudes[:2**top]``, with ``top`` first raised to cover its
+    qubits.  A ``RegisterXor`` whose span reaches above ``top`` scatters
+    the prefix (see ``RegisterXor.apply``); one that lies below it gathers
+    its span.  Each instruction raises ``top`` to above its highest qubit,
+    and once ``top`` covers the state every instruction runs on all of it.
+    Within the prefix the kernels do the same arithmetic as on the whole
+    state, so the amplitudes are bit-equal to the untracked call's, except
+    that an amplitude that stays 0 keeps +0.0 where the dense butterflies
+    may write -0.0.
+    """
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match the state layout")
     if validate:
         _require_normalized(state.norm(), state.amplitudes.dtype, "input state is not normalized")
+    n = state.num_qubits
+    if from_zero and state.amplitudes[0] != 1:
+        raise ValueError("from_zero needs the state |0...0>")
+    top = 0 if from_zero else n
     for op in circuit.gates:
         if isinstance(op, Gate):
-            apply_gate(state, op, validate=False)
+            top = max(top, max(op.qubits) + 1)
+            live = state if top >= n else StateVector(RegisterLayout([("live", top)]),
+                                                      state.amplitudes[:1 << top])
+            apply_gate(live, op, validate=False)
         else:
-            op.apply(state)
+            op.apply(state, top)
+            top = max(top, *(span.stop for span in op.spans(state.layout)))
     return state
 
 

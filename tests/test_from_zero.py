@@ -1,0 +1,129 @@
+"""Tracked application from |0> (``apply_circuit(..., from_zero=True)``) against the dense path.
+
+The dense, whole-state application is the specification: every circuit
+the suite builds must give the same bytes both ways, and random circuits
+the same values (off the live prefix the dense butterflies may write -0.0
+where the tracked call leaves the zero state's +0.0).
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multamp import ising, simcore, transduce
+from multamp.baselines import build_comparator_synthesis
+from multamp.simcore import Circuit, Gate, RegisterLayout, RegisterXor, StateVector, apply_circuit, h
+
+DTYPES = (np.complex128, np.complex64)
+
+
+def both_ways(circuit, dtype):
+    dense = apply_circuit(StateVector.zero_state(circuit.layout, dtype), circuit)
+    tracked = apply_circuit(StateVector.zero_state(circuit.layout, dtype), circuit, from_zero=True)
+    return tracked.amplitudes, dense.amplitudes
+
+
+def table_synthesis(variant, enforce_zero):
+    # 2**6 log-uniform amplitudes, some below the cutoff so they saturate
+    alphas = np.exp(np.random.default_rng(17).uniform(math.log(2.5e-4), 0.0, 1 << 6))
+    table = transduce.build_lambda_table(alphas, 2.0, 4, 1e-3)
+    return transduce.build_synthesis(table, transduce.make_plan(variant, 2.0, 4), enforce_zero)
+
+
+def ising_synthesis(rows, cols, variant, enforce_zero):
+    lattice = ising.IsingLattice(rows, cols, 0.35)
+    return ising.build_boltzmann_synthesis(lattice, variant, enforce_zero=enforce_zero)[0]
+
+
+BUILT = (
+    [pytest.param(table_synthesis, (v, z), id=f"table-{v}-{'zero' if z else 'plain'}")
+     for v in transduce.VARIANTS for z in (False, True)]
+    + [pytest.param(ising_synthesis, (r, c, v, z), id=f"ising-{r}x{c}-{v}-{'zero' if z else 'plain'}")
+       for r, c in ((2, 2), (2, 3), (3, 3)) for v in transduce.VARIANTS for z in (False, True)]
+    + [pytest.param(lambda: build_comparator_synthesis([0.9, 1.0, 0.27, 0.125, 1.0, 0.5, 0.0, 0.33], 3)[0],
+                    (), id="comparator")]
+)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("build,args", BUILT)
+def test_built_circuits_give_the_dense_bytes(build, args, dtype):
+    tracked, dense = both_ways(build(*args), dtype)
+    assert tracked.tobytes() == dense.tobytes()
+
+
+@st.composite
+def circuits_from_zero(draw):
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    layout = RegisterLayout((f"r{i}", w) for i, w in enumerate(widths))
+    n = layout.total_qubits
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 3)) == 0:
+            key, target = draw(st.permutations(layout.names()))[:2]
+            values = draw(st.lists(st.integers(0, (1 << layout.width(target)) - 1),
+                                   min_size=1 << layout.width(key), max_size=1 << layout.width(key)))
+            ops.append(RegisterXor(key, target, values))
+            continue
+        kind = draw(st.sampled_from(simcore.GATE_KINDS))
+        qubits = draw(st.permutations(range(n)))
+        two = kind == "swap"
+        controls = tuple((q, draw(st.integers(0, 1)))
+                         for q in qubits[1 + two:1 + two + draw(st.integers(0, min(2, n - 1 - two)))])
+        ops.append(Gate(kind, qubits[0], draw(st.floats(-2 * math.pi, 2 * math.pi)),
+                        qubits[1] if two else None, controls))
+    return Circuit(layout, ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=circuits_from_zero(), dtype=st.sampled_from(DTYPES))
+def test_random_circuits_from_zero_agree_with_the_dense_path(circuit, dtype):
+    tracked, dense = both_ways(circuit, dtype)
+    assert np.array_equal(tracked, dense)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("registers,top", [
+    ([("K", 3), ("M", 1), ("T", 2)], 3),  # key below the top, target above it: scatter
+    ([("K", 3), ("T", 2)], 1),            # key straddling the top: scatter
+    ([("M", 1), ("T", 2), ("K", 3)], 1),  # key above the top too: scatter of values[0]
+    ([("T", 2), ("K", 3)], 2),            # target below the top, key above it: scatter
+    ([("K", 2), ("T", 3)], 3),            # target straddling the top: scatter
+    ([("K", 1), ("T", 2), ("M", 2)], 4),  # span below the top: gather
+])
+def test_keyed_xor_from_a_live_prefix(registers, top, dtype):
+    layout = RegisterLayout(registers)
+    values = np.random.default_rng(239).integers(0, 1 << layout.width("T"), size=1 << layout.width("K"))
+    circuit = Circuit(layout, [h(q) for q in range(top)] + [RegisterXor("K", "T", values)])
+    tracked, dense = both_ways(circuit, dtype)
+    assert tracked.tobytes() == dense.tobytes()
+
+
+def test_gate_qubits_lists_targets_then_controls():
+    assert Gate("swap", 3, target2=1, controls=((0, 1), (5, 0))).qubits == (3, 1, 0, 5)
+    assert Gate("ry", 2, 0.5).qubits == (2,)
+
+
+def test_from_zero_refuses_a_state_that_is_not_zero():
+    layout = RegisterLayout([("R", 2)])
+    with pytest.raises(ValueError, match="from_zero"):
+        apply_circuit(StateVector.basis_state(layout, 1), Circuit(layout, [h(0)]), from_zero=True)
+
+
+def test_ising_u_from_zero_holds_only_prefix_sized_scratch():
+    # the 4x4 direct U covers 21 qubits with C and D alone: the gather held a
+    # 32 MiB span block and a 16 MiB index, 64 MiB at peak above the buffer
+    circuit = ising_synthesis(4, 4, "direct", False)
+    assert circuit.layout.total_qubits == 21
+    tracemalloc.start()
+    try:
+        state = StateVector.zero_state(circuit.layout)
+        apply_circuit(state, circuit, validate=False, from_zero=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - state.amplitudes.nbytes <= 4 << 20, peak
