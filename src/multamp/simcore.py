@@ -4,32 +4,38 @@ Bit order is little endian throughout: qubit ``i`` holds bit ``i`` of the
 basis index, and a register occupying qubits ``[lo, hi)`` reads its value
 the same way.  Gates act in place on a ``(2,)*n`` view of the amplitude
 buffer, so a gate with ``c`` controls touches ``2**(n-c)`` amplitudes.
-``z`` and ``phase`` allocate nothing.  ``x``, ``swap``, ``h`` and ``ry`` take
+``z`` allocates nothing.  ``x``, ``swap``, ``h``, ``ry`` and ``phase`` take
 the slice's |0> and |1> halves in pieces of ``2**_PIECE_QUBITS`` amplitudes,
 with ``out=`` ufuncs into at most two piece-sized scratch arrays: 512 KiB for
 complex128 whatever the state size (Häner and Steiger, arXiv:1704.01127).
 ``RegisterXor`` permutes only the qubit span of its registers, one block of
 ``2**hi`` amplitudes at a time (``hi``: top of the span).  No kernel runs in parallel.
 
-``apply_circuit(..., from_zero=True)`` skips the qubits that are still |0>.
+``apply_circuit(..., from_zero=True)`` skips the amplitudes known to be 0.
 It tracks a top, the number of low qubits that can hold non-zero
 amplitudes: each gate runs on the prefix ``amplitudes[:2**top]`` once the
 top covers its qubits, and a ``RegisterXor`` whose span reaches above the
 top scatters the 2**top live amplitudes instead of gathering its span.
 Every layout here puts the index register C lowest, so H on C and the
-exponent oracle touch 2**|C| amplitudes, not the whole state.  Other
-states, such as the one ``amplify.grover_iterate`` runs U^-1 on, take
-the whole-state path.
+exponent oracle touch 2**|C| amplitudes, not the whole state.  Beside the
+top it tracks the value each qubit below it holds on every live amplitude
+(0 until a gate touches it; an ``x`` whose target and controls are known
+keeps it known).  ``apply_gate`` indexes those qubits like controls, so
+the ladder after the exact-zero flag is set moves only the amplitudes with
+the flag at 1.  Other states, such as the one ``amplify.grover_iterate``
+runs U^-1 on, take the whole-state path.
 
 Post-selection goes through one slice: ``register_selector`` indexes the
 basis states whose registers read given values.  ``collapse`` copies that
 slice alone onto the layout of the remaining registers, and
 ``amplify.postselect_probability`` sums its weight.
 
-``sample`` holds no state-sized array: a float64 cumsum of one block of
-``_SAMPLE_BLOCK`` amplitudes (512 KiB; plus a float32 |a|^2 block for
-complex64), the block ends, the sorted draws (8 B per shot), the counting
-arrays of one block and the returned counts (``sample_overhead`` bounds it).
+``sample`` holds no state-sized array: for one block of ``_SAMPLE_BLOCK``
+amplitudes, |a|^2 and a float64 cumsum over its non-zero entries (over all
+of them when more than half are non-zero) with their positions (512 KiB
+each; plus a float32 |a|^2 block for complex64), then the block ends, the
+sorted draws (8 B per shot), the counting arrays of one block and the
+returned counts (``sample_overhead`` bounds it).
 
 A StateVector owns its buffer; the concurrency contract is one writer per
 state, and callers must not alias buffers across states.
@@ -37,7 +43,6 @@ state, and callers must not alias buffers across states.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import compress
@@ -197,10 +202,14 @@ class Gate:
     controls: tuple = ()
 
     @property
+    def targets(self) -> tuple:
+        """The qubits the gate writes: target, then target2."""
+        return (self.target,) if self.target2 is None else (self.target, self.target2)
+
+    @property
     def qubits(self) -> tuple:
         """Every qubit the gate reads or writes: target, target2, then the controls."""
-        targets = (self.target,) if self.target2 is None else (self.target, self.target2)
-        return targets + tuple(q for q, _ in self.controls)
+        return self.targets + tuple(q for q, _ in self.controls)
 
     def inverse(self) -> "Gate":
         if self.kind in ("ry", "phase"):
@@ -345,11 +354,15 @@ def _check_qubits(n: int, gate: Gate):
         raise ValueError(f"gate touches a qubit twice: {gate}")
 
 
-def apply_gate(state: StateVector, gate: Gate, validate: bool = True) -> StateVector:
+def apply_gate(state: StateVector, gate: Gate, validate: bool = True, known=()) -> StateVector:
     """Apply one gate in place and return the same state.
 
     ``validate=True`` additionally checks that the input state is
     normalized; circuit application does this once up front instead.
+    ``known``: (qubit, value) pairs, none of them a target, that the caller
+    knows every non-zero amplitude to hold.  Their axes are indexed like
+    controls, so only that slice is computed, and a control that
+    contradicts one leaves the state as it is.
     """
     n = state.num_qubits
     if gate.kind not in GATE_KINDS:
@@ -359,21 +372,23 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True) -> StateVe
         _require_normalized(state.norm(), state.amplitudes.dtype, "input state is not normalized")
 
     psi = state.amplitudes.reshape((2,) * n)
-    sel = [slice(None)] * n
+    free = slice(None)
+    sel = [free] * n
     for q, pol in gate.controls:
         sel[n - 1 - q] = pol  # qubit q lives on axis n-1-q of the C-order view
+    targets = gate.targets
+    fixed = len(gate.controls) + len(targets)
+    for q, v in known:
+        if q in targets:
+            raise ValueError(f"a known qubit is a target of {gate}")
+        if sel[n - 1 - q] is free:
+            sel[n - 1 - q] = v
+            fixed += 1
+        elif sel[n - 1 - q] != v:
+            return state  # a control no live amplitude satisfies
 
     ax = n - 1 - gate.target
     kind = gate.kind
-    if kind == "z":
-        sel[ax] = 1
-        psi[tuple(sel)] *= -1.0
-        return state
-    if kind == "phase":
-        sel[ax] = 1
-        psi[tuple(sel)] *= cmath.exp(1j * gate.angle)
-        return state
-
     s0 = list(sel)
     s0[ax] = 0
     s1 = list(sel)
@@ -382,28 +397,37 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True) -> StateVe
         ax2 = n - 1 - gate.target2
         s0[ax2] = 1  # |01> half
         s1[ax2] = 0  # |10> half
-    if len(gate.controls) + (kind == "swap") + 1 == n:
+    if fixed == n:
         s0[ax], s1[ax] = slice(0, 1), slice(1, 2)  # every axis fixed: keep the halves views
     v0, v1 = psi[tuple(s0)], psi[tuple(s1)]
-    half = gate.angle / 2.0
-    c, s = (math.cos(half), math.sin(half)) if kind == "ry" else (_SQRT1_2, _SQRT1_2)
+    if kind == "z":
+        v1 *= -1.0
+        return state
+    if kind == "ry":
+        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+    elif kind == "phase":
+        c, s = math.cos(gate.angle), math.sin(gate.angle)
+    else:
+        c, s = _SQRT1_2, _SQRT1_2
     lead = v0.ndim - _PIECE_QUBITS
     if lead <= 0:
         _butterfly(kind, v0, v1, c, s)
         return state
     t = np.empty(v0.shape[lead:], v0.dtype)
-    w = None if kind in ("x", "swap") else np.empty_like(t)
+    w = None if kind in ("x", "swap", "phase") else np.empty_like(t)
     for i in np.ndindex(v0.shape[:lead]):
         _butterfly(kind, v0[i], v1[i], c, s, t, w)
     return state
 
 
 def _butterfly(kind, a, b, c, s, t=None, w=None):
-    """One piece of an x/swap/h/ry gate, in place: ``a``, ``b`` are the |0>, |1> halves.
+    """One piece of an x/swap/h/ry/phase gate, in place: ``a``, ``b`` are the |0>, |1> halves.
 
     ``t``, ``w``: contiguous scratch of the piece's shape, allocated here if not given.
     Each term of ``a*c - b*s``, ``a*s + b*c`` (h: ``(a+b)*s``, ``(a-b)*s``) reads the
     strided halves once, with the per-element arithmetic of those whole-slice expressions.
+    Phase multiplies ``b`` by ``c + i*s`` through real products and sums of its parts:
+    numpy's complex product rounds a 1-element array differently from longer ones.
     """
     if kind in ("x", "swap"):
         if t is None:
@@ -419,6 +443,11 @@ def _butterfly(kind, a, b, c, s, t=None, w=None):
         np.multiply(w, s, out=w)
         a[...] = t
         b[...] = w
+    elif kind == "phase":  # b*c + i*b*s, rounded like Python's complex product
+        t = np.multiply(b, s, out=t)
+        np.multiply(b, c, out=b)
+        np.subtract(b.real, t.imag, out=b.real)
+        np.add(b.imag, t.real, out=b.imag)
     else:  # ry
         t = np.multiply(a, c, out=t)
         w = np.multiply(b, s, out=w)
@@ -443,7 +472,17 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     the prefix (see ``RegisterXor.apply``); one that lies below it gathers
     its span.  Each instruction raises ``top`` to above its highest qubit,
     and once ``top`` covers the state every instruction runs on all of it.
-    Within the prefix the kernels do the same arithmetic as on the whole
+
+    Beside the top the call tracks the value each qubit below it is known
+    to hold on every live amplitude; a qubit the top newly covers is known
+    to be 0.  An ``x`` whose target and controls are all known flips the
+    target's value if every control matches and keeps it if one does not;
+    a gate with a control that contradicts a known value changes nothing;
+    ``z`` and ``phase`` keep every value; any other gate forgets its
+    targets, and a ``RegisterXor`` its target register.  Each gate gets
+    the known qubits it does not target as ``apply_gate``'s ``known``.
+
+    On the live slice the kernels do the same arithmetic as on the whole
     state, so the amplitudes are bit-equal to the untracked call's, except
     that an amplitude that stays 0 keeps +0.0 where the dense butterflies
     may write -0.0.
@@ -456,15 +495,35 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     if from_zero and state.amplitudes[0] != 1:
         raise ValueError("from_zero needs the state |0...0>")
     top = 0 if from_zero else n
+    known: dict[int, int] = {}  # qubit below the top -> its value on every live amplitude
     for op in circuit.gates:
         if isinstance(op, Gate):
-            top = max(top, max(op.qubits) + 1)
+            hi = max(op.qubits) + 1
+            if hi > top:
+                known.update(dict.fromkeys(range(top, hi), 0))
+                top = hi
             live = state if top >= n else StateVector(RegisterLayout([("live", top)]),
                                                       state.amplitudes[:1 << top])
-            apply_gate(live, op, validate=False)
+            targets = op.targets
+            apply_gate(live, op, validate=False,
+                       known=tuple((q, v) for q, v in known.items() if q not in targets) if known else ())
+            if not known or op.kind in ("z", "phase") or op.controls and any(
+                    known.get(q, pol) != pol for q, pol in op.controls):
+                continue  # nothing known, or no live amplitude changes a qubit's value
+            if op.kind == "x" and op.target in known and all(q in known for q, _ in op.controls):
+                known[op.target] ^= 1
+            else:
+                for q in targets:
+                    known.pop(q, None)
         else:
+            key, target = op.spans(state.layout)
             op.apply(state, top)
-            top = max(top, *(span.stop for span in op.spans(state.layout)))
+            hi = max(key.stop, target.stop)
+            if hi > top:
+                known.update(dict.fromkeys(range(top, hi), 0))
+                top = hi
+            for q in target:
+                known.pop(q, None)
     return state
 
 
@@ -500,20 +559,35 @@ def collapse(state: StateVector, conditions: Mapping[str, int]) -> StateVector:
     return StateVector(rest, amps)
 
 
-def _block_cumsum(amplitudes: np.ndarray, lo: int, start: float, out: np.ndarray) -> np.ndarray:
-    """``start`` plus the running sum of |a|^2 over ``amplitudes[lo:lo + len(out)]``, in ``out``.
+def _block_cumsum(amplitudes: np.ndarray, lo: int, start: float, p: np.ndarray,
+                  cum: np.ndarray, nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``start`` plus the running sum of the non-zero |a|^2 in ``amplitudes[lo:lo + len(p)]``.
 
-    |a|^2 is rounded in the buffer's real dtype and then widened, and numpy
-    accumulates in order, so the block is bit-equal to its slice of one
-    float64 cumsum over the whole buffer.
+    Returns the sums and their positions in the block, or ``None`` for the
+    positions when more than half the weights are non-zero: the sums then
+    cover every position and fill ``p``, else they fill the front of
+    ``cum``.  The block's last position always counts, so draws past the
+    total find it.  |a|^2 is rounded in the buffer's real dtype and then
+    widened, numpy accumulates in order and x + 0.0 == x, so each sum is
+    bit-equal to one float64 cumsum over the whole buffer at its position.
     """
-    block = amplitudes[lo:lo + out.shape[0]]
-    p = np.abs(block, out=out if block.dtype == np.complex128 else None)
-    np.multiply(p, p, out=p)
-    if p is not out:
-        out[...] = p
-    out[0] += start
-    return np.cumsum(out, out=out)
+    block = amplitudes[lo:lo + p.shape[0]]
+    if block.dtype == np.complex128:
+        np.abs(block, out=p)
+        np.multiply(p, p, out=p)
+    else:
+        w = np.abs(block)
+        np.multiply(w, w, out=w)
+        p[...] = w
+    np.not_equal(p, 0.0, out=nonzero)
+    nonzero[-1] = True
+    if 2 * np.count_nonzero(nonzero) > p.shape[0]:  # packing would cost more than it saves
+        p[0] += start
+        return np.cumsum(p, out=p), None
+    where = np.flatnonzero(nonzero)
+    sums = np.take(p, where, out=cum[:where.shape[0]], mode="clip")  # "raise" would buffer
+    sums[0] += start
+    return np.cumsum(sums, out=sums), where
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
@@ -530,16 +604,23 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     Pass 1 keeps only the end of each block's cumsum; pass 2 rebuilds the
     cumsum of each block that holds draws and counts them there, by searching
     the shorter of the block's sorted draws and its cumsum in the longer.
+    Both passes run a block's cumsum over its non-zero weights alone (a
+    zero weight adds nothing, and only a draw past the total, clipped onto
+    the last index, lands on one), and pass 2 maps the positions found back
+    through the block's non-zero positions.  A block whose weights are
+    more than half non-zero sums all of them in place, as packing them
+    would cost more than it saves.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     amplitudes = state.amplitudes
-    cum = np.empty(min(amplitudes.shape[0], _SAMPLE_BLOCK))
-    width = cum.shape[0]
+    width = min(amplitudes.shape[0], _SAMPLE_BLOCK)
+    p, cum, nonzero = np.empty(width), np.empty(width), np.empty(width, dtype=bool)
     ends = np.empty(amplitudes.shape[0] // width)
     total = 0.0
     for b in range(ends.shape[0]):
-        total = ends[b] = _block_cumsum(amplitudes, b * width, total, cum)[-1]
+        sums, where = _block_cumsum(amplitudes, b * width, total, p, cum, nonzero)
+        total = ends[b] = sums[-1]
     _require_normalized(total, amplitudes.dtype, "state is not normalized")
     draws = np.random.default_rng(seed).random(shots)
     draws *= total
@@ -552,18 +633,20 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
         mine = draws[first:splits[b]]
         first = splits[b]
         if ends.shape[0] > 1:
-            _block_cumsum(amplitudes, b * width, ends[b - 1] if b else 0.0, cum)
-        if mine.shape[0] < width:
-            idx = np.searchsorted(cum, mine, side="right")  # sorted, like the draws
-            np.minimum(idx, width - 1, out=idx)
+            sums, where = _block_cumsum(amplitudes, b * width, ends[b - 1] if b else 0.0, p, cum, nonzero)
+        if mine.shape[0] < sums.shape[0]:
+            idx = np.searchsorted(sums, mine, side="right")  # sorted, like the draws
+            np.minimum(idx, sums.shape[0] - 1, out=idx)
             starts = np.flatnonzero(np.diff(idx, prepend=-1))
             hit, num = idx[starts], np.diff(starts, append=idx.shape[0])
         else:
-            below = np.searchsorted(mine, cum, side="left")
+            below = np.searchsorted(mine, sums, side="left")
             below[-1] = mine.shape[0]
             num = np.diff(below, prepend=0)
             hit = np.flatnonzero(num)
             num = num[hit]
+        if where is not None:
+            hit = where[hit]
         counts += num.tolist()
         hit += b * width
         keys += hit.tolist()
@@ -573,12 +656,14 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
 def sample_overhead(size: int, shots: int) -> int:
     """Upper bound on the bytes ``sample`` holds beside a ``size``-amplitude buffer.
 
-    Block-sized scratch (the cumsum, a float32 |a|^2 for complex64, the
-    counting arrays: 32 B per block entry) plus 128 B per shot: the sorted
-    draws and, when every shot is its own outcome, its search index, list
-    slots and dict entry (~120 B measured with ``tracemalloc``).
+    Block-sized scratch (|a|^2 and the packed cumsum of the non-zero
+    weights, 16 B; the non-zero mask, 1 B; their positions, 8 B; a float32
+    |a|^2 for complex64 and the counting arrays: 48 B per block entry, 37 B
+    measured with ``tracemalloc``) plus 128 B per shot: the sorted draws
+    and, when every shot is its own outcome, its search index, list slots
+    and dict entry (~120 B measured).
     """
-    return 32 * min(size, _SAMPLE_BLOCK) + 128 * shots
+    return 48 * min(size, _SAMPLE_BLOCK) + 128 * shots
 
 
 def filter_counts(counts: Mapping[int, int], layout: RegisterLayout,

@@ -11,12 +11,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multamp import ising, simcore, transduce
 from multamp.baselines import build_comparator_synthesis
-from multamp.simcore import Circuit, Gate, RegisterLayout, RegisterXor, StateVector, apply_circuit, h
+from multamp.simcore import (Circuit, Gate, RegisterLayout, RegisterXor, StateVector, apply_circuit, h,
+                             phase, roty, swap, x)
 
 DTYPES = (np.complex128, np.complex64)
 
@@ -79,8 +80,15 @@ def circuits_from_zero(draw):
     return Circuit(layout, ops)
 
 
+# a phase on a 1-entry prefix once rounded like Python's complex product, and
+# on the whole state like numpy's vector loop: 5.6e-17 apart in amplitude 1
+ONE_ENTRY_PHASE = Circuit(RegisterLayout([("r0", 1), ("r1", 2)]), [h(0), phase(1.0, 0), phase(1.0, 0)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(circuit=circuits_from_zero(), dtype=st.sampled_from(DTYPES))
+@example(circuit=ONE_ENTRY_PHASE, dtype=np.complex128)
+@example(circuit=ONE_ENTRY_PHASE, dtype=np.complex64)
 def test_random_circuits_from_zero_agree_with_the_dense_path(circuit, dtype):
     tracked, dense = both_ways(circuit, dtype)
     assert np.array_equal(tracked, dense)
@@ -103,8 +111,64 @@ def test_keyed_xor_from_a_live_prefix(registers, top, dtype):
     assert tracked.tobytes() == dense.tobytes()
 
 
+KNOWN_LAYOUT = RegisterLayout([("C", 2), ("D", 2), ("z", 1)])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("ops", [
+    # x on the untouched flag, then gates controlled on it: polarity 0 is skipped, 1 runs
+    [h(0), h(1), x(4), roty(0.7, 2, ((4, 0),)), roty(0.9, 3, ((4, 1),)), h(2, ((4, 1), (0, 1)))],
+    # a swap of a known qubit and a free one forgets both
+    [h(0), x(3), swap(0, 3), roty(0.4, 1, ((3, 1),)), roty(1.1, 2, ((0, 0),)), h(1, ((3, 0),))],
+    # a keyed XOR after the flag is set to 1 spans below the top: the gather path
+    [h(0), h(1), x(4), RegisterXor("C", "D", [3, 0, 2, 1]), roty(0.5, 4, ((2, 1),))],
+    # the XOR forgets its target register, whose qubit 3 was known to be 1
+    [h(0), x(3), RegisterXor("C", "D", [1, 2, 0, 3]), roty(0.8, 4, ((3, 1),)), roty(0.3, 4, ((3, 0),))],
+    # x on known qubits: a matching control flips its target, a contradicting one
+    # leaves it, and a free control forgets it
+    [h(0), x(2), x(3, ((2, 1),)), x(4, ((2, 0),)), x(2, ((0, 1),)),
+     roty(0.3, 1, ((2, 1),)), roty(0.5, 1, ((3, 1),)), roty(0.6, 1, ((4, 0),)), h(0, ((4, 1),))],
+], ids=["flag-controls", "swap-known-free", "xor-gather", "xor-forgets-target", "x-rules"])
+def test_known_values_give_the_dense_bytes(ops, dtype):
+    tracked, dense = both_ways(Circuit(KNOWN_LAYOUT, ops), dtype)
+    assert tracked.tobytes() == dense.tobytes()
+
+
+def butterfly_sizes(circuit, monkeypatch):
+    """(kind, amplitudes) of every ``_butterfly`` call of the tracked circuit."""
+    seen = []
+    butterfly = simcore._butterfly
+
+    def counting(kind, a, b, *rest):
+        seen.append((kind, a.size + b.size))
+        return butterfly(kind, a, b, *rest)
+
+    monkeypatch.setattr(simcore, "_butterfly", counting)
+    apply_circuit(StateVector.zero_state(circuit.layout), circuit, from_zero=True)
+    return seen
+
+
+def test_known_values_skip_the_amplitudes_known_to_be_zero(monkeypatch):
+    # the enforce-zero controlled U sets the flag z, its top qubit, first in the
+    # ladder; with the top alone every later gate ran on the whole state
+    total = sum(size for _, size in butterfly_sizes(table_synthesis("controlled", True), monkeypatch))
+    assert total < 84_094 // 2, total  # 84,094 with the top alone
+
+
+def test_a_control_that_contradicts_a_known_value_skips_the_gate(monkeypatch):
+    circuit = Circuit(KNOWN_LAYOUT, [h(0), x(4), roty(0.7, 2, ((4, 0),)), roty(0.9, 3, ((4, 1),))])
+    assert butterfly_sizes(circuit, monkeypatch) == [("h", 2), ("x", 4), ("ry", 4)]  # no ry on z = 0
+
+
+def test_known_values_may_not_name_a_target():
+    state = StateVector.zero_state(RegisterLayout([("R", 2)]))
+    with pytest.raises(ValueError, match="known qubit"):
+        simcore.apply_gate(state, swap(0, 1), known=((1, 0),))
+
+
 def test_gate_qubits_lists_targets_then_controls():
     assert Gate("swap", 3, target2=1, controls=((0, 1), (5, 0))).qubits == (3, 1, 0, 5)
+    assert Gate("swap", 3, target2=1, controls=((0, 1),)).targets == (3, 1)
     assert Gate("ry", 2, 0.5).qubits == (2,)
 
 

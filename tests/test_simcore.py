@@ -425,6 +425,16 @@ def zero_runs_state(qubits, rng):
     return StateVector(RegisterLayout([("R", qubits)]), amps)
 
 
+def weights_state(nonzero, dtype, rng, tiny=()):
+    """Random amplitudes where ``nonzero`` holds, 0 elsewhere, and a subnormal at each ``tiny`` index."""
+    amps = np.where(nonzero, rng.standard_normal(nonzero.size) + 1j * rng.standard_normal(nonzero.size), 0)
+    amps /= np.linalg.norm(amps)
+    amps = amps.astype(dtype)
+    real = np.finfo(amps.real.dtype)
+    amps[list(tiny)] = real.smallest_normal / 4  # |a|^2 underflows to 0
+    return StateVector(RegisterLayout([("R", nonzero.size.bit_length() - 1)]), amps)
+
+
 def assert_sample_is_the_reference(state, shots, seed):
     got = sample(state, shots, seed)
     want = oracles.reference_sample(state, shots, seed)
@@ -435,10 +445,19 @@ def assert_sample_is_the_reference(state, shots, seed):
 def test_blockwise_sample_draws_what_the_whole_buffer_sampler_draws(dtype, monkeypatch):
     # 2**10 amplitudes in blocks of 8: whole zero blocks at both ends and in
     # the middle, shots below and above a block's 8 entries, and shots that
-    # put many draws in some blocks and none in others
+    # put many draws in some blocks and none in others; then 2**7 amplitudes
+    # with zeros inside the blocks, so that some blocks sum in place and some
+    # are packed (at most 4 of 8 weights non-zero, the last always counted)
     monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 3)
     rng = np.random.default_rng(61)
-    for state in (zero_runs_state(10, rng), random_state(RegisterLayout([("R", 10)]), rng)):
+    index = np.arange(1 << 7)
+    patterns = (index % 3 == 0, index % 3 != 0,  # interleaved zeros: packed, then in place
+                index % 8 == (index // 8) % 8,  # one non-zero weight per block
+                ((index // 8) % 2 == 0) | (index % 8 == 2),  # full blocks beside sparse ones
+                index % 8 == 7)  # only the last entry of each block
+    states = [zero_runs_state(10, rng), random_state(RegisterLayout([("R", 10)]), rng)]
+    states += [weights_state(nonzero, np.complex128, rng) for nonzero in patterns]
+    for state in states:
         state = StateVector(state.layout, state.amplitudes.astype(dtype))
         for shots in (1, 5, 8, 9, 700, 1 << 14):
             for seed in (0, 1, 2):
@@ -477,6 +496,46 @@ def test_draws_at_the_total_count_on_the_last_index(shots, monkeypatch):
     assert state.amplitudes[-1] == 0
     got = sample(state, shots, 0)
     assert got[63] == (shots + 1) // 2
+    assert list(got.items()) == list(oracles.reference_sample(state, shots, 0).items())
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_sample_never_draws_a_weight_that_underflows(dtype, monkeypatch):
+    # subnormal amplitudes inside a dense block, as a whole block, and last
+    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 3)
+    tiny = [3, 12, 40, 41, 42, 43, 44, 45, 46, 47, 127]
+    nonzero = np.ones(1 << 7, dtype=bool)
+    nonzero[tiny] = False
+    state = weights_state(nonzero, dtype, np.random.default_rng(83), tiny)
+    assert np.all(state.amplitudes[tiny] != 0)
+    for shots in (1, 9, 700, 1 << 14):
+        got = sample(state, shots, 4)
+        assert not set(tiny[:-1]) & set(got)
+        assert list(got.items()) == list(oracles.reference_sample(state, shots, 4).items())
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("zeros,shots", [
+    (range(56, 63), 40),          # packed block, more draws than sums
+    ((56, 57, 58, 60, 61), 2),    # packed block, fewer draws than sums
+    ((57, 59), 3),                # block summed in place, fewer draws than sums
+])
+def test_draws_at_the_total_join_a_non_zero_last_index(zeros, shots, dtype, monkeypatch):
+    # the last block holds zeros and a heavy last amplitude: the draws at
+    # half the total land on it, and the clipped ones at the total join them
+    class TopHeavy:
+        def random(self, n):
+            return np.where(np.arange(n) % 2 == 0, 1.0, 0.5)
+
+    nonzero = np.ones(1 << 6, dtype=bool)
+    nonzero[list(zeros)] = False
+    state = weights_state(nonzero, dtype, np.random.default_rng(89))
+    state.amplitudes[-1] = 4.0
+    state.amplitudes /= float(np.linalg.norm(state.amplitudes))
+    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 3)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: TopHeavy())
+    got = sample(state, shots, 0)
+    assert got == {63: shots}
     assert list(got.items()) == list(oracles.reference_sample(state, shots, 0).items())
 
 
