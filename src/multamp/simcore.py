@@ -12,18 +12,15 @@ complex128 whatever the state size (Häner and Steiger, arXiv:1704.01127).
 ``2**hi`` amplitudes at a time (``hi``: top of the span).  No kernel runs in parallel.
 
 ``apply_circuit(..., from_zero=True)`` skips the amplitudes known to be 0.
-It tracks a top, the number of low qubits that can hold non-zero
-amplitudes: each gate runs on the prefix ``amplitudes[:2**top]`` once the
-top covers its qubits, and a ``RegisterXor`` whose span reaches above the
-top scatters the 2**top live amplitudes instead of gathering its span.
-Every layout here puts the index register C lowest, so H on C and the
-exponent oracle touch 2**|C| amplitudes, not the whole state.  Beside the
-top it tracks the value each qubit below it holds on every live amplitude
-(0 until a gate touches it; an ``x`` whose target and controls are known
-keeps it known).  ``apply_gate`` indexes those qubits like controls, so
-the ladder after the exact-zero flag is set moves only the amplitudes with
-the flag at 1.  Other states, such as the one ``amplify.grover_iterate``
-runs U^-1 on, take the whole-state path.
+It keeps one record: the value each qubit holds on every live amplitude,
+0 for every qubit until a gate touches it (an ``x`` whose target and
+controls are known keeps it known).  ``apply_gate`` indexes the known
+qubits like controls, so each gate runs on the slice with those values
+alone.  Every layout here puts the index register C lowest, so H on C
+and the exponent oracle touch 2**|C| amplitudes, not the whole state,
+and the ladder after the exact-zero flag is set moves only the
+amplitudes with the flag at 1.  Other states, such as the one
+``amplify.grover_iterate`` runs U^-1 on, take the whole-state path.
 
 Post-selection goes through one slice: ``register_selector`` indexes the
 basis states whose registers read given values.  ``collapse`` copies that
@@ -275,12 +272,13 @@ class RegisterXor:
     def apply(self, state: StateVector, top: int | None = None) -> StateVector:
         """Permute the state in place and return it.
 
-        ``top``: the caller knows every amplitude at index >= 2**top is 0.
-        When the span reaches above ``top``, the 2**top live amplitudes are
-        copied out, the prefix is zeroed, and each copy is written to its
-        destination; a live index reads 0 on every qubit from ``top`` up,
-        and the permutation sends the zero amplitudes onto the positions
-        left at zero.  Otherwise the span is gathered block by block.
+        ``top``: the caller knows every qubit from ``top`` up reads 0, so
+        every amplitude at index >= 2**top is 0.  When the span reaches
+        above ``top``, the 2**top live amplitudes are copied out, the
+        prefix is zeroed, and each copy is written to its destination; a
+        live index reads 0 on every qubit from ``top`` up, and the
+        permutation sends the zero amplitudes onto the positions left at
+        zero.  Otherwise the span is gathered block by block.
         """
         layout = state.layout
         self.validate(layout)
@@ -381,6 +379,8 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, known=()) 
     for q, v in known:
         if q in targets:
             raise ValueError(f"a known qubit is a target of {gate}")
+        if not 0 <= q < n or v not in (0, 1):
+            raise ValueError(f"known qubit {q} with value {v}: needs a qubit in [0, {n}) and a value of 0 or 1")
         if sel[n - 1 - q] is free:
             sel[n - 1 - q] = v
             fixed += 1
@@ -464,23 +464,18 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     """Apply every instruction of the circuit in order, in place.
 
     ``from_zero=True`` promises that ``state`` is |0...0> (only
-    ``amplitudes[0] == 1`` is checked).  The call then tracks a top: the
-    number of low qubits that can hold non-zero amplitudes, 0 at the start
-    and local to this call.  A gate runs through ``apply_gate`` on the
-    prefix ``amplitudes[:2**top]``, with ``top`` first raised to cover its
-    qubits.  A ``RegisterXor`` whose span reaches above ``top`` scatters
-    the prefix (see ``RegisterXor.apply``); one that lies below it gathers
-    its span.  Each instruction raises ``top`` to above its highest qubit,
-    and once ``top`` covers the state every instruction runs on all of it.
-
-    Beside the top the call tracks the value each qubit below it is known
-    to hold on every live amplitude; a qubit the top newly covers is known
-    to be 0.  An ``x`` whose target and controls are all known flips the
-    target's value if every control matches and keeps it if one does not;
-    a gate with a control that contradicts a known value changes nothing;
-    ``z`` and ``phase`` keep every value; any other gate forgets its
-    targets, and a ``RegisterXor`` its target register.  Each gate gets
-    the known qubits it does not target as ``apply_gate``'s ``known``.
+    ``amplitudes[0] == 1`` is checked).  The call then records, local to
+    it, the value each qubit holds on every live amplitude, starting
+    with every qubit at 0.  An ``x`` whose target and controls are all
+    known flips the target's value if every control matches and keeps it
+    if one does not; a gate with a control that contradicts a known
+    value changes nothing; ``z`` and ``phase`` keep every value; any
+    other gate forgets its targets, and a ``RegisterXor`` its target
+    register.  Each gate runs through ``apply_gate`` on the state with
+    the known qubits it does not target as ``known``.  A ``RegisterXor``
+    gets as ``top`` one above the highest qubit not known to be 0, and
+    scatters the live amplitudes when its span reaches above it (see
+    ``RegisterXor.apply``).
 
     On the live slice the kernels do the same arithmetic as on the whole
     state, so the amplitudes are bit-equal to the untracked call's, except
@@ -494,19 +489,12 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     n = state.num_qubits
     if from_zero and state.amplitudes[0] != 1:
         raise ValueError("from_zero needs the state |0...0>")
-    top = 0 if from_zero else n
-    known: dict[int, int] = {}  # qubit below the top -> its value on every live amplitude
+    known = dict.fromkeys(range(n), 0) if from_zero else {}  # qubit -> its value on every live amplitude
     for op in circuit.gates:
         if isinstance(op, Gate):
-            hi = max(op.qubits) + 1
-            if hi > top:
-                known.update(dict.fromkeys(range(top, hi), 0))
-                top = hi
-            live = state if top >= n else StateVector(RegisterLayout([("live", top)]),
-                                                      state.amplitudes[:1 << top])
             targets = op.targets
-            apply_gate(live, op, validate=False,
-                       known=tuple((q, v) for q, v in known.items() if q not in targets) if known else ())
+            apply_gate(state, op, validate=False,
+                       known=[(q, v) for q, v in known.items() if q not in targets])
             if not known or op.kind in ("z", "phase") or op.controls and any(
                     known.get(q, pol) != pol for q, pol in op.controls):
                 continue  # nothing known, or no live amplitude changes a qubit's value
@@ -516,13 +504,8 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
                 for q in targets:
                     known.pop(q, None)
         else:
-            key, target = op.spans(state.layout)
-            op.apply(state, top)
-            hi = max(key.stop, target.stop)
-            if hi > top:
-                known.update(dict.fromkeys(range(top, hi), 0))
-                top = hi
-            for q in target:
+            op.apply(state, max((q + 1 for q in range(n) if known.get(q) != 0), default=0))
+            for q in op.spans(state.layout)[1]:
                 known.pop(q, None)
     return state
 

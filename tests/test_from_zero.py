@@ -128,7 +128,13 @@ KNOWN_LAYOUT = RegisterLayout([("C", 2), ("D", 2), ("z", 1)])
     # leaves it, and a free control forgets it
     [h(0), x(2), x(3, ((2, 1),)), x(4, ((2, 0),)), x(2, ((0, 1),)),
      roty(0.3, 1, ((2, 1),)), roty(0.5, 1, ((3, 1),)), roty(0.6, 1, ((4, 0),)), h(0, ((4, 1),))],
-], ids=["flag-controls", "swap-known-free", "xor-gather", "xor-forgets-target", "x-rules"])
+    # gates controlled on the untouched flag: polarity 1 is skipped, 0 runs on the slice
+    [h(0), h(1), roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),)), h(2, ((4, 0), (3, 1)))],
+    # a keyed XOR after them: qubits 2 to 4 still read 0, so it scatters the 2**2 live amplitudes
+    [h(0), roty(0.7, 3, ((4, 1),)), roty(0.9, 1, ((4, 0),)), RegisterXor("C", "D", [2, 3, 1, 0]),
+     roty(0.5, 4, ((3, 1),))],
+], ids=["flag-controls", "swap-known-free", "xor-gather", "xor-forgets-target", "x-rules",
+        "untouched-flag-controls", "xor-after-untouched-flag"])
 def test_known_values_give_the_dense_bytes(ops, dtype):
     tracked, dense = both_ways(Circuit(KNOWN_LAYOUT, ops), dtype)
     assert tracked.tobytes() == dense.tobytes()
@@ -155,15 +161,26 @@ def test_known_values_skip_the_amplitudes_known_to_be_zero(monkeypatch):
     assert total < 84_094 // 2, total  # 84,094 with the top alone
 
 
-def test_a_control_that_contradicts_a_known_value_skips_the_gate(monkeypatch):
-    circuit = Circuit(KNOWN_LAYOUT, [h(0), x(4), roty(0.7, 2, ((4, 0),)), roty(0.9, 3, ((4, 1),))])
-    assert butterfly_sizes(circuit, monkeypatch) == [("h", 2), ("x", 4), ("ry", 4)]  # no ry on z = 0
+@pytest.mark.parametrize("ops,sizes", [
+    # no ry on z = 0 once x sets the flag
+    ([h(0), x(4), roty(0.7, 2, ((4, 0),)), roty(0.9, 3, ((4, 1),))], [("h", 2), ("x", 4), ("ry", 4)]),
+    # no ry on z = 1 while the flag is untouched
+    ([h(0), roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),))], [("h", 2), ("ry", 4)]),
+], ids=["flag-set", "flag-untouched"])
+def test_a_control_that_contradicts_a_known_value_skips_the_gate(ops, sizes, monkeypatch):
+    assert butterfly_sizes(Circuit(KNOWN_LAYOUT, ops), monkeypatch) == sizes
 
 
-def test_known_values_may_not_name_a_target():
-    state = StateVector.zero_state(RegisterLayout([("R", 2)]))
+@pytest.mark.parametrize("width,gate,known", [
+    (2, swap(0, 1), ((1, 0),)),
+    (3, h(1), ((3, 1),)),
+    (3, h(1), ((-1, 0),)),
+    (3, h(1), ((2, 2),)),
+], ids=["target", "qubit-3-of-3", "negative-qubit", "value-2"])
+def test_known_values_may_not_name_a_target(width, gate, known):
+    state = StateVector.zero_state(RegisterLayout([("R", width)]))
     with pytest.raises(ValueError, match="known qubit"):
-        simcore.apply_gate(state, swap(0, 1), known=((1, 0),))
+        simcore.apply_gate(state, gate, known=known)
 
 
 def test_gate_qubits_lists_targets_then_controls():
