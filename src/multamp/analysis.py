@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 from scipy import stats
 
-from .transduce import phi_product
+from .transduce import check_gamma, phi_product
 
 CHI2_MIN_EXPECTED = 5.0  # pool bins below this expected count
 
@@ -35,8 +35,7 @@ def exact_norms(lambdas, gamma: float, d: int) -> NormSummary:
     lambdas = np.asarray(lambdas)
     if lambdas.ndim != 1 or lambdas.shape[0] < 1:
         raise ValueError("lambdas must be a non-empty 1-D array")
-    if gamma <= 1.0:
-        raise ValueError("gamma must be > 1")
+    check_gamma(gamma)
     a_bar = math.sqrt(float(np.sum(np.exp(-2.0 * math.log(gamma) * lambdas))))
     phi = phi_product(gamma, d)
     root_n = math.sqrt(lambdas.shape[0])

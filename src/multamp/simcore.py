@@ -12,15 +12,13 @@ complex128 whatever the state size (Häner and Steiger, arXiv:1704.01127).
 ``2**hi`` amplitudes at a time (``hi``: top of the span).  No kernel runs in parallel.
 
 ``apply_circuit(..., from_zero=True)`` skips the amplitudes known to be 0.
-It keeps one record: the value each qubit holds on every live amplitude,
-0 for every qubit until a gate touches it (an ``x`` whose target and
-controls are known keeps it known).  ``apply_gate`` indexes the known
-qubits like controls, so each gate runs on the slice with those values
-alone.  Every layout here puts the index register C lowest, so H on C
-and the exponent oracle touch 2**|C| amplitudes, not the whole state,
-and the ladder after the exact-zero flag is set moves only the
-amplitudes with the flag at 1.  Other states, such as the one
-``amplify.grover_iterate`` runs U^-1 on, take the whole-state path.
+It keeps one record: the qubits no instruction has written yet, which
+read 0 on every non-zero amplitude.  ``apply_gate`` indexes them like
+controls, so each gate runs on the slice where they read 0.  Every
+layout here puts the index register C lowest, so H on C and the
+exponent oracle touch 2**|C| amplitudes, not the whole state.  Other
+states, such as the one ``amplify.grover_iterate`` runs U^-1 on, take
+the whole-state path.
 
 Post-selection goes through one slice: ``register_selector`` indexes the
 basis states whose registers read given values.  ``collapse`` copies that
@@ -352,15 +350,15 @@ def _check_qubits(n: int, gate: Gate):
         raise ValueError(f"gate touches a qubit twice: {gate}")
 
 
-def apply_gate(state: StateVector, gate: Gate, validate: bool = True, known=()) -> StateVector:
+def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) -> StateVector:
     """Apply one gate in place and return the same state.
 
     ``validate=True`` additionally checks that the input state is
     normalized; circuit application does this once up front instead.
-    ``known``: (qubit, value) pairs, none of them a target, that the caller
-    knows every non-zero amplitude to hold.  Their axes are indexed like
-    controls, so only that slice is computed, and a control that
-    contradicts one leaves the state as it is.
+    ``zeros``: qubits, none of them a target, that read 0 on every
+    non-zero amplitude.  Their axes are indexed at 0 like controls, so
+    only that slice is computed, and a control on 1 of one leaves the
+    state as it is.
     """
     n = state.num_qubits
     if gate.kind not in GATE_KINDS:
@@ -376,16 +374,14 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, known=()) 
         sel[n - 1 - q] = pol  # qubit q lives on axis n-1-q of the C-order view
     targets = gate.targets
     fixed = len(gate.controls) + len(targets)
-    for q, v in known:
-        if q in targets:
-            raise ValueError(f"a known qubit is a target of {gate}")
-        if not 0 <= q < n or v not in (0, 1):
-            raise ValueError(f"known qubit {q} with value {v}: needs a qubit in [0, {n}) and a value of 0 or 1")
+    for q in zeros:
+        if q in targets or not 0 <= q < n:
+            raise ValueError(f"zero qubit {q} is a target of {gate} or outside [0, {n})")
         if sel[n - 1 - q] is free:
-            sel[n - 1 - q] = v
+            sel[n - 1 - q] = 0
             fixed += 1
-        elif sel[n - 1 - q] != v:
-            return state  # a control no live amplitude satisfies
+        elif sel[n - 1 - q] == 1:
+            return state  # a control no non-zero amplitude satisfies
 
     ax = n - 1 - gate.target
     kind = gate.kind
@@ -465,17 +461,13 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
 
     ``from_zero=True`` promises that ``state`` is |0...0> (only
     ``amplitudes[0] == 1`` is checked).  The call then records, local to
-    it, the value each qubit holds on every live amplitude, starting
-    with every qubit at 0.  An ``x`` whose target and controls are all
-    known flips the target's value if every control matches and keeps it
-    if one does not; a gate with a control that contradicts a known
-    value changes nothing; ``z`` and ``phase`` keep every value; any
-    other gate forgets its targets, and a ``RegisterXor`` its target
-    register.  Each gate runs through ``apply_gate`` on the state with
-    the known qubits it does not target as ``known``.  A ``RegisterXor``
-    gets as ``top`` one above the highest qubit not known to be 0, and
-    scatters the live amplitudes when its span reaches above it (see
-    ``RegisterXor.apply``).
+    it, the qubits no instruction has written yet, starting with every
+    qubit.  Each gate runs through ``apply_gate`` with the unwritten
+    qubits it does not target as ``zeros``, and then its targets are
+    written.  A ``RegisterXor`` gets as ``top`` one above the highest
+    written qubit, and scatters the live amplitudes when its span
+    reaches above it (see ``RegisterXor.apply``); then its target
+    register is written.
 
     On the live slice the kernels do the same arithmetic as on the whole
     state, so the amplitudes are bit-equal to the untracked call's, except
@@ -489,24 +481,15 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     n = state.num_qubits
     if from_zero and state.amplitudes[0] != 1:
         raise ValueError("from_zero needs the state |0...0>")
-    known = dict.fromkeys(range(n), 0) if from_zero else {}  # qubit -> its value on every live amplitude
+    zeros = set(range(n)) if from_zero else set()  # the qubits no instruction has written yet
     for op in circuit.gates:
         if isinstance(op, Gate):
             targets = op.targets
-            apply_gate(state, op, validate=False,
-                       known=[(q, v) for q, v in known.items() if q not in targets])
-            if not known or op.kind in ("z", "phase") or op.controls and any(
-                    known.get(q, pol) != pol for q, pol in op.controls):
-                continue  # nothing known, or no live amplitude changes a qubit's value
-            if op.kind == "x" and op.target in known and all(q in known for q, _ in op.controls):
-                known[op.target] ^= 1
-            else:
-                for q in targets:
-                    known.pop(q, None)
+            apply_gate(state, op, validate=False, zeros=[q for q in zeros if q not in targets])
+            zeros.difference_update(targets)
         else:
-            op.apply(state, max((q + 1 for q in range(n) if known.get(q) != 0), default=0))
-            for q in op.spans(state.layout)[1]:
-                known.pop(q, None)
+            op.apply(state, max((q + 1 for q in range(n) if q not in zeros), default=0))
+            zeros.difference_update(op.spans(state.layout)[1])
     return state
 
 

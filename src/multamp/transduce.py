@@ -86,8 +86,7 @@ def _pow2(k: int) -> float:
 def make_plan(variant: str, gamma: float, d: int) -> TransductionPlan:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if gamma <= 1.0:
-        raise ValueError("gamma must be > 1")
+    check_gamma(gamma)
     if d < 1:
         raise ValueError("d must be >= 1")
     lg = math.log(gamma)
@@ -106,8 +105,7 @@ def phi_product(gamma: float, d: int) -> float:
     Telescopes to sqrt((1 - gamma**-2) / (1 - gamma**(-2**(d+1)))); tends
     to sqrt(1 - gamma**-2) as d grows.
     """
-    if gamma <= 1.0:
-        raise ValueError("gamma must be > 1")
+    check_gamma(gamma)
     if d < 1:
         raise ValueError("d must be >= 1")
     y = math.exp(-2.0 * math.log(gamma))
@@ -136,14 +134,19 @@ def check_alphas(alphas) -> np.ndarray:
     return alphas
 
 
+def check_gamma(gamma: float) -> None:
+    """Raise unless the base gamma lies in (1, inf); NaN is rejected too."""
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be > 1 and finite, got {gamma}")
+
+
 def build_lambda_table(alphas, gamma: float, d: int, cutoff_eps: float) -> AmplitudeTable:
     """lambdas[l] = floor(-log_gamma(alphas[l])), or the saturation value 2**d - 1
     strictly below the cutoff (alpha == cutoff_eps is not saturated)."""
     alphas = check_alphas(alphas)
     if alphas.ndim != 1 or alphas.shape[0] < 1:
         raise ValueError("alphas must be a non-empty 1-D array")
-    if gamma <= 1.0:
-        raise ValueError("gamma must be > 1")
+    check_gamma(gamma)
     if d < 1:
         raise ValueError("d must be >= 1")
     if not 0.0 < cutoff_eps < 1.0:

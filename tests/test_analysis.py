@@ -43,6 +43,13 @@ def test_exact_norms_validates_input():
         exact_norms([0, 1], 1.0, 3)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_exact_norms_refuses_a_base_that_is_not_finite(gamma):
+    # an infinite base would give 0 * inf = NaN for a zero exponent
+    with pytest.raises(ValueError, match="gamma"):
+        exact_norms([0, 1], gamma, 3)
+
+
 # --- reference distributions ------------------------------------------------------
 
 @pytest.mark.parametrize("rows,cols,beta_j", [(2, 2, 0.1), (2, 2, 1.5), (2, 3, 0.4), (3, 3, 0.2269)])

@@ -460,3 +460,7 @@ def test_baselines_from_csv_table(tmp_path, capsys):
         code, out, err = run(["baselines", "--table", str(bad), "--d", "4"], capsys)
         assert code == EXIT_CONFIG
         assert "[0, 1]" in err and "norm=" not in out
+    for gamma in ("nan", "inf", "1.0"):
+        code, out, err = run(["baselines", "--table", str(table), "--d", "4", "--gamma", gamma], capsys)
+        assert code == EXIT_CONFIG
+        assert "gamma" in err and "norm=" not in out

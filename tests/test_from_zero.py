@@ -116,21 +116,20 @@ KNOWN_LAYOUT = RegisterLayout([("C", 2), ("D", 2), ("z", 1)])
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("ops", [
-    # x on the untouched flag, then gates controlled on it: polarity 0 is skipped, 1 runs
+    # x writes the flag, then gates controlled on it run on their control's slice
     [h(0), h(1), x(4), roty(0.7, 2, ((4, 0),)), roty(0.9, 3, ((4, 1),)), h(2, ((4, 1), (0, 1)))],
-    # a swap of a known qubit and a free one forgets both
+    # a swap of two written qubits, then gates controlled on them
     [h(0), x(3), swap(0, 3), roty(0.4, 1, ((3, 1),)), roty(1.1, 2, ((0, 0),)), h(1, ((3, 0),))],
-    # a keyed XOR after the flag is set to 1 spans below the top: the gather path
+    # a keyed XOR after x writes the flag spans below the top: the gather path
     [h(0), h(1), x(4), RegisterXor("C", "D", [3, 0, 2, 1]), roty(0.5, 4, ((2, 1),))],
-    # the XOR forgets its target register, whose qubit 3 was known to be 1
+    # the XOR writes its target register, whose qubit 3 an x wrote before it
     [h(0), x(3), RegisterXor("C", "D", [1, 2, 0, 3]), roty(0.8, 4, ((3, 1),)), roty(0.3, 4, ((3, 0),))],
-    # x on known qubits: a matching control flips its target, a contradicting one
-    # leaves it, and a free control forgets it
+    # x gates controlled on qubits that an x or an h wrote: each writes its target
     [h(0), x(2), x(3, ((2, 1),)), x(4, ((2, 0),)), x(2, ((0, 1),)),
      roty(0.3, 1, ((2, 1),)), roty(0.5, 1, ((3, 1),)), roty(0.6, 1, ((4, 0),)), h(0, ((4, 1),))],
     # gates controlled on the untouched flag: polarity 1 is skipped, 0 runs on the slice
     [h(0), h(1), roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),)), h(2, ((4, 0), (3, 1)))],
-    # a keyed XOR after them: qubits 2 to 4 still read 0, so it scatters the 2**2 live amplitudes
+    # a keyed XOR after them: the skipped ry wrote qubit 3, so the top is 4 and it gathers
     [h(0), roty(0.7, 3, ((4, 1),)), roty(0.9, 1, ((4, 0),)), RegisterXor("C", "D", [2, 3, 1, 0]),
      roty(0.5, 4, ((3, 1),))],
 ], ids=["flag-controls", "swap-known-free", "xor-gather", "xor-forgets-target", "x-rules",
@@ -161,26 +160,61 @@ def test_known_values_skip_the_amplitudes_known_to_be_zero(monkeypatch):
     assert total < 84_094 // 2, total  # 84,094 with the top alone
 
 
+# amplitudes sent through ``_butterfly`` from |0>, and the ``top`` each
+# ``RegisterXor.apply`` receives: |C| for the one exponent oracle
+BUILT_WORK = {
+    "table-direct-plain": (4_222, [6]),
+    "table-direct-zero": (6_398, [6]),
+    "table-controlled-plain": (15_486, [6]),
+    "table-controlled-zero": (34_046, [6]),
+    "ising-2x2-direct-plain": (414, [4]),
+    "ising-2x2-direct-zero": (702, [4]),
+    "ising-2x2-controlled-plain": (926, [4]),
+    "ising-2x2-controlled-zero": (2_238, [4]),
+    "ising-2x3-direct-plain": (1_662, [6]),
+    "ising-2x3-direct-zero": (2_814, [6]),
+    "ising-2x3-controlled-plain": (3_710, [6]),
+    "ising-2x3-controlled-zero": (8_958, [6]),
+    "ising-3x3-direct-plain": (13_310, [9]),
+    "ising-3x3-direct-zero": (22_526, [9]),
+    "ising-3x3-controlled-plain": (29_694, [9]),
+    "ising-3x3-controlled-zero": (71_678, [9]),
+    "comparator": (56_974, [3, 13]),
+}
+
+
+@pytest.mark.parametrize("build,args,total,tops", [pytest.param(*p.values, *BUILT_WORK[p.id], id=p.id)
+                                                   for p in BUILT])
+def test_built_circuits_do_the_pinned_tracked_work(build, args, total, tops, monkeypatch):
+    seen = []
+    xor_apply = RegisterXor.apply
+
+    def recording(op, state, top=None):
+        seen.append(top)
+        return xor_apply(op, state, top)
+
+    monkeypatch.setattr(RegisterXor, "apply", recording)
+    assert sum(size for _, size in butterfly_sizes(build(*args), monkeypatch)) == total
+    assert seen == tops
+
+
 @pytest.mark.parametrize("ops,sizes", [
-    # no ry on z = 0 once x sets the flag
-    ([h(0), x(4), roty(0.7, 2, ((4, 0),)), roty(0.9, 3, ((4, 1),))], [("h", 2), ("x", 4), ("ry", 4)]),
-    # no ry on z = 1 while the flag is untouched
-    ([h(0), roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),))], [("h", 2), ("ry", 4)]),
-], ids=["flag-set", "flag-untouched"])
+    # no ry on z = 1 while the flag is untouched; the skipped ry writes qubit 2
+    ([h(0), roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),))], [("h", 2), ("ry", 8)]),
+], ids=["flag-untouched"])
 def test_a_control_that_contradicts_a_known_value_skips_the_gate(ops, sizes, monkeypatch):
     assert butterfly_sizes(Circuit(KNOWN_LAYOUT, ops), monkeypatch) == sizes
 
 
-@pytest.mark.parametrize("width,gate,known", [
-    (2, swap(0, 1), ((1, 0),)),
-    (3, h(1), ((3, 1),)),
-    (3, h(1), ((-1, 0),)),
-    (3, h(1), ((2, 2),)),
-], ids=["target", "qubit-3-of-3", "negative-qubit", "value-2"])
-def test_known_values_may_not_name_a_target(width, gate, known):
+@pytest.mark.parametrize("width,gate,zeros", [
+    (2, swap(0, 1), (1,)),
+    (3, h(1), (3,)),
+    (3, h(1), (-1,)),
+], ids=["target", "qubit-3-of-3", "negative-qubit"])
+def test_known_values_may_not_name_a_target(width, gate, zeros):
     state = StateVector.zero_state(RegisterLayout([("R", width)]))
-    with pytest.raises(ValueError, match="known qubit"):
-        simcore.apply_gate(state, gate, known=known)
+    with pytest.raises(ValueError, match="zero qubit"):
+        simcore.apply_gate(state, gate, zeros=zeros)
 
 
 def test_gate_qubits_lists_targets_then_controls():

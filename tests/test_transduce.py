@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from multamp import transduce
@@ -109,6 +111,9 @@ def test_table_input_validation():
         build_lambda_table([[0.5]], 2.0, 2, 0.1)
     with pytest.raises(ValueError):
         build_lambda_table([0.5, math.nan], 2.0, 2, 0.1)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            build_lambda_table([0.5], gamma, 2, 0.1)
 
 
 def test_num_index_qubits_requires_power_of_two():
@@ -137,6 +142,9 @@ def test_make_plan_validates_arguments():
         make_plan("direct", 0.9, 3)
     with pytest.raises(ValueError):
         make_plan("direct", 2.0, 0)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            make_plan("direct", gamma, 3)
 
 
 # --- normalization prefactor ---------------------------------------------------
@@ -149,6 +157,12 @@ def test_phi_product_matches_cos_product_and_closed_form():
             y = gamma ** -2.0
             closed = math.sqrt((1 - y) / (1 - y ** (1 << d)))
             assert math.isclose(phi, closed, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5, math.nan, math.inf])
+def test_phi_product_refuses_a_base_outside_one_to_infinity(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        phi_product(gamma, 3)
 
 
 def test_phi_product_large_d_asymptote():
@@ -340,6 +354,69 @@ def test_synthesis_post_selection_probability_is_u_squared():
         weights = (gamma ** (-2.0 * table.lambdas.astype(float))).mean()
         phi_sq = phi_product(gamma, d) ** 2 if variant == "direct" else 1.0
         assert math.isclose(got, phi_sq * weights, rel_tol=1e-12)
+
+
+# --- the precision claim ----------------------------------------------------------
+
+@st.composite
+def precision_cases(draw):
+    """A 2**k-entry table (k <= 5), a cutoff eps >= 1e-4 and a precision delta
+    with d = plan_precision(eps, delta) in [2, 6] and -ln(eps) / delta below
+    2**d - 1 by more than build_lambda_table's 1e-9 snap.
+
+    Outside that range lie the three known failures pinned as examples below:
+    a non-saturated exponent of 2**d - 1 or 2**d, and amplitudes the
+    controlled ladder cannot round to within the precision.
+    """
+    eps = draw(st.floats(1e-4, 0.99))
+    d = draw(st.integers(2, 6))
+    delta = -math.log(eps) / draw(st.floats(2.0 ** (d - 1), 2.0 ** d - 1 - 1e-6))
+    assume(plan_precision(eps, delta) == d)
+    entry = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.5).map(lambda u: eps ** u))
+    size = 1 << draw(st.integers(1, 5))
+    return np.array(draw(st.lists(entry, min_size=size, max_size=size))), eps, delta
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=precision_cases())
+# -ln(eps) / delta within 1e-9 below 2**d: build_lambda_table snaps eps's exponent up to 2**d
+@example(case=(np.array([0.029938271202863825, 1.0]), 0.029938271202863825, 1.7543088218689953)
+         ).xfail(raises=OverflowLambdaError, reason="the planned d overflows at the snap")
+# eps = e**-3 at delta = 1 gives d = 2 and eps the exponent 3, the saturation value the flag zeroes
+@example(case=(np.array([math.exp(-3.0), 0.5]), math.exp(-3.0), 1.0)
+         ).xfail(raises=AssertionError, reason="enforce_zero empties a non-saturated entry")
+# cos(arccos(e**-64)) reads ~6e-17: the controlled ladder has no relative precision there
+@example(case=(np.array([math.exp(-80.0), 1.0]), math.exp(-80.0), 2.0)
+         ).xfail(raises=AssertionError, reason="the controlled ladder's rounding floor")
+def test_post_selected_amplitudes_meet_the_planned_precision(case):
+    # gamma = e**delta and d = plan_precision(eps, delta): each amplitude at or
+    # above the cutoff comes out in [alpha, alpha * e**delta), less the 1e-9
+    # snap of build_lambda_table, and each one below it under eps * e**delta
+    alphas, eps, delta = case
+    d = plan_precision(eps, delta)
+    gamma = math.exp(delta)
+    table = build_lambda_table(alphas, gamma, d, eps)
+    saturated = alphas < eps
+    kept = alphas[~saturated]
+    for variant in transduce.VARIANTS:
+        for enforce_zero in (False, True):
+            circuit = build_synthesis(table, make_plan(variant, gamma, d), enforce_zero)
+            layout = circuit.layout
+            state = apply_circuit(StateVector.zero_state(layout), circuit, from_zero=True)
+            index = np.arange(alphas.shape[0])
+            if variant == "controlled":
+                index |= table.lambdas << layout.offset("D")
+            if enforce_zero:
+                index |= layout.pack("z", 1)
+            amps = state.amplitudes[index].real * math.sqrt(alphas.shape[0])
+            if variant == "direct":
+                amps /= phi_product(gamma, d)
+            assert np.all(amps[~saturated] >= kept * gamma ** -1e-9)
+            assert np.all(amps[~saturated] < kept * math.exp(delta))
+            if enforce_zero:
+                assert np.all(amps[saturated] == 0.0)
+            else:
+                assert np.all(amps[saturated] < eps * math.exp(delta))
 
 
 # --- approximation quality ------------------------------------------------------
