@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, baselines, ising, transduce
-from .simcore import collapse, filter_counts, sample, sample_overhead
+from .simcore import sample, sample_overhead
 from .transduce import OverflowLambdaError
 
 EXIT_OK = 0
@@ -155,7 +155,7 @@ def _check_memory(total_qubits: int, allow_large: bool, dtype, shots: int) -> No
     if allow_large:
         return
     if total_qubits > DEFAULT_QUBIT_BUDGET:
-        # kernels add cache-sized scratch only; sampling adds one cumsum block and the shots
+        # kernels add cache-sized scratch only; sampling adds block-sized scratch and the outcomes
         nbytes = (1 << total_qubits) * np.dtype(dtype).itemsize
         need = f"{total_qubits} qubits need a {_gib(nbytes, 1)} amplitude buffer"
         if shots:
@@ -201,26 +201,30 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _kept_count(shots: int, postamp: float, rng) -> int:
+    # Binomial(shots, P): the whole-state shots that read the slice, P clamped into [0, 1]
+    return int(rng.binomial(shots, min(max(postamp, 0.0), 1.0)))
+
+
+def _kept_draws(state, diag, keep: str, shots: int, seed: int):
+    """(kept shots, their counts on the slice's layout), drawn from one ``default_rng(seed)``.
+
+    ``postselect`` draws the kept count, then that many shots from the
+    slice: the law of drawing every shot from the whole state and keeping
+    those that read the target register at 0.  ``conditional`` keeps every shot.
+    """
+    rng = np.random.default_rng(seed)
+    kept = shots if keep == "conditional" else _kept_count(shots, diag.measured_postamp, rng)
+    return kept, sample(state, kept, rng, {diag.target_register: 0}) if kept else {}
+
+
 def cmd_sample(args) -> int:
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
     lattice, state, diag = _synthesize(args, args.shots)
-    conditions = {diag.target_register: 0}
-
-    if args.keep == "conditional":
-        # sample the renormalized target slice: every shot is a kept shot,
-        # equivalent to discarding-and-rerunning until the readout is 0
-        reduced = collapse(state, conditions)
-        kept_counts = sample(reduced, args.shots, args.seed)
-        kept_layout = reduced.layout
-        kept = args.shots
-        efficiency = None
-    else:
-        counts = sample(state, args.shots, args.seed)
-        kept_counts = filter_counts(counts, state.layout, conditions)
-        kept_layout = state.layout
-        kept = sum(kept_counts.values())
-        efficiency = kept / args.shots
+    kept, kept_counts = _kept_draws(state, diag, args.keep, args.shots, args.seed)
+    kept_layout = state.layout.without([diag.target_register])
+    efficiency = None if args.keep == "conditional" else kept / args.shots
 
     reference = analysis.boltzmann_reference(lattice)
     sigma_counts, mag_counts = analysis.histograms(kept_counts, kept_layout, reference)
@@ -303,16 +307,14 @@ def cmd_table1(args) -> int:
         for size, lattice in lattices.items():
             expect = TABLE1_EXPECTED[(variant, size)]
             try:
-                _check_memory(_layout_qubits(lattice, variant), args.allow_large,
-                              _dtype(args), args.shots)
+                # the row draws its kept count alone, so no sampling memory
+                _check_memory(_layout_qubits(lattice, variant), args.allow_large, _dtype(args), 0)
             except MemoryRefusal as exc:
                 print(f"{size}x{size} {variant}: skipped ({exc})")
                 continue
             state, diag = ising.synthesize_boltzmann(
                 lattice, variant=variant, nu_rule="paper", dtype=_dtype(args))
-            counts = sample(state, args.shots, args.seed)
-            kept = sum(filter_counts(counts, state.layout,
-                                     {diag.target_register: 0}).values())
+            kept = _kept_count(args.shots, diag.measured_postamp, np.random.default_rng(args.seed))
             eff = kept / args.shots
             sigma_eff = math.sqrt(max(diag.predicted_postamp * (1 - diag.predicted_postamp), 1e-12)
                                   / args.shots)

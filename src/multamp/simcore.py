@@ -21,16 +21,13 @@ states, such as the one ``amplify.grover_iterate`` runs U^-1 on, take
 the whole-state path.
 
 Post-selection goes through one slice: ``register_selector`` indexes the
-basis states whose registers read given values.  ``collapse`` copies that
-slice alone onto the layout of the remaining registers, and
-``amplify.postselect_probability`` sums its weight.
+basis states whose registers read given values.  ``sample`` draws from it
+in place, ``collapse`` copies it onto the layout of the remaining
+registers, and ``amplify.postselect_probability`` sums its weight.
 
-``sample`` holds no state-sized array: for one block of ``_SAMPLE_BLOCK``
-amplitudes, |a|^2 and a float64 cumsum over its non-zero entries (over all
-of them when more than half are non-zero) with their positions (512 KiB
-each; plus a float32 |a|^2 block for complex64), then the block ends, the
-sorted draws (8 B per shot), the counting arrays of one block and the
-returned counts (``sample_overhead`` bounds it).
+``sample`` holds no state-sized array: one block's |a|^2, non-zero mask,
+positions, running sum and draws (``_SAMPLE_BLOCK`` amplitudes, fewer
+than four draws per entry) and the returned counts (``sample_overhead``).
 
 A StateVector owns its buffer; the concurrency contract is one writer per
 state, and callers must not alias buffers across states.
@@ -48,7 +45,7 @@ import numpy as np
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _NORM_BLOCK = 1 << 16
 _PIECE_QUBITS = 14  # half-slice piece of 2**14 amplitudes: four such arrays fill 1 MiB of L2
-_SAMPLE_BLOCK = 1 << 16  # amplitudes per cumsum block of ``sample``: 512 KiB of float64
+_SAMPLE_BLOCK = 1 << 16  # amplitudes per block of ``sample``: 512 KiB of float64 weights
 
 
 def _require_normalized(value: float, dtype, message: str) -> None:
@@ -132,6 +129,11 @@ class RegisterLayout:
         if not 0 <= value < (1 << (hi - lo)):
             raise ValueError(f"value {value} out of range for register {name!r}")
         return value << lo
+
+    def without(self, names) -> "RegisterLayout":
+        """The layout of the other registers, in their order."""
+        return RegisterLayout((name, hi - lo) for name, (lo, hi) in self._spans.items()
+                              if name not in names)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RegisterLayout) and self._spans == other._spans
@@ -514,8 +516,7 @@ def collapse(state: StateVector, conditions: Mapping[str, int]) -> StateVector:
     conditioned qubits.  Raises if the slice has ~zero weight.
     """
     layout = state.layout
-    rest = RegisterLayout((name, layout.width(name)) for name in layout.names()
-                          if name not in conditions)
+    rest = layout.without(conditions)
     psi = state.amplitudes.reshape((2,) * state.num_qubits)
     amps = psi[register_selector(layout, conditions)].flatten()  # always a copy
     p = float(np.sum(np.abs(amps) ** 2))
@@ -525,111 +526,108 @@ def collapse(state: StateVector, conditions: Mapping[str, int]) -> StateVector:
     return StateVector(rest, amps)
 
 
-def _block_cumsum(amplitudes: np.ndarray, lo: int, start: float, p: np.ndarray,
-                  cum: np.ndarray, nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """``start`` plus the running sum of the non-zero |a|^2 in ``amplitudes[lo:lo + len(p)]``.
+def _block_weights(block: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """|a|^2 of ``block``, in C order, into the float64 ``p``."""
+    out = p.reshape(block.shape)
+    np.abs(block, out=out)
+    np.multiply(out, out, out=out)
+    return p
 
-    Returns the sums and their positions in the block, or ``None`` for the
-    positions when more than half the weights are non-zero: the sums then
-    cover every position and fill ``p``, else they fill the front of
-    ``cum``.  The block's last position always counts, so draws past the
-    total find it.  |a|^2 is rounded in the buffer's real dtype and then
-    widened, numpy accumulates in order and x + 0.0 == x, so each sum is
-    bit-equal to one float64 cumsum over the whole buffer at its position.
+
+def _block_draws(p: np.ndarray, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``p`` and counts of ``k`` draws from the weights ``p`` (overwritten).
+
+    Only the non-zero weights take part, so a weight that is 0, or whose
+    |a|^2 underflowed to 0, is never drawn.  With four draws per such
+    weight or more, one ``rng.multinomial`` over them gives the counts: a
+    micro-benchmark put its cost per weight near that of four sorted draws.
+    Else uniforms r in [0, 1) scaled to r * s, s the weights' sum (never
+    reached: r <= 1 - 2**-53, s normal), are sorted and land on the first
+    weight whose running sum exceeds them, searching the shorter in the
+    longer.  The running sum is over the non-zero weights, packed, unless
+    more than half are non-zero: packing would cost more than it saves.
     """
-    block = amplitudes[lo:lo + p.shape[0]]
-    if block.dtype == np.complex128:
-        np.abs(block, out=p)
-        np.multiply(p, p, out=p)
+    nonzero = p != 0.0
+    nnz = np.count_nonzero(nonzero)
+    where = np.flatnonzero(nonzero) if 4 * nnz <= k or 2 * nnz <= p.shape[0] else None
+    w = p if where is None else p[where]
+    if 4 * nnz <= k:
+        num = rng.multinomial(k, w / w.sum())
+        hit = np.flatnonzero(num)
+        return where[hit], num[hit]
+    sums = np.cumsum(w, out=w)
+    draws = rng.random(k)
+    draws *= sums[-1]
+    draws.sort()
+    if k < nnz:
+        idx = np.searchsorted(sums, draws, side="right")
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        hit, num = idx[starts], np.diff(starts, append=k)
     else:
-        w = np.abs(block)
-        np.multiply(w, w, out=w)
-        p[...] = w
-    np.not_equal(p, 0.0, out=nonzero)
-    nonzero[-1] = True
-    if 2 * np.count_nonzero(nonzero) > p.shape[0]:  # packing would cost more than it saves
-        p[0] += start
-        return np.cumsum(p, out=p), None
-    where = np.flatnonzero(nonzero)
-    sums = np.take(p, where, out=cum[:where.shape[0]], mode="clip")  # "raise" would buffer
-    sums[0] += start
-    return np.cumsum(sums, out=sums), where
+        num = np.diff(np.searchsorted(draws, sums, side="left"), prepend=0)
+        hit = np.flatnonzero(num)
+        num = num[hit]
+    return (hit if where is None else where[hit]), num
 
 
-def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
+def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] | None = None
+           ) -> dict[int, int]:
     """Draw basis-index counts from the state's Born distribution.
 
-    The generator is numpy's PCG64 via ``default_rng(seed)``; a given
-    (state, shots, seed) triple reproduces identical counts, keyed in
-    ascending order.  To split streams for parallel sampling, spawn child
-    seeds with ``np.random.SeedSequence(seed).spawn(k)`` and run one call
-    per child.
+    ``seed``: an int or a ``np.random.Generator``, read by ``default_rng``
+    (numpy's PCG64), so a given (state, shots, seed) reproduces identical
+    counts, keyed in ascending order.  To split streams for parallel
+    sampling, spawn child seeds with ``np.random.SeedSequence(seed).spawn(k)``
+    and run one call per child.
 
-    A draw ``r * total`` (``r`` uniform in [0, 1)) lands on the first index
-    whose cumulative |a|^2 exceeds it, or on the last index past the end.
-    Pass 1 keeps only the end of each block's cumsum; pass 2 rebuilds the
-    cumsum of each block that holds draws and counts them there, by searching
-    the shorter of the block's sorted draws and its cumsum in the longer.
-    Both passes run a block's cumsum over its non-zero weights alone (a
-    zero weight adds nothing, and only a draw past the total, clipped onto
-    the last index, lands on one), and pass 2 maps the positions found back
-    through the block's non-zero positions.  A block whose weights are
-    more than half non-zero sums all of them in place, as packing them
-    would cost more than it saves.
+    ``conditions``: draw from the renormalized slice where those registers
+    read those values, through a ``register_selector`` view, with no copy;
+    the keys then index the layout of the other registers
+    (``RegisterLayout.without``).  A zero-weight slice raises.
+
+    Pass 1 sums |a|^2 over each block of ``_SAMPLE_BLOCK`` amplitudes, and
+    one multinomial over those masses splits the shots among the blocks.
+    Pass 2 computes |a|^2 again in each block that holds draws and draws
+    them there (``_block_draws``): the law of drawing each shot from the
+    whole of it.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    amplitudes = state.amplitudes
-    width = min(amplitudes.shape[0], _SAMPLE_BLOCK)
-    p, cum, nonzero = np.empty(width), np.empty(width), np.empty(width, dtype=bool)
-    ends = np.empty(amplitudes.shape[0] // width)
-    total = 0.0
-    for b in range(ends.shape[0]):
-        sums, where = _block_cumsum(amplitudes, b * width, total, p, cum, nonzero)
-        total = ends[b] = sums[-1]
-    _require_normalized(total, amplitudes.dtype, "state is not normalized")
-    draws = np.random.default_rng(seed).random(shots)
-    draws *= total
-    draws.sort()
-    splits = np.searchsorted(draws, ends, side="left")
-    splits[-1] = shots  # draws at or past the total count on the last index
-    keys, counts = [], []
-    first = 0
-    for b in np.flatnonzero(np.diff(splits, prepend=0)).tolist():
-        mine = draws[first:splits[b]]
-        first = splits[b]
-        if ends.shape[0] > 1:
-            sums, where = _block_cumsum(amplitudes, b * width, ends[b - 1] if b else 0.0, p, cum, nonzero)
-        if mine.shape[0] < sums.shape[0]:
-            idx = np.searchsorted(sums, mine, side="right")  # sorted, like the draws
-            np.minimum(idx, sums.shape[0] - 1, out=idx)
-            starts = np.flatnonzero(np.diff(idx, prepend=-1))
-            hit, num = idx[starts], np.diff(starts, append=idx.shape[0])
-        else:
-            below = np.searchsorted(mine, sums, side="left")
-            below[-1] = mine.shape[0]
-            num = np.diff(below, prepend=0)
-            hit = np.flatnonzero(num)
-            num = num[hit]
-        if where is not None:
-            hit = where[hit]
-        counts += num.tolist()
+    psi = state.amplitudes.reshape((2,) * state.num_qubits)
+    view = psi if conditions is None else psi[register_selector(state.layout, conditions)]
+    width = min(view.size, _SAMPLE_BLOCK)
+    blocks = list(np.ndindex(view.shape[:view.ndim - width.bit_length() + 1]))
+    p = np.empty(width)
+    masses = np.array([_block_weights(view[i], p).sum() for i in blocks])
+    total = masses.sum()
+    if conditions is None:
+        _require_normalized(total, psi.dtype, "state is not normalized")
+    elif not total > 1e-300:
+        raise ValueError(f"cannot sample the zero-probability slice {dict(conditions)}")
+    rng = np.random.default_rng(seed)
+    per_block = rng.multinomial(shots, masses / total) if len(blocks) > 1 else [shots]
+    counts = {}
+    for b in np.flatnonzero(per_block).tolist():
+        if len(blocks) > 1:  # one block keeps its weights from pass 1
+            _block_weights(view[blocks[b]], p)
+        hit, num = _block_draws(p, int(per_block[b]), rng)
         hit += b * width
-        keys += hit.tolist()
-    return dict(zip(keys, counts))
+        counts.update(zip(hit.tolist(), num.tolist()))
+    return counts
 
 
 def sample_overhead(size: int, shots: int) -> int:
     """Upper bound on the bytes ``sample`` holds beside a ``size``-amplitude buffer.
 
-    Block-sized scratch (|a|^2 and the packed cumsum of the non-zero
-    weights, 16 B; the non-zero mask, 1 B; their positions, 8 B; a float32
-    |a|^2 for complex64 and the counting arrays: 48 B per block entry, 37 B
-    measured with ``tracemalloc``) plus 128 B per shot: the sorted draws
-    and, when every shot is its own outcome, its search index, list slots
-    and dict entry (~120 B measured).
+    64 B per block entry: |a|^2, the non-zero mask and positions, the
+    packed weights, and one block's draws (fewer than four per entry) with
+    their search index.  112 B per outcome drawn, at most min(shots, size):
+    the returned dict's entries and ints and the lists they come from.
+    ``tracemalloc`` measured 164 B per entry for 2**30 shots on 2**16
+    amplitudes, 106 B per outcome for 2**26 shots on 2**18, and 0.9 MB for
+    4096 shots on 2**20.
     """
-    return 48 * min(size, _SAMPLE_BLOCK) + 128 * shots
+    return 64 * min(size, _SAMPLE_BLOCK) + 112 * min(shots, size)
 
 
 def filter_counts(counts: Mapping[int, int], layout: RegisterLayout,

@@ -47,7 +47,7 @@ class OverflowLambdaError(ValueError):
 
 
 def plan_precision(cutoff_eps: float, rel_prec_delta: float) -> int:
-    """Smallest d with 2**d > -ln(cutoff_eps) / rel_prec_delta.
+    """Smallest d >= 1 with 2**d > -ln(cutoff_eps) / rel_prec_delta.
 
     d is the exponent-register width needed so that relative precision
     delta (gamma = e**delta) spans all amplitudes down to the cutoff.
@@ -59,7 +59,7 @@ def plan_precision(cutoff_eps: float, rel_prec_delta: float) -> int:
     ratio = -math.log(cutoff_eps) / rel_prec_delta
     if math.isinf(ratio):
         raise ValueError("rel_prec_delta too small: -ln(cutoff_eps) / rel_prec_delta overflows")
-    return int(ratio).bit_length()
+    return max(int(ratio).bit_length(), 1)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from multamp import ising, transduce
+from multamp import ising, simcore, transduce
 from multamp.simcore import Circuit, RegisterLayout, RegisterXor, h, phase, x, z
 
 
@@ -236,18 +236,34 @@ def apply_permutation_to_index(ops, index: int, layout: RegisterLayout | None = 
     return index
 
 
-def reference_sample(state, shots: int, seed: int) -> dict[int, int]:
-    """The whole-buffer sampler that ``simcore.sample`` must reproduce draw for draw.
+def reference_sample(amplitudes, shots: int, seed) -> dict[int, int]:
+    """The procedure ``simcore.sample`` must reproduce count for count, on one flat buffer.
 
-    One |a|^2 array and one float64 cumsum over the whole state; the sorted
-    draws ``r * total`` are searched in it and clipped onto the last index.
+    |a|^2 is computed over the whole buffer at once and cut into rows of
+    ``simcore._SAMPLE_BLOCK`` weights.  One multinomial over the rows'
+    sums splits the shots (skipped for one row); then, row by row, a
+    multinomial over the row's non-zero weights when the draws are at
+    least four times as many, else uniforms scaled by the row's running total,
+    searched unsorted in the running sum over every weight and tallied
+    with ``np.unique``.  ``seed``: an int or a Generator.
     """
-    p = np.abs(state.amplitudes)
+    p = np.abs(amplitudes).astype(np.float64)
     np.multiply(p, p, out=p)
-    cum = np.cumsum(p, dtype=np.float64)
-    draws = np.random.default_rng(seed).random(shots) * cum[-1]
-    draws.sort()
-    idx = np.searchsorted(cum, draws, side="right")
-    np.clip(idx, 0, p.shape[0] - 1, out=idx)
-    values, counts = np.unique(idx, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    rows = p.reshape(-1, min(p.shape[0], simcore._SAMPLE_BLOCK))
+    masses = np.array([row.sum() for row in rows])
+    rng = np.random.default_rng(seed)
+    per_row = rng.multinomial(shots, masses / masses.sum()) if rows.shape[0] > 1 else [shots]
+    counts = {}
+    for r, (row, k) in enumerate(zip(rows, per_row)):
+        where = np.flatnonzero(row)
+        if not k:
+            continue
+        if 4 * where.shape[0] <= k:
+            num = rng.multinomial(k, row[where] / row[where].sum())
+            values, num = where[num > 0], num[num > 0]
+        else:
+            cum = np.cumsum(row)
+            values, num = np.unique(np.searchsorted(cum, rng.random(k) * cum[-1], side="right"),
+                                    return_counts=True)
+        counts.update({r * rows.shape[1] + int(v): int(c) for v, c in zip(values, num)})
+    return counts

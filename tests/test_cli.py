@@ -1,8 +1,10 @@
 """Command-line behavior: flags, files, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import pytest
+from scipy import stats
 
 from multamp.cli import (
     EXIT_CONFIG,
@@ -39,6 +41,15 @@ def test_plan_reports_register_widths(tmp_path, capsys):
         code, out, _ = run(["plan", "--eps", eps, "--delta", "0.01"], capsys)
         assert code == EXIT_OK
         assert f"comparator alternative: {comp} bits per register" in out
+
+
+def test_plan_never_prints_a_width_the_builders_refuse(capsys):
+    # -ln(0.5) / 1 < 1: a zero-width register would be refused ("d must be >= 1")
+    code, out, _ = run(["plan", "--eps", "0.5", "--delta", "1"], capsys)
+    assert code == EXIT_OK
+    assert out.startswith("d = 1 (direct 1 exponent qubits, controlled 2)")
+    code, _, _ = run(["synth", *LATTICE, "--d", "1"], capsys)
+    assert code == EXIT_OVERFLOW  # the builders take d = 1; this lattice needs more
 
 
 def test_plan_requires_both_tolerances(capsys):
@@ -99,10 +110,11 @@ def test_synth_exit_codes(capsys):
 
 @pytest.mark.parametrize("flags, buffer, peak", [([], "1.0", "1.02"),
                                                   (["--single-precision"], "0.5", "0.52"),
-                                                  (["--shots", str(1 << 30)], "1.0", "129.00")])
+                                                  (["--shots", str(1 << 30)], "1.0", "8.00")])
 def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, capsys):
     # 4x4 controlled is a 27-qubit circuit simulated on 26 qubits (no idle
-    # ancilla); sampling adds a block-sized cumsum and up to 128 B per shot
+    # ancilla); sampling adds block-sized scratch and up to 112 B per outcome,
+    # of which there are at most min(shots, 2**26)
     code, _, err = run(["sample", "--rows", "4", "--cols", "4", "--beta-j", "0.1",
                         "--variant", "controlled", *flags], capsys)
     assert code == EXIT_MEMORY
@@ -181,57 +193,57 @@ def test_sample_reruns_are_byte_identical(tmp_path, capsys):
 # fixed-seed output, so a refactor of the sampling or counting path cannot
 # move a draw or a digit unnoticed (a rerun compared with itself cannot see that)
 GOLDEN_COUNTS = {
-    ("2", "direct", "postselect"): (3077, [796, 2113, 168]),
-    ("2", "direct", "conditional"): (4096, [978, 2902, 216]),
-    ("2", "controlled", "postselect"): (2212, [536, 1573, 103]),
-    ("2", "controlled", "conditional"): (4096, [1025, 2886, 185]),
-    ("3", "direct", "postselect"): (3948, [80, 304, 589, 1732, 814, 429]),
-    ("3", "direct", "conditional"): (4096, [89, 356, 603, 1733, 901, 414]),
-    ("3", "controlled", "postselect"): (2685, [61, 211, 408, 1152, 576, 277]),
-    ("3", "controlled", "conditional"): (4096, [88, 339, 630, 1820, 842, 377]),
+    ("2", "direct", "postselect"): (3006, [769, 2080, 157]),
+    ("2", "direct", "conditional"): (4096, [1045, 2848, 203]),
+    ("2", "controlled", "postselect"): (2185, [566, 1488, 131]),
+    ("2", "controlled", "conditional"): (4096, [1066, 2817, 213]),
+    ("3", "direct", "postselect"): (3934, [87, 329, 634, 1663, 835, 386]),
+    ("3", "direct", "conditional"): (4096, [83, 340, 588, 1738, 931, 416]),
+    ("3", "controlled", "postselect"): (2639, [44, 220, 425, 1155, 548, 247]),
+    ("3", "controlled", "conditional"): (4096, [91, 345, 661, 1774, 837, 388]),
 }
 
 # (chi2_stat, dof, p_value, tvd)
 GOLDEN_SIGMA_FIT = {
     ("2", "direct", "postselect"):
-        (0.6302922049249771, 2, 0.7296822581060609, 0.004945192383996926),
+        (0.017446311462573753, 2, 0.9913147806033447, 0.0007286625064363006),
     ("2", "direct", "conditional"):
-        (6.797228825776429, 2, 0.03341954358372613, 0.017780821209862793),
+        (0.5070495080921172, 2, 0.7760605340491602, 0.0036594753118106595),
     ("2", "controlled", "postselect"):
-        (4.128635091211971, 2, 0.12690486780678287, 0.01946813263549963),
+        (3.2180149289307116, 2, 0.20008610812495312, 0.010646159699631008),
     ("2", "controlled", "conditional"):
-        (5.102732057456864, 2, 0.07797507702061143, 0.01293681906181066),
+        (0.3128093106112221, 2, 0.8552130538430849, 0.0039088840631893405),
     ("3", "direct", "postselect"):
-        (10.054139384912737, 5, 0.07371568429813259, 0.01951302453286784),
+        (2.0455062063989953, 5, 0.8428132395510216, 0.01010124588477584),
     ("3", "direct", "conditional"):
-        (4.436227667365732, 5, 0.4884610288895683, 0.013340835961993466),
+        (11.383537763196973, 5, 0.04428407743790302, 0.020677991755211872),
     ("3", "controlled", "postselect"):
-        (3.2365154265090985, 5, 0.6635742671706907, 0.011200212764563523),
+        (5.1279388401776, 5, 0.4004668803901869, 0.015058297232398338),
     ("3", "controlled", "conditional"):
-        (5.486762927549812, 5, 0.3593995573550134, 0.015739992628300392),
+        (2.9172314382300097, 5, 0.712744657980487, 0.01160098247181815),
 }
 
 GOLDEN_MAGNETIZATION = {
-    ("2", "direct", "postselect"): [0.1225219369515762, 0.21936951576210595,
-        0.27884302892427687, 0.2430939226519337, 0.13617159571010726],
-    ("2", "direct", "conditional"): [0.1220703125, 0.23193359375, 0.29052734375,
-        0.23876953125, 0.11669921875],
-    ("2", "controlled", "postselect"): [0.12115732368896925, 0.2314647377938517,
-        0.28526220614828207, 0.24095840867992765, 0.12115732368896925],
-    ("2", "controlled", "conditional"): [0.1220703125, 0.240966796875, 0.2880859375,
-        0.220703125, 0.128173828125],
-    ("3", "direct", "postselect"): [0.012664640324214792, 0.03951367781155015,
-        0.09599797365754813, 0.14893617021276595, 0.19199594731509625, 0.20947315096251268,
-        0.1595744680851064, 0.09675785207700101, 0.037487335359675786, 0.007598784194528876],
-    ("3", "direct", "conditional"): [0.012451171875, 0.041748046875, 0.09326171875,
-        0.151611328125, 0.19921875, 0.19873046875, 0.15478515625, 0.09375, 0.045166015625,
-        0.00927734375],
-    ("3", "controlled", "postselect"): [0.012290502793296089, 0.03687150837988827,
-        0.10502793296089385, 0.15195530726256984, 0.19441340782122904, 0.1888268156424581,
-        0.16387337057728119, 0.09459962756052141, 0.041713221601489756, 0.010428305400372439],
-    ("3", "controlled", "conditional"): [0.012451171875, 0.038818359375, 0.089599609375,
-        0.16162109375, 0.189208984375, 0.198486328125, 0.15625, 0.1005859375, 0.0439453125,
-        0.009033203125],
+    ("2", "direct", "postselect"): [0.12907518296739853, 0.229208250166334,
+        0.2930805056553559, 0.22188955422488357, 0.12674650698602793],
+    ("2", "direct", "conditional"): [0.1318359375, 0.234375, 0.2744140625,
+        0.236083984375, 0.123291015625],
+    ("2", "controlled", "postselect"): [0.12906178489702516, 0.23615560640732267,
+        0.28878718535469106, 0.2160183066361556, 0.1299771167048055],
+    ("2", "controlled", "conditional"): [0.1318359375, 0.2255859375, 0.28271484375,
+        0.2314453125, 0.12841796875],
+    ("3", "direct", "postselect"): [0.011438739196746314, 0.041179461108286734,
+        0.09633960345704118, 0.1639552618200305, 0.1942043721403152, 0.19089984748347738,
+        0.14743263853584138, 0.10142348754448399, 0.04245043213014743, 0.010676156583629894],
+    ("3", "direct", "conditional"): [0.010986328125, 0.040771484375, 0.091064453125,
+        0.155517578125, 0.206298828125, 0.1962890625, 0.1533203125, 0.09423828125,
+        0.042236328125, 0.00927734375],
+    ("3", "controlled", "postselect"): [0.008336491095111784, 0.04281924971580144,
+        0.1125426297840091, 0.15270935960591134, 0.1887078438802577, 0.18643425539977265,
+        0.16066691928760896, 0.0989010989010989, 0.04054566123531641, 0.008336491095111784],
+    ("3", "controlled", "conditional"): [0.010986328125, 0.040771484375, 0.1025390625,
+        0.160400390625, 0.189453125, 0.19580078125, 0.1494140625, 0.095947265625,
+        0.04345703125, 0.01123046875],
 }
 
 
@@ -252,6 +264,27 @@ def test_sample_counts_match_the_recorded_values(size, variant, keep, tmp_path, 
     rows = (tmp_path / "magnetization_hist.csv").read_text().splitlines()
     assert rows[0] == "m,probability"
     assert [float(row.split(",")[1]) for row in rows[1:]] == GOLDEN_MAGNETIZATION[key]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("variant", ["direct", "controlled"])
+def test_kept_sigma_histograms_follow_the_boltzmann_law_over_many_seeds(size, variant):
+    # under the right law each seed's chi-square p-value of the kept Sigma
+    # histogram is (close to) uniform on [0, 1]; a wrong kept slice, a
+    # missing renormalization or a bias in the draws piles them up near 0
+    from multamp import analysis, cli, ising
+
+    lattice = ising.IsingLattice(size, size, 0.35)
+    state, diag = ising.synthesize_boltzmann(lattice, variant=variant)
+    reference = analysis.boltzmann_reference(lattice)
+    layout = state.layout.without([diag.target_register])
+    for keep in ("postselect", "conditional"):
+        pvalues = []
+        for seed in range(150):
+            _, counts = cli._kept_draws(state, diag, keep, 2000, seed)
+            sigma, _ = analysis.histograms(counts, layout, reference)
+            pvalues.append(analysis.distribution_tests(sigma, reference.sigma_probability).p_value)
+        assert stats.kstest(pvalues, "uniform").pvalue > 1e-3, keep
 
 
 COMPLEX64_POSTAMP_TOL = 1e-5  # measured drift from complex128 is below 1e-6
@@ -286,13 +319,55 @@ def test_sample_reports_a_failed_allocation(monkeypatch, capsys):
 
     message = "Unable to allocate 745. GiB for an array with shape (100000000000,)"
 
-    def unaffordable(state, shots, seed):
+    def unaffordable(state, shots, seed, conditions=None):
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "sample", unaffordable)
-    code, _, err = run(["sample", *LATTICE, "--shots", "100000000000"], capsys)
-    assert code == EXIT_MEMORY
-    assert err == f"error: {message}\n"
+    for keep in ("postselect", "conditional"):
+        code, _, err = run(["sample", *LATTICE, "--keep", keep, "--shots", "100000000000"], capsys)
+        assert code == EXIT_MEMORY
+        assert err == f"error: {message}\n"
+
+
+def test_sample_conditional_on_a_zero_weight_slice_exits_with_the_reason(monkeypatch, capsys):
+    # no stock synthesis leaves the target slice empty, so it is emptied afterwards
+    from multamp import cli, simcore
+
+    synthesize = cli._synthesize
+
+    def emptied(args, shots=0):
+        lattice, state, diag = synthesize(args, shots)
+        psi = state.amplitudes.reshape((2,) * state.num_qubits)
+        psi[simcore.register_selector(state.layout, {diag.target_register: 0})] = 0
+        return lattice, state, diag
+
+    monkeypatch.setattr(cli, "_synthesize", emptied)
+    code, _, err = run(["sample", *LATTICE, "--keep", "conditional", "--shots", "100"], capsys)
+    assert code == EXIT_CONFIG
+    assert "zero-probability slice" in err
+
+
+@pytest.mark.parametrize("postamp,kept", [(1.0 + 2e-16, 500), (-1e-17, 0)])
+def test_sample_clamps_the_measured_postamp_into_zero_one(postamp, kept, monkeypatch, tmp_path,
+                                                          capsys):
+    # a slice weight rounded past 1 (or below 0) would make rng.binomial
+    # raise; clamped, it keeps every shot (or none), and a run that keeps
+    # none still writes run.json, with no fit and no histogram files
+    from multamp import cli, ising
+
+    synthesize = ising.synthesize_boltzmann
+
+    def rounded(*args, **kwargs):
+        state, diag = synthesize(*args, **kwargs)
+        return state, dataclasses.replace(diag, measured_postamp=postamp)
+
+    monkeypatch.setattr(ising, "synthesize_boltzmann", rounded)
+    code, out, _ = run(["sample", *LATTICE, "--shots", "500", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    data = json.loads((tmp_path / "run.json").read_text())
+    assert data["kept_shots"] == kept and data["efficiency"] == kept / 500
+    assert (data["sigma_fit"] is None) == (kept == 0)
+    assert (tmp_path / "sigma_hist.csv").exists() == (kept > 0)
 
 
 # --- config files -----------------------------------------------------------

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from multamp import ising, simcore
@@ -20,6 +21,7 @@ from multamp.simcore import (
     filter_counts,
     h,
     phase,
+    register_selector,
     roty,
     sample,
     swap,
@@ -414,6 +416,30 @@ def test_sample_excludes_zero_probability_outcomes():
     assert set(counts) <= {0, 3}
 
 
+def test_sample_draws_a_dense_multi_block_state_by_its_law():
+    # 2**17 amplitudes, two blocks of the real size holding about 3/4 and
+    # 1/4 of the mass: the first dense (a sorted search), the second with
+    # 64 non-zero weights (a multinomial).  Binned in 64 runs of 2048 indices,
+    # each seed's chi-square p-value is uniform on [0, 1] under the Born law.
+    rng = np.random.default_rng(97)
+    half = 1 << 16
+    amps = np.zeros(2 * half, dtype=np.complex128)
+    amps[:half] = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    sparse = half + 1024 * np.arange(64)
+    amps[sparse] = np.exp(2j * np.pi * rng.random(64)) * rng.uniform(0.5, 1.5, 64) * 26
+    amps /= np.linalg.norm(amps)
+    state = StateVector(RegisterLayout([("R", 17)]), amps)
+    expected = (np.abs(amps) ** 2).reshape(64, -1).sum(axis=1) * 4096
+    assert 0.2 < expected[32:].sum() / 4096 < 0.3
+    pvalues = []
+    for seed in range(100):
+        counts = sample(state, 4096, seed)
+        observed = np.bincount(np.fromiter(counts, dtype=np.int64) // 2048,
+                               np.fromiter(counts.values(), dtype=float), minlength=64)
+        pvalues.append(stats.chisquare(observed, expected).pvalue)
+    assert stats.kstest(pvalues, "uniform").pvalue > 1e-3
+
+
 def zero_runs_state(qubits, rng):
     """Random state with exact-zero runs at the start, in the middle and at the end."""
     dim = 1 << qubits
@@ -431,13 +457,13 @@ def weights_state(nonzero, dtype, rng, tiny=()):
     amps /= np.linalg.norm(amps)
     amps = amps.astype(dtype)
     real = np.finfo(amps.real.dtype)
-    amps[list(tiny)] = real.smallest_normal / 4  # |a|^2 underflows to 0
+    amps[list(tiny)] = real.smallest_normal / 4  # |a|^2: 0 for complex128, ~1e-77 for complex64
     return StateVector(RegisterLayout([("R", nonzero.size.bit_length() - 1)]), amps)
 
 
 def assert_sample_is_the_reference(state, shots, seed):
     got = sample(state, shots, seed)
-    want = oracles.reference_sample(state, shots, seed)
+    want = oracles.reference_sample(state.amplitudes, shots, seed)
     assert list(got.items()) == list(want.items())  # the same counts, keyed in the same order
 
 
@@ -446,8 +472,9 @@ def test_blockwise_sample_draws_what_the_whole_buffer_sampler_draws(dtype, monke
     # 2**10 amplitudes in blocks of 8: whole zero blocks at both ends and in
     # the middle, shots below and above a block's 8 entries, and shots that
     # put many draws in some blocks and none in others; then 2**7 amplitudes
-    # with zeros inside the blocks, so that some blocks sum in place and some
-    # are packed (at most 4 of 8 weights non-zero, the last always counted)
+    # with zeros inside the blocks, so that some blocks take a multinomial
+    # over their weights, and the others search a running sum over every
+    # weight or over the packed non-zero ones (at most 4 of 8 non-zero)
     monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 3)
     rng = np.random.default_rng(61)
     index = np.arange(1 << 7)
@@ -468,35 +495,50 @@ def test_blockwise_sample_draws_what_the_whole_buffer_sampler_draws_at_full_size
     # 2**17 amplitudes: two blocks of the real size, with zero runs in both
     rng = np.random.default_rng(67)
     state = zero_runs_state(17, rng)
-    for shots in (1, 1000, 1 << 17):
+    for shots in (1, 1000, 1 << 17, 1 << 19):
         assert_sample_is_the_reference(state, shots, 5)
 
 
 @pytest.mark.parametrize("variant", ["direct", "controlled"])
 def test_ising_sample_draws_what_the_whole_buffer_sampler_draws(variant):
+    # the target slice is drawn through a strided view of the buffer, with
+    # no copy: it must draw what the reference draws on a flat copy of it
     lattice = ising.IsingLattice(3, 3, 0.35)
     state, diag = ising.synthesize_boltzmann(lattice, variant=variant)
-    reduced = collapse(state, {diag.target_register: 0})
+    conditions = {diag.target_register: 0}
+    psi = state.amplitudes.reshape((2,) * state.num_qubits)
+    kept = psi[register_selector(state.layout, conditions)].flatten()
     for shots in (1, 4096, 1 << 17):
         assert_sample_is_the_reference(state, shots, 23)
-        assert_sample_is_the_reference(reduced, shots, 23)
+        got = sample(state, shots, 23, conditions)
+        assert list(got.items()) == list(oracles.reference_sample(kept, shots, 23).items())
+
+
+class TopHeavy:
+    """Uniforms alternating between the largest below 1 and 1/2; multinomials from seed 0."""
+
+    def __init__(self, make=np.random.default_rng):  # the real generator, bound before any patch
+        self._rng = make(0)
+
+    def random(self, n):
+        return np.where(np.arange(n) % 2 == 0, np.nextafter(1.0, 0.0), 0.5)
+
+    def multinomial(self, n, pvals):
+        return self._rng.multinomial(n, pvals)
 
 
 @pytest.mark.parametrize("shots", [3, 40])
 def test_draws_at_the_total_count_on_the_last_index(shots, monkeypatch):
-    # r * total can round up to the total; such a draw lands on the last
-    # index even when its probability is zero, as the clipped search does
-    class TopHeavy:
-        def random(self, n):
-            return np.where(np.arange(n) % 2 == 0, 1.0, 0.5)
-
+    # r * total stays below the total for every uniform r < 1, so the
+    # draws nearest the total land on the last non-zero weight (index 50
+    # here), never on the zero weights after it, which a clip onto the
+    # last index would draw
     state = zero_runs_state(6, np.random.default_rng(71))
-    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 3)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: TopHeavy())
-    assert state.amplitudes[-1] == 0
+    assert np.all(state.amplitudes[51:] == 0) and state.amplitudes[50] != 0
     got = sample(state, shots, 0)
-    assert got[63] == (shots + 1) // 2
-    assert list(got.items()) == list(oracles.reference_sample(state, shots, 0).items())
+    assert max(got) == 50 and got[50] >= (shots + 1) // 2
+    assert list(got.items()) == list(oracles.reference_sample(state.amplitudes, shots, 0).items())
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -510,24 +552,22 @@ def test_sample_never_draws_a_weight_that_underflows(dtype, monkeypatch):
     assert np.all(state.amplitudes[tiny] != 0)
     for shots in (1, 9, 700, 1 << 14):
         got = sample(state, shots, 4)
-        assert not set(tiny[:-1]) & set(got)
-        assert list(got.items()) == list(oracles.reference_sample(state, shots, 4).items())
+        assert not set(tiny) & set(got)
+        assert list(got.items()) == list(oracles.reference_sample(state.amplitudes, shots, 4).items())
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("zeros,shots", [
-    (range(56, 63), 40),          # packed block, more draws than sums
-    ((56, 57, 58, 60, 61), 2),    # packed block, fewer draws than sums
-    ((57, 59), 3),                # block summed in place, fewer draws than sums
+    (range(56, 63), 40),          # one weight: a multinomial
+    ((56, 57, 58, 60, 61), 2),    # packed running sum, fewer draws than sums
+    ((57, 59), 3),                # running sum over every weight, fewer draws than sums
+    (range(56, 62), 5),           # packed running sum, more draws than sums
 ])
 def test_draws_at_the_total_join_a_non_zero_last_index(zeros, shots, dtype, monkeypatch):
-    # the last block holds zeros and a heavy last amplitude: the draws at
-    # half the total land on it, and the clipped ones at the total join them
-    class TopHeavy:
-        def random(self, n):
-            return np.where(np.arange(n) % 2 == 0, 1.0, 0.5)
-
-    nonzero = np.ones(1 << 6, dtype=bool)
+    # only the last block holds weight, with zeros and a heavy last
+    # amplitude: the draws at half the total land on it, and those nearest
+    # the total join them
+    nonzero = np.arange(1 << 6) >= 56
     nonzero[list(zeros)] = False
     state = weights_state(nonzero, dtype, np.random.default_rng(89))
     state.amplitudes[-1] = 4.0
@@ -536,7 +576,7 @@ def test_draws_at_the_total_join_a_non_zero_last_index(zeros, shots, dtype, monk
     monkeypatch.setattr(np.random, "default_rng", lambda seed: TopHeavy())
     got = sample(state, shots, 0)
     assert got == {63: shots}
-    assert list(got.items()) == list(oracles.reference_sample(state, shots, 0).items())
+    assert list(got.items()) == list(oracles.reference_sample(state.amplitudes, shots, 0).items())
 
 
 def test_sample_memory_stays_block_sized():

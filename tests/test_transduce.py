@@ -36,18 +36,18 @@ from multamp.transduce import (
     (0.001, 0.001, 13),
     (math.exp(-1.0), 1.0, 1),
     (0.01, 0.005, 10),
-    (0.5, 1.0, 0),
+    (0.5, 1.0, 1),                                   # ratio < 1: a register has a qubit
     (math.exp(-1.0), 0.125, 4),                      # ratio exactly 8.0
     (math.exp(-1.0), math.nextafter(0.125, 1.0), 3),  # ratio a hair below 8
-    (0.99, 0.5, 0),                                  # ratio < 1
+    (0.99, 0.5, 1),                                  # ratio < 1
 ])
 def test_plan_precision_examples(eps, delta, want):
-    # smallest d with 2**d > -ln(eps)/delta, checked against direct evaluation
+    # smallest d >= 1 with 2**d > -ln(eps)/delta, checked against direct evaluation
     assert plan_precision(eps, delta) == want
     ratio = -math.log(eps) / delta
     d = plan_precision(eps, delta)
     assert (1 << d) > ratio
-    assert d == 0 or (1 << (d - 1)) <= ratio
+    assert d == 1 or (1 << (d - 1)) <= ratio
 
 
 def test_plan_precision_rejects_bad_inputs():
