@@ -22,7 +22,6 @@ from .simcore import (
     StateVector,
     apply_circuit,
     apply_gate,
-    collapse,
     filter_counts,
     sample,
 )
@@ -71,12 +70,12 @@ __all__ = [
     "RegisterXor",
     "StateVector",
     "SynthesisDiagnostics",
+    "TransductionPlan",
     "apply_circuit",
     "apply_gate",
     "boltzmann_reference",
     "build_lambda_table",
     "build_synthesis",
-    "collapse",
     "compare_norms",
     "distribution_tests",
     "exact_norms",

@@ -50,15 +50,14 @@ def phase_flip(state: StateVector, conditions: Mapping[str, int]) -> StateVector
 
     An empty predicate matches everything (a global sign).  Acts in place.
     """
-    psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    psi[register_selector(state.layout, conditions)] *= -1.0
+    view = state.select(conditions)
+    view *= -1.0
     return state
 
 
 def postselect_probability(state: StateVector, conditions: Mapping[str, int]) -> float:
     """Joint probability of reading the given values on the named registers."""
-    psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    return float(np.sum(np.abs(psi[register_selector(state.layout, conditions)]) ** 2))
+    return float(np.sum(np.abs(state.select(conditions)) ** 2))
 
 
 def grover_iterate(state: StateVector, spec: AmplificationSpec) -> StateVector:
@@ -100,11 +99,10 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
     u_sq = postselect_probability(state, spec.target)
     if spec.nu:
         inside, outside = _amplification_factors(u_sq, spec.nu)
-        psi = state.amplitudes.reshape((2,) * state.num_qubits)
-        sel = register_selector(state.layout, spec.target)
-        block = psi[sel] * inside
+        view = state.select(spec.target)
+        block = view * inside
         state.amplitudes *= outside
-        psi[sel] = block
+        view[...] = block
     return state, u_sq
 
 

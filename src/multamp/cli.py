@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from . import analysis, baselines, ising, transduce
 from .simcore import sample, sample_overhead
-from .transduce import OverflowLambdaError
+from .transduce import KEPT_REGISTER, OverflowLambdaError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -151,15 +151,18 @@ def _gib(nbytes: int, places: int) -> str:
     return f"{nbytes / 2**30:.{places}f} GiB" if nbytes <= 1 << 53 else "more than 8 PiB"
 
 
-def _check_memory(total_qubits: int, allow_large: bool, dtype, shots: int) -> None:
+def _check_memory(layout, variant: str, allow_large: bool, dtype, shots: int) -> None:
     if allow_large:
         return
+    total_qubits = layout.total_qubits
     if total_qubits > DEFAULT_QUBIT_BUDGET:
-        # kernels add cache-sized scratch only; sampling adds block-sized scratch and the outcomes
+        # kernels add cache-sized scratch only; sampling the kept slice adds
+        # block-sized scratch and its outcomes, at most one per slice amplitude
         nbytes = (1 << total_qubits) * np.dtype(dtype).itemsize
         need = f"{total_qubits} qubits need a {_gib(nbytes, 1)} amplitude buffer"
         if shots:
-            peak = nbytes + sample_overhead(1 << total_qubits, shots)
+            kept = layout.without([KEPT_REGISTER[variant]])
+            peak = nbytes + sample_overhead(1 << kept.total_qubits, shots)
             need += f" and peak at {_gib(peak, 2)} while sampling {shots} shots"
         raise MemoryRefusal(f"{need}; rerun with --allow-large")
 
@@ -168,17 +171,16 @@ def _dtype(args):
     return np.complex64 if args.single_precision else np.complex128
 
 
-def _layout_qubits(lattice, variant, d=None, enforce_zero=False) -> int:
-    """Qubits the simulated state allocates (no idle ancilla), at the d it really gets."""
+def _state_layout(lattice, variant, d=None, enforce_zero=False):
+    """Layout of the simulated state (no idle ancilla), at the d it really gets."""
     target = ising.BoltzmannTarget.from_lattice(lattice, d)
-    return transduce.standard_layout(1 << lattice.num_sites, target.d, variant,
-                                     enforce_zero).total_qubits
+    return transduce.standard_layout(1 << lattice.num_sites, target.d, variant, enforce_zero)
 
 
 def _synthesize(args, shots=0):
     lattice = _lattice_from_args(args)
     variant = args.variant
-    _check_memory(_layout_qubits(lattice, variant, args.d, args.enforce_zero),
+    _check_memory(_state_layout(lattice, variant, args.d, args.enforce_zero), variant,
                   args.allow_large, _dtype(args), shots)
     state, diag = ising.synthesize_boltzmann(
         lattice, variant=variant, d=args.d, nu=args.nu, nu_rule=args.nu_rule,
@@ -308,7 +310,8 @@ def cmd_table1(args) -> int:
             expect = TABLE1_EXPECTED[(variant, size)]
             try:
                 # the row draws its kept count alone, so no sampling memory
-                _check_memory(_layout_qubits(lattice, variant), args.allow_large, _dtype(args), 0)
+                _check_memory(_state_layout(lattice, variant), variant, args.allow_large,
+                              _dtype(args), 0)
             except MemoryRefusal as exc:
                 print(f"{size}x{size} {variant}: skipped ({exc})")
                 continue

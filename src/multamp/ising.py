@@ -34,6 +34,7 @@ from .amplify import AmplificationSpec, postselect_probability, predicted_postam
 # apply_circuit is unused here; bench/spans.py patches and restores it in every module holding it
 from .simcore import Circuit, RegisterLayout, StateVector, apply_circuit, h, phase, swap, x  # noqa: F401
 from .transduce import (
+    KEPT_REGISTER,
     AmplitudeTable,
     OverflowLambdaError,
     TransductionPlan,
@@ -223,13 +224,13 @@ def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
     """Prepare the Boltzmann state and report the run's numbers.
 
     The returned state is U Q^nu |0>; post-selecting the target register
-    (D == 0 direct, E == 0 controlled) on value 0 leaves the Boltzmann
-    distribution over C.  nu defaults to the chosen rule applied to the
-    exact-norms u; pass nu explicitly (0 for no amplification) to
-    override.
+    ``KEPT_REGISTER[variant]`` (D direct, E controlled) on value 0 leaves
+    the Boltzmann distribution over C.  nu defaults to the chosen rule
+    applied to the exact-norms u; pass nu explicitly (0 for no
+    amplification) to override.
     """
     circ, target, plan = build_boltzmann_synthesis(lattice, variant, d, enforce_zero)
-    conditions = {"D": 0} if variant == "direct" else {"E": 0}
+    conditions = {KEPT_REGISTER[variant]: 0}
     norms = analysis.exact_norms(target.lambdas, target.gamma, target.d)
     u_oracle = norms.u_direct if variant == "direct" else norms.u_controlled
     nu_used = int(nu) if nu is not None else select_nu(u_oracle, nu_rule)
@@ -243,7 +244,7 @@ def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
         gamma=target.gamma,
         d=target.d,
         total_qubits=boltzmann_layout(lattice, target.d, variant, enforce_zero).total_qubits,
-        target_register=next(iter(conditions)),
+        target_register=KEPT_REGISTER[variant],
         nu=nu_used,
         u_sq=u_sq,
         u_sq_oracle=u_oracle ** 2,

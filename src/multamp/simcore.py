@@ -20,10 +20,11 @@ exponent oracle touch 2**|C| amplitudes, not the whole state.  Other
 states, such as the one ``amplify.grover_iterate`` runs U^-1 on, take
 the whole-state path.
 
-Post-selection goes through one slice: ``register_selector`` indexes the
-basis states whose registers read given values.  ``sample`` draws from it
-in place, ``collapse`` copies it onto the layout of the remaining
-registers, and ``amplify.postselect_probability`` sums its weight.
+Post-selection goes through one slice: ``StateVector.select`` is the
+writable view of the basis states whose registers read given values,
+indexed by ``register_selector``.  ``sample`` draws from it,
+``amplify.postselect_probability`` sums its weight, and ``amplify``'s
+reflection and amplification scale it in place; nothing copies it.
 
 ``sample`` holds no state-sized array: one block's |a|^2, non-zero mask,
 positions, running sum and draws (``_SAMPLE_BLOCK`` amplitudes, fewer
@@ -36,7 +37,7 @@ state, and callers must not alias buffers across states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping
 
@@ -181,6 +182,16 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.layout, self.amplitudes.copy())
+
+    def select(self, conditions: Mapping[str, int]) -> np.ndarray:
+        """Writable view of the amplitudes whose registers read the given values.
+
+        Its axes are the ``(2,)*n`` axes of the free qubits, highest qubit
+        first; with every qubit fixed it is a 0-d view, never a copy.  An
+        unknown register raises KeyError, an out-of-range value ValueError.
+        """
+        psi = self.amplitudes.reshape((2,) * self.num_qubits)
+        return psi[register_selector(self.layout, conditions) + (Ellipsis,)]
 
 
 @dataclass(frozen=True)
@@ -507,25 +518,6 @@ def register_selector(layout: RegisterLayout, conditions: Mapping[str, int]) -> 
     return tuple(sel)
 
 
-def collapse(state: StateVector, conditions: Mapping[str, int]) -> StateVector:
-    """Post-select the conditioned registers and drop them.
-
-    Returns a fresh StateVector holding the renormalized matching slice on
-    the layout of the remaining registers, in their original order.  Only
-    slice-sized buffers are allocated: 2**(n - w) amplitudes for w
-    conditioned qubits.  Raises if the slice has ~zero weight.
-    """
-    layout = state.layout
-    rest = layout.without(conditions)
-    psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    amps = psi[register_selector(layout, conditions)].flatten()  # always a copy
-    p = float(np.sum(np.abs(amps) ** 2))
-    if p < 1e-300:
-        raise ValueError(f"cannot collapse onto zero-probability outcome {dict(conditions)}")
-    amps /= math.sqrt(p)
-    return StateVector(rest, amps)
-
-
 def _block_weights(block: np.ndarray, p: np.ndarray) -> np.ndarray:
     """|a|^2 of ``block``, in C order, into the float64 ``p``."""
     out = p.reshape(block.shape)
@@ -581,8 +573,8 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     and run one call per child.
 
     ``conditions``: draw from the renormalized slice where those registers
-    read those values, through a ``register_selector`` view, with no copy;
-    the keys then index the layout of the other registers
+    read those values, through the ``StateVector.select`` view; the keys
+    then index the layout of the other registers
     (``RegisterLayout.without``).  A zero-weight slice raises.
 
     Pass 1 sums |a|^2 over each block of ``_SAMPLE_BLOCK`` amplitudes, and
@@ -593,15 +585,14 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    view = psi if conditions is None else psi[register_selector(state.layout, conditions)]
+    view = state.select(conditions or {})
     width = min(view.size, _SAMPLE_BLOCK)
     blocks = list(np.ndindex(view.shape[:view.ndim - width.bit_length() + 1]))
     p = np.empty(width)
     masses = np.array([_block_weights(view[i], p).sum() for i in blocks])
     total = masses.sum()
     if conditions is None:
-        _require_normalized(total, psi.dtype, "state is not normalized")
+        _require_normalized(total, view.dtype, "state is not normalized")
     elif not total > 1e-300:
         raise ValueError(f"cannot sample the zero-probability slice {dict(conditions)}")
     rng = np.random.default_rng(seed)

@@ -40,6 +40,7 @@ from .simcore import (
 )
 
 VARIANTS = ("direct", "controlled")
+KEPT_REGISTER = {"direct": "D", "controlled": "E"}  # the register post-selection reads at 0
 
 
 class OverflowLambdaError(ValueError):

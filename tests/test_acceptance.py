@@ -21,7 +21,6 @@ from multamp.simcore import (
     RegisterLayout,
     StateVector,
     apply_circuit,
-    collapse,
     filter_counts,
     h,
     sample,
@@ -80,9 +79,9 @@ def magnetization_runs():
     for rel in (0.1, 2.0):
         lattice = ising.IsingLattice.from_relative_beta(4, 4, rel)
         state, diag = ising.synthesize_boltzmann(lattice, variant="direct", nu=0)
-        reduced = collapse(state, {diag.target_register: 0})
-        counts = sample(reduced, SHOTS, seed=19)
-        runs[rel] = (lattice, reduced.layout, counts)
+        conditions = {diag.target_register: 0}
+        counts = sample(state, SHOTS, 19, conditions=conditions)
+        runs[rel] = (lattice, state.layout.without(conditions), counts)
     return runs
 
 

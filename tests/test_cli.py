@@ -110,11 +110,11 @@ def test_synth_exit_codes(capsys):
 
 @pytest.mark.parametrize("flags, buffer, peak", [([], "1.0", "1.02"),
                                                   (["--single-precision"], "0.5", "0.52"),
-                                                  (["--shots", str(1 << 30)], "1.0", "8.00")])
+                                                  (["--shots", str(1 << 30)], "1.0", "1.22")])
 def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, capsys):
     # 4x4 controlled is a 27-qubit circuit simulated on 26 qubits (no idle
-    # ancilla); sampling adds block-sized scratch and up to 112 B per outcome,
-    # of which there are at most min(shots, 2**26)
+    # ancilla); sampling the E == 0 slice adds 4 MiB of block scratch and up
+    # to 112 B per outcome, of which there are at most min(shots, 2**21)
     code, _, err = run(["sample", "--rows", "4", "--cols", "4", "--beta-j", "0.1",
                         "--variant", "controlled", *flags], capsys)
     assert code == EXIT_MEMORY
@@ -331,14 +331,13 @@ def test_sample_reports_a_failed_allocation(monkeypatch, capsys):
 
 def test_sample_conditional_on_a_zero_weight_slice_exits_with_the_reason(monkeypatch, capsys):
     # no stock synthesis leaves the target slice empty, so it is emptied afterwards
-    from multamp import cli, simcore
+    from multamp import cli
 
     synthesize = cli._synthesize
 
     def emptied(args, shots=0):
         lattice, state, diag = synthesize(args, shots)
-        psi = state.amplitudes.reshape((2,) * state.num_qubits)
-        psi[simcore.register_selector(state.layout, {diag.target_register: 0})] = 0
+        state.select({diag.target_register: 0})[...] = 0
         return lattice, state, diag
 
     monkeypatch.setattr(cli, "_synthesize", emptied)

@@ -18,7 +18,7 @@ from multamp.ising import (
     synthesize_boltzmann,
 )
 from multamp.simcore import Circuit, RegisterLayout, StateVector, apply_circuit, h
-from multamp.transduce import AmplitudeTable, OverflowLambdaError, build_lambda_table
+from multamp.transduce import KEPT_REGISTER, AmplitudeTable, OverflowLambdaError, build_lambda_table
 
 
 # --- lattice bookkeeping ------------------------------------------------------
@@ -295,6 +295,12 @@ def test_diagnostics_consistency():
     assert abs(diag.predicted_postamp - diag.measured_postamp) < 1e-10
     data = asdict(diag)
     assert data["nu"] == diag.nu and data["beta_j"] == 0.1
+
+
+@pytest.mark.parametrize("variant", ["direct", "controlled"])
+def test_the_target_register_is_the_variants_kept_register(variant):
+    _, diag = synthesize_boltzmann(IsingLattice(2, 2, 0.1), variant=variant, nu=0)
+    assert diag.target_register == KEPT_REGISTER[variant]
 
 
 def test_synthesize_rejects_bad_arguments():

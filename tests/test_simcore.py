@@ -17,7 +17,6 @@ from multamp.simcore import (
     StateVector,
     apply_circuit,
     apply_gate,
-    collapse,
     filter_counts,
     h,
     phase,
@@ -308,7 +307,7 @@ def test_apply_circuit_requires_matching_layout():
         apply_circuit(state, Circuit(b, [x(0)]))
 
 
-# --- projection, collapse, sampling ---------------------------------------
+# --- projection, slices, sampling ---------------------------------------
 
 def test_project_probability_sums_register_marginal():
     rng = np.random.default_rng(29)
@@ -322,64 +321,85 @@ def test_project_probability_sums_register_marginal():
     assert math.isclose(total, 1.0, rel_tol=1e-12)
 
 
-def test_collapse_renormalizes_the_kept_slice():
-    rng = np.random.default_rng(31)
-    layout = RegisterLayout([("A", 3), ("B", 2)])
-    state = random_state(layout, rng)
-    before = state.amplitudes.copy()
-    reduced = collapse(state, {"B": 2})
-    assert reduced.layout == RegisterLayout([("A", 3)])
-    assert reduced.amplitudes.shape == (1 << 3,)
-    assert math.isclose(reduced.norm(), 1.0, rel_tol=1e-12)
-    # conditional ratios and relative phases survive the renormalization
-    kept = state.amplitudes[[layout.pack("B", 2) | a for a in range(8)]]
-    assert np.allclose(reduced.amplitudes, kept / np.linalg.norm(kept), atol=1e-12)
-    # B is the top register, so its slice is a contiguous view: still copied
-    assert np.array_equal(state.amplitudes, before)
-
-
-@pytest.mark.parametrize("conditions,rest", [
+PREDICATES = [  # conditions on RegisterLayout([("A", 2), ("B", 3), ("C", 1)]), and what is left
     ({"A": 1, "C": 1}, [("B", 3)]),
-    ({"B": 5}, [("A", 2), ("C", 1)]),
+    ({"B": 5}, [("A", 2), ("C", 1)]),  # the middle register
     ({"A": 3, "B": 0}, [("C", 1)]),
-])
-def test_collapse_drops_the_conditioned_registers(conditions, rest):
+]
+ABC = RegisterLayout([("A", 2), ("B", 3), ("C", 1)])
+
+
+@pytest.mark.parametrize("conditions,rest", PREDICATES)
+def test_select_is_a_writable_view_of_the_selector_slice(conditions, rest):
     rng = np.random.default_rng(33)
-    layout = RegisterLayout([("A", 2), ("B", 3), ("C", 1)])
-    state = random_state(layout, rng)
-    reduced = collapse(state, conditions)
-    assert reduced.layout == RegisterLayout(rest)
-    width = sum(layout.width(name) for name in conditions)
-    assert reduced.amplitudes.shape == (1 << (layout.total_qubits - width),)
-    # reduced index i is the full index with the conditioned bits put back
-    fixed = sum(layout.pack(name, value) for name, value in conditions.items())
-    full = [fixed | sum(layout.pack(name, reduced.layout.value(i, name)) for name, _ in rest)
-            for i in range(reduced.amplitudes.shape[0])]
-    kept = state.amplitudes[full]
-    assert np.allclose(reduced.amplitudes, kept / np.linalg.norm(kept), atol=1e-12)
+    state = random_state(ABC, rng)
+    view = state.select(conditions)
+    psi = state.amplitudes.reshape((2,) * ABC.total_qubits)
+    assert view.shape == (2,) * sum(width for _, width in rest)
+    assert np.array_equal(view, psi[register_selector(ABC, conditions)])
+    assert np.shares_memory(view, state.amplitudes)
+    want = state.amplitudes.copy()
+    want[[i for i in range(1 << ABC.total_qubits)
+          if all(ABC.value(i, reg) == val for reg, val in conditions.items())]] = 0
+    view[...] = 0  # writes through to the state
+    assert np.array_equal(state.amplitudes, want)
 
 
-def test_collapse_on_zero_probability_slice_raises():
+def test_select_with_every_qubit_fixed_is_a_0d_view():
+    layout = RegisterLayout([("A", 1), ("B", 2)])
+    state = StateVector.basis_state(layout, 0)
+    view = state.select({"A": 1, "B": 2})
+    assert isinstance(view, np.ndarray) and view.ndim == 0
+    view[...] = 0.5
+    assert state.amplitudes[layout.pack("A", 1) | layout.pack("B", 2)] == 0.5
+
+
+def test_select_rejects_unknown_registers_and_out_of_range_values():
+    state = StateVector.zero_state(ABC)
+    with pytest.raises(KeyError):
+        state.select({"Z": 0})
+    with pytest.raises(ValueError):
+        state.select({"B": 8})
+
+
+@pytest.mark.parametrize("conditions,rest", PREDICATES)
+def test_sample_keys_index_the_layout_without_the_conditioned_registers(conditions, rest):
+    rng = np.random.default_rng(33)
+    state = random_state(ABC, rng)
+    kept = ABC.without(conditions)
+    assert kept == RegisterLayout(rest)
+    # kept index i is the full index with the conditioned bits put back
+    fixed = sum(ABC.pack(name, value) for name, value in conditions.items())
+    full = [fixed | sum(ABC.pack(name, kept.value(i, name)) for name, _ in rest)
+            for i in range(1 << kept.total_qubits)]
+    for shots in (3, 5000):
+        want = oracles.reference_sample(state.amplitudes[full], shots, 7)
+        assert list(sample(state, shots, 7, conditions).items()) == list(want.items())
+
+
+def test_sample_on_a_zero_probability_slice_raises():
     layout = RegisterLayout([("A", 1), ("B", 1)])
     state = StateVector.basis_state(layout, 0)
     with pytest.raises(ValueError):
-        collapse(state, {"B": 1})
+        sample(state, 10, 0, {"B": 1})
     with pytest.raises(ValueError):
-        collapse(state, {"A": 0, "B": 1})
+        sample(state, 10, 0, {"A": 0, "B": 1})
 
 
 def test_sampling_the_slice_draws_what_the_zero_filled_state_draws():
     # exact zeros add nothing to the cumulative sum, so a seeded draw on
-    # the reduced state lands on the same configuration as on the
-    # full-size state with everything outside the slice zeroed
+    # the slice lands on the same configuration as on the full-size state
+    # holding the renormalized slice and zeros everywhere else
     rng = np.random.default_rng(35)
     layout = RegisterLayout([("B", 2), ("A", 3)])
     state = random_state(layout, rng)
-    reduced = collapse(state, {"B": 2})
+    slice_index = [layout.pack("B", 2) | layout.pack("A", a) for a in range(8)]
+    kept = state.amplitudes[slice_index]
     full = np.zeros_like(state.amplitudes)
-    full[[layout.pack("B", 2) | layout.pack("A", a) for a in range(8)]] = reduced.amplitudes
+    full[slice_index] = kept / np.linalg.norm(kept)
     want = sample(StateVector(layout, full), 5000, seed=3)
-    assert sample(reduced, 5000, seed=3) == {layout.value(i, "A"): c for i, c in want.items()}
+    got = sample(state, 5000, 3, conditions={"B": 2})
+    assert got == {layout.value(i, "A"): c for i, c in want.items()}
 
 
 def test_sample_is_deterministic_per_seed():
@@ -506,8 +526,7 @@ def test_ising_sample_draws_what_the_whole_buffer_sampler_draws(variant):
     lattice = ising.IsingLattice(3, 3, 0.35)
     state, diag = ising.synthesize_boltzmann(lattice, variant=variant)
     conditions = {diag.target_register: 0}
-    psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    kept = psi[register_selector(state.layout, conditions)].flatten()
+    kept = state.select(conditions).flatten()
     for shots in (1, 4096, 1 << 17):
         assert_sample_is_the_reference(state, shots, 23)
         got = sample(state, shots, 23, conditions)
