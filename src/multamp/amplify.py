@@ -25,6 +25,7 @@ import numpy as np
 from .simcore import Circuit, StateVector, apply_circuit, register_selector
 
 NU_RULES = ("paper", "optimal")
+_RESCALE_PART = 1 << 16  # amplitudes per part of run_amplified's rescale: 1 MiB of complex128
 
 
 class AmplificationSpec:
@@ -92,7 +93,10 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
     """Prepare U Q^nu |0> from scratch; returns (state, pre-amp u**2).
 
     Applies U once and scales the target slice of U|0> and the rest by
-    their closed-form factors, in place: only the slice is copied.
+    their closed-form factors, in place: only the slice is copied.  The
+    rest is scaled one part of ``_RESCALE_PART`` amplitudes at a time, and
+    a part that holds only zeros is left as it is, so the pages of the
+    buffer that U never wrote stay unwritten (and a zero keeps its sign).
     """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
     apply_circuit(state, spec.synthesis, validate=False, from_zero=True)
@@ -101,7 +105,10 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
         inside, outside = _amplification_factors(u_sq, spec.nu)
         view = state.select(spec.target)
         block = view * inside
-        state.amplitudes *= outside
+        for lo in range(0, state.amplitudes.shape[0], _RESCALE_PART):
+            part = state.amplitudes[lo:lo + _RESCALE_PART]
+            if part.any():
+                part *= outside
         view[...] = block
     return state, u_sq
 

@@ -14,9 +14,13 @@ complex128 whatever the state size (Häner and Steiger, arXiv:1704.01127).
 ``apply_circuit(..., from_zero=True)`` skips the amplitudes known to be 0.
 It keeps one record: the qubits no instruction has written yet, which
 read 0 on every non-zero amplitude.  ``apply_gate`` indexes them like
-controls, so each gate runs on the slice where they read 0.  Every
-layout here puts the index register C lowest, so H on C and the
-exponent oracle touch 2**|C| amplitudes, not the whole state.  Other
+controls, so each gate runs on the slice where they read 0.  A target
+still unwritten is fresh: its |1> half is 0, so the gate reads the |0>
+half and writes both, with no scratch (z and phase do nothing there),
+and skips the pieces whose |0> half holds only zeros.
+Every layout here puts the index register C lowest, so H on C and the
+exponent oracle touch 2**|C| amplitudes, not the whole state, and each
+rotation of the controlled ladder writes a fresh E qubit.  Other
 states, such as the one ``amplify.grover_iterate`` runs U^-1 on, take
 the whole-state path.
 
@@ -368,14 +372,20 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
 
     ``validate=True`` additionally checks that the input state is
     normalized; circuit application does this once up front instead.
-    ``zeros``: qubits, none of them a target, that read 0 on every
-    non-zero amplitude.  Their axes are indexed at 0 like controls, so
-    only that slice is computed, and a control on 1 of one leaves the
-    state as it is.
+    ``zeros``: qubits that read 0 on every non-zero amplitude.  Their axes
+    are indexed at 0 like controls, so only that slice is computed, and a
+    control on 1 of one leaves the state as it is.  A target among them is
+    fresh: its |1> half is 0, so the gate reads the |0> half alone and
+    writes both (``_butterfly`` with ``fresh``), and z and phase, which
+    act on the |1> half only, leave the state as it is.  Taken in pieces,
+    a fresh write skips a piece whose |0> half holds only zeros, so pages
+    of the buffer that hold no amplitude yet stay unwritten.  A swap runs
+    on both halves whatever ``zeros`` holds of its targets.
     """
     n = state.num_qubits
-    if gate.kind not in GATE_KINDS:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    kind = gate.kind
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
     _check_qubits(n, gate)
     if validate:
         _require_normalized(state.norm(), state.amplitudes.dtype, "input state is not normalized")
@@ -387,17 +397,21 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
         sel[n - 1 - q] = pol  # qubit q lives on axis n-1-q of the C-order view
     targets = gate.targets
     fixed = len(gate.controls) + len(targets)
+    fresh = False
     for q in zeros:
-        if q in targets or not 0 <= q < n:
-            raise ValueError(f"zero qubit {q} is a target of {gate} or outside [0, {n})")
-        if sel[n - 1 - q] is free:
+        if not 0 <= q < n:
+            raise ValueError(f"zero qubit {q} outside [0, {n})")
+        if q in targets:
+            fresh = kind != "swap"
+        elif sel[n - 1 - q] is free:
             sel[n - 1 - q] = 0
             fixed += 1
         elif sel[n - 1 - q] == 1:
             return state  # a control no non-zero amplitude satisfies
+    if fresh and kind in ("z", "phase"):
+        return state
 
     ax = n - 1 - gate.target
-    kind = gate.kind
     s0 = list(sel)
     s0[ax] = 0
     s1 = list(sel)
@@ -420,16 +434,21 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
         c, s = _SQRT1_2, _SQRT1_2
     lead = v0.ndim - _PIECE_QUBITS
     if lead <= 0:
-        _butterfly(kind, v0, v1, c, s)
+        _butterfly(kind, v0, v1, c, s, fresh)
         return state
-    t = np.empty(v0.shape[lead:], v0.dtype)
-    w = None if kind in ("x", "swap", "phase") else np.empty_like(t)
+    t = w = None
+    if not fresh:
+        t = np.empty(v0.shape[lead:], v0.dtype)
+        w = None if kind in ("x", "swap", "phase") else np.empty_like(t)
     for i in np.ndindex(v0.shape[:lead]):
-        _butterfly(kind, v0[i], v1[i], c, s, t, w)
+        a = v0[i]
+        if fresh and not a.any():
+            continue  # both halves of the piece are 0: leave its pages unwritten
+        _butterfly(kind, a, v1[i], c, s, fresh, t, w)
     return state
 
 
-def _butterfly(kind, a, b, c, s, t=None, w=None):
+def _butterfly(kind, a, b, c, s, fresh=False, t=None, w=None):
     """One piece of an x/swap/h/ry/phase gate, in place: ``a``, ``b`` are the |0>, |1> halves.
 
     ``t``, ``w``: contiguous scratch of the piece's shape, allocated here if not given.
@@ -437,8 +456,19 @@ def _butterfly(kind, a, b, c, s, t=None, w=None):
     strided halves once, with the per-element arithmetic of those whole-slice expressions.
     Phase multiplies ``b`` by ``c + i*s`` through real products and sums of its parts:
     numpy's complex product rounds a 1-element array differently from longer ones.
+
+    ``fresh``: ``b`` is 0 (x, h and ry only), so no scratch is needed: x moves ``a`` to
+    ``b`` and zeroes ``a``, h and ry write ``b = a*s`` and then ``a *= c`` (h: c = s).
+    Each product is the dense one's wherever ``a`` is not a zero.
     """
-    if kind in ("x", "swap"):
+    if fresh:
+        if kind == "x":
+            b[...] = a
+            a[...] = 0
+        else:
+            np.multiply(a, s, out=b)
+            np.multiply(a, c, out=a)
+    elif kind in ("x", "swap"):
         if t is None:
             t = a.copy()
         else:
@@ -475,17 +505,18 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     ``from_zero=True`` promises that ``state`` is |0...0> (only
     ``amplitudes[0] == 1`` is checked).  The call then records, local to
     it, the qubits no instruction has written yet, starting with every
-    qubit.  Each gate runs through ``apply_gate`` with the unwritten
-    qubits it does not target as ``zeros``, and then its targets are
-    written.  A ``RegisterXor`` gets as ``top`` one above the highest
-    written qubit, and scatters the live amplitudes when its span
-    reaches above it (see ``RegisterXor.apply``); then its target
-    register is written.
+    qubit.  Each gate runs through ``apply_gate`` with that set, as it
+    stands, as ``zeros``: the gate runs on the slice where the others read
+    0, and a target in it is fresh.  Then its targets are written.  A
+    ``RegisterXor`` gets as ``top`` one above the highest written qubit,
+    and scatters the live amplitudes when its span reaches above it (see
+    ``RegisterXor.apply``); then its target register is written.
 
     On the live slice the kernels do the same arithmetic as on the whole
     state, so the amplitudes are bit-equal to the untracked call's, except
     that an amplitude that stays 0 keeps +0.0 where the dense butterflies
-    may write -0.0.
+    may write -0.0, and a fresh write of a zero ``a`` gives ``a*s`` where
+    the dense one adds the zero half to it.
     """
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match the state layout")
@@ -497,9 +528,8 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     zeros = set(range(n)) if from_zero else set()  # the qubits no instruction has written yet
     for op in circuit.gates:
         if isinstance(op, Gate):
-            targets = op.targets
-            apply_gate(state, op, validate=False, zeros=[q for q in zeros if q not in targets])
-            zeros.difference_update(targets)
+            apply_gate(state, op, validate=False, zeros=zeros)
+            zeros.difference_update(op.targets)
         else:
             op.apply(state, max((q + 1 for q in range(n) if q not in zeros), default=0))
             zeros.difference_update(op.spans(state.layout)[1])
@@ -575,7 +605,9 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     ``conditions``: draw from the renormalized slice where those registers
     read those values, through the ``StateVector.select`` view; the keys
     then index the layout of the other registers
-    (``RegisterLayout.without``).  A zero-weight slice raises.
+    (``RegisterLayout.without``).  A zero-weight slice raises.  Without a
+    predicate (``None`` or empty) the whole state is drawn from, and an
+    unnormalized one raises.
 
     Pass 1 sums |a|^2 over each block of ``_SAMPLE_BLOCK`` amplitudes, and
     one multinomial over those masses splits the shots among the blocks.
@@ -591,7 +623,7 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     p = np.empty(width)
     masses = np.array([_block_weights(view[i], p).sum() for i in blocks])
     total = masses.sum()
-    if conditions is None:
+    if not conditions:  # the whole state: None or an empty predicate
         _require_normalized(total, view.dtype, "state is not normalized")
     elif not total > 1e-300:
         raise ValueError(f"cannot sample the zero-probability slice {dict(conditions)}")

@@ -239,7 +239,12 @@ def build_T2(plan: TransductionPlan, layout: RegisterLayout) -> Circuit:
 
     Maps |lambda~>_D |0>_E so that the |lambda~>_D |0>_E output amplitude
     is gamma**(-lambda~) exactly, with no prefactor.  With the flag z, a
-    final NOT on E_0 anti-controlled on z moves saturated branches out of E == 0.
+    NOT on E_0 anti-controlled on z moves saturated branches out of E == 0.
+    It comes straight after the flag, before the ladder: every rotation
+    fires on z == 1 only, so the NOT commutes with each of them and U is
+    the same either way, but here it finds E_0 unwritten, which
+    ``apply_circuit(..., from_zero=True)`` runs on 2**|C+D| pairs instead
+    of the whole z == 0 half.
     """
     if plan.variant != "controlled":
         raise ValueError("build_T2 needs a controlled-variant plan")
@@ -250,10 +255,10 @@ def build_T2(plan: TransductionPlan, layout: RegisterLayout) -> Circuit:
     dq = list(layout.qubits("D"))
     eq = list(layout.qubits("E"))
     gates, flag = _zero_flag(layout, dq)
-    gates += [roty(2.0 * psi, eq[k], controls=((dq[k], 1),) + flag)
-              for k, psi in enumerate(plan.angles)]
     if flag:
         gates.append(x(eq[0], controls=((layout.offset("z"), 0),)))
+    gates += [roty(2.0 * psi, eq[k], controls=((dq[k], 1),) + flag)
+              for k, psi in enumerate(plan.angles)]
     return Circuit(layout, gates)
 
 

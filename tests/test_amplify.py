@@ -11,6 +11,7 @@ import oracles
 from multamp import ising, transduce
 from multamp.amplify import (
     AmplificationSpec,
+    _amplification_factors,
     grover_iterate,
     phase_flip,
     postselect_probability,
@@ -268,6 +269,29 @@ def test_closed_form_matches_iterates_on_a_table(variant):
     nu = select_nu(math.sqrt(u_sq))
     assert nu >= 1
     assert closed_form_error(AmplificationSpec(circ, target, nu)) <= CLOSED_FORM_TOL
+
+
+def test_the_rescale_leaves_empty_parts_alone():
+    # the benchmark's table shape: 2**13 entries, controlled, with the flag;
+    # 22 qubits, of which U|0> leaves 41 of the 64 parts of 2**16 all zero
+    alphas = np.exp(np.random.default_rng(29).uniform(math.log(2.5e-4), 0.0, 1 << 13))
+    table = transduce.build_lambda_table(alphas, 1.6, 4, 1e-3)
+    circ = transduce.build_synthesis(table, transduce.make_plan("controlled", 1.6, 4),
+                                     enforce_zero=True)
+    spec = AmplificationSpec(circ, {"E": 0}, 3)
+    state, u_sq = run_amplified(spec)
+    # the whole-buffer rescale: U|0>, then every amplitude times outside
+    whole = StateVector.zero_state(circ.layout)
+    apply_circuit(whole, circ, validate=False, from_zero=True)
+    empty = ~whole.amplitudes.reshape(-1, 1 << 16).any(axis=1)
+    inside, outside = _amplification_factors(u_sq, spec.nu)
+    assert outside < 0 and empty.sum() == 41  # so that a rescaled empty part would read -0.0
+    view = whole.select(spec.target)
+    block = view * inside
+    whole.amplitudes *= outside
+    view[...] = block
+    assert np.array_equal(state.amplitudes, whole.amplitudes)
+    assert not state.amplitudes.reshape(-1, 1 << 16)[empty].view(np.uint64).any()  # +0.0 bits
 
 
 def test_closed_form_at_zero_iterates_and_past_the_peak():

@@ -57,6 +57,30 @@ def test_built_circuits_give_the_dense_bytes(build, args, dtype):
     assert tracked.tobytes() == dense.tobytes()
 
 
+def with_the_flag_x_last(circuit):
+    """The synthesis with X(E_0 | z = 0) after the whole controlled ladder, where it once stood."""
+    layout = circuit.layout
+    flip = x(layout.offset("E"), controls=((layout.offset("z"), 0),))
+    gates = list(circuit.gates)
+    assert gates[-1] != flip
+    gates.remove(flip)
+    return Circuit(layout, gates + [flip])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("build,args", [p for p in BUILT if p.id.endswith("controlled-zero")])
+def test_moving_the_flag_x_before_the_ladder_keeps_u(build, args, dtype):
+    # every rotation of the ladder fires on z = 1 and the X on z = 0: they
+    # touch disjoint amplitudes, so U is the same bit for bit on any state
+    circuit = build(*args)
+    rng = np.random.default_rng(41)
+    amps = np.array([1, 1j]) @ rng.standard_normal((2, 1 << circuit.layout.total_qubits))
+    amps = (amps / np.linalg.norm(amps)).astype(dtype)
+    moved = apply_circuit(StateVector(circuit.layout, amps.copy()), circuit, validate=False)
+    last = apply_circuit(StateVector(circuit.layout, amps), with_the_flag_x_last(circuit), validate=False)
+    assert moved.amplitudes.tobytes() == last.amplitudes.tobytes()
+
+
 @st.composite
 def circuits_from_zero(draw):
     widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
@@ -139,18 +163,26 @@ def test_known_values_give_the_dense_bytes(ops, dtype):
     assert tracked.tobytes() == dense.tobytes()
 
 
-def butterfly_sizes(circuit, monkeypatch):
-    """(kind, amplitudes) of every ``_butterfly`` call of the tracked circuit."""
+def butterfly_calls(monkeypatch, run, *args, **kwargs):
+    """(kind, amplitudes, fresh) of every ``_butterfly`` call that ``run(*args, **kwargs)`` makes."""
     seen = []
     butterfly = simcore._butterfly
 
-    def counting(kind, a, b, *rest):
-        seen.append((kind, a.size + b.size))
-        return butterfly(kind, a, b, *rest)
+    def recording(kind, a, b, c, s, fresh=False, *rest):
+        seen.append((kind, a.size + b.size, fresh))
+        return butterfly(kind, a, b, c, s, fresh, *rest)
 
-    monkeypatch.setattr(simcore, "_butterfly", counting)
-    apply_circuit(StateVector.zero_state(circuit.layout), circuit, from_zero=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(simcore, "_butterfly", recording)
+        run(*args, **kwargs)
     return seen
+
+
+def butterfly_sizes(circuit, monkeypatch):
+    """(kind, amplitudes) of every ``_butterfly`` call of the tracked circuit."""
+    calls = butterfly_calls(monkeypatch, apply_circuit, StateVector.zero_state(circuit.layout), circuit,
+                            from_zero=True)
+    return [(kind, size) for kind, size, _ in calls]
 
 
 def test_known_values_skip_the_amplitudes_known_to_be_zero(monkeypatch):
@@ -161,24 +193,27 @@ def test_known_values_skip_the_amplitudes_known_to_be_zero(monkeypatch):
 
 
 # amplitudes sent through ``_butterfly`` from |0>, and the ``top`` each
-# ``RegisterXor.apply`` receives: |C| for the one exponent oracle
+# ``RegisterXor.apply`` receives: |C| for the one exponent oracle.  The
+# controlled circuits with the flag run their X(E_0 | z = 0) before the
+# ladder, on a fresh E_0: 2**|C+D| pairs where the whole z = 0 half was
+# 2**(n - 2) when it came last (table 34,046, Ising 2,238, 8,958, 71,678)
 BUILT_WORK = {
     "table-direct-plain": (4_222, [6]),
     "table-direct-zero": (6_398, [6]),
     "table-controlled-plain": (15_486, [6]),
-    "table-controlled-zero": (34_046, [6]),
+    "table-controlled-zero": (19_710, [6]),
     "ising-2x2-direct-plain": (414, [4]),
     "ising-2x2-direct-zero": (702, [4]),
     "ising-2x2-controlled-plain": (926, [4]),
-    "ising-2x2-controlled-zero": (2_238, [4]),
+    "ising-2x2-controlled-zero": (1_470, [4]),
     "ising-2x3-direct-plain": (1_662, [6]),
     "ising-2x3-direct-zero": (2_814, [6]),
     "ising-2x3-controlled-plain": (3_710, [6]),
-    "ising-2x3-controlled-zero": (8_958, [6]),
+    "ising-2x3-controlled-zero": (5_886, [6]),
     "ising-3x3-direct-plain": (13_310, [9]),
     "ising-3x3-direct-zero": (22_526, [9]),
     "ising-3x3-controlled-plain": (29_694, [9]),
-    "ising-3x3-controlled-zero": (71_678, [9]),
+    "ising-3x3-controlled-zero": (47_102, [9]),
     "comparator": (56_974, [3, 13]),
 }
 
@@ -207,14 +242,82 @@ def test_a_control_that_contradicts_a_known_value_skips_the_gate(ops, sizes, mon
 
 
 @pytest.mark.parametrize("width,gate,zeros", [
-    (2, swap(0, 1), (1,)),
     (3, h(1), (3,)),
     (3, h(1), (-1,)),
-], ids=["target", "qubit-3-of-3", "negative-qubit"])
-def test_known_values_may_not_name_a_target(width, gate, zeros):
+], ids=["qubit-3-of-3", "negative-qubit"])
+def test_zero_qubits_outside_the_state_raise(width, gate, zeros):
     state = StateVector.zero_state(RegisterLayout([("R", width)]))
     with pytest.raises(ValueError, match="zero qubit"):
         simcore.apply_gate(state, gate, zeros=zeros)
+
+
+def state_with_a_zero_half(n, zero_qubit, dtype, seed=43):
+    """A normalized random state over n qubits whose ``zero_qubit`` reads 0 on every amplitude."""
+    layout = RegisterLayout([("R", n)])
+    amps = np.array([1, 1j]) @ np.random.default_rng(seed).standard_normal((2, 1 << n))
+    amps[(np.arange(1 << n) >> zero_qubit) & 1 == 1] = 0
+    return StateVector(layout, (amps / np.linalg.norm(amps)).astype(dtype))
+
+
+def test_a_target_among_the_zeros_is_fresh(monkeypatch):
+    state = state_with_a_zero_half(2, 1, np.complex128)
+    dense = state.copy()
+    assert butterfly_calls(monkeypatch, simcore.apply_gate, state, h(1), zeros=(1,)) == [("h", 4, True)]
+    simcore.apply_gate(dense, h(1))
+    assert state.amplitudes.tobytes() == dense.amplitudes.tobytes()
+
+
+CONTROLS = [(), ((0, 0),), ((0, 1),), ((0, 0), (3, 0)), ((0, 0), (3, 1)), ((0, 1), (3, 0)),
+            ((0, 1), (3, 1))]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [4, 17])
+@pytest.mark.parametrize("controls", CONTROLS, ids=lambda c: "".join(str(p) for _, p in c) or "none")
+@pytest.mark.parametrize("kind,angle", [("h", 0.0), ("x", 0.0), ("ry", 4.1), ("ry", -0.6),
+                                        ("z", 0.0), ("phase", 2.5)])
+def test_a_fresh_target_gives_the_dense_result(kind, angle, controls, n, dtype):
+    # qubit 1 reads 0: a fresh write reads its |0> half alone
+    state = state_with_a_zero_half(n, 1, dtype)
+    gate = Gate(kind, 1, angle, controls=controls)
+    dense = simcore.apply_gate(state.copy(), gate)
+    fresh = simcore.apply_gate(state.copy(), gate, zeros=(1,))
+    if kind in ("z", "phase"):
+        # they act on the |1> half alone, so the fresh call returns at once;
+        # the dense z writes -0.0 on it, so the values agree, not the bytes
+        assert fresh.amplitudes.tobytes() == state.amplitudes.tobytes()
+        assert np.array_equal(fresh.amplitudes, dense.amplitudes)
+    else:
+        assert fresh.amplitudes.tobytes() == dense.amplitudes.tobytes()
+
+
+def test_a_fresh_write_leaves_the_pieces_that_hold_only_zeros(monkeypatch):
+    # 17 qubits: the fresh target's |0> half comes in four pieces of 2**14,
+    # one per value of qubits 16 and 15, and qubit 16 reads 0 too, so two of
+    # them hold only zeros; a ry with cos < 0 writes -0.0 there on the dense path
+    state = state_with_a_zero_half(17, 1, np.complex128)
+    state.amplitudes[1 << 16:] = 0
+    state.amplitudes /= np.linalg.norm(state.amplitudes)
+    gate = roty(4.1, 1)
+    dense = simcore.apply_gate(state.copy(), gate)
+    calls = butterfly_calls(monkeypatch, simcore.apply_gate, state, gate, zeros=(1,))
+    assert calls == [("ry", 1 << 15, True)] * 2
+    assert state.amplitudes[:1 << 16].tobytes() == dense.amplitudes[:1 << 16].tobytes()
+    assert not state.amplitudes[1 << 16:].view(np.uint64).any()  # +0.0, never written
+    assert np.array_equal(state.amplitudes, dense.amplitudes)
+
+
+@pytest.mark.parametrize("zeros", [(1,), (2,), (1, 2)])
+def test_a_swap_of_an_unwritten_target_takes_the_dense_path(zeros, monkeypatch):
+    state = state_with_a_zero_half(17, 1, np.complex128)
+    if 2 in zeros:
+        state.amplitudes[(np.arange(1 << 17) >> 2) & 1 == 1] = 0
+        state.amplitudes /= np.linalg.norm(state.amplitudes)
+    dense = state.copy()
+    want = butterfly_calls(monkeypatch, simcore.apply_gate, dense, swap(1, 2))
+    assert all(not fresh for _, _, fresh in want)
+    assert butterfly_calls(monkeypatch, simcore.apply_gate, state, swap(1, 2), zeros=zeros) == want
+    assert state.amplitudes.tobytes() == dense.amplitudes.tobytes()
 
 
 def test_gate_qubits_lists_targets_then_controls():

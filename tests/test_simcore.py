@@ -386,6 +386,15 @@ def test_sample_on_a_zero_probability_slice_raises():
         sample(state, 10, 0, {"A": 0, "B": 1})
 
 
+@pytest.mark.parametrize("conditions", [None, {}], ids=["none", "empty"])
+def test_sample_without_a_predicate_refuses_an_unnormalized_state(conditions):
+    # an empty predicate selects the whole state; it once came back
+    # renormalized as {0: 6, 1: 4} instead of raising
+    state = StateVector(RegisterLayout([("A", 2)]), np.array([1, 1, 0, 0], dtype=np.complex128))
+    with pytest.raises(ValueError, match="not normalized"):
+        sample(state, 10, 0, conditions)
+
+
 def test_sampling_the_slice_draws_what_the_zero_filled_state_draws():
     # exact zeros add nothing to the cumulative sum, so a seeded draw on
     # the slice lands on the same configuration as on the full-size state

@@ -318,8 +318,9 @@ def test_enforce_zero_empties_saturated_entries(variant):
 @pytest.mark.parametrize("d", range(1, 6))
 def test_ladder_gate_lists_are_pinned(variant, d):
     # the ladders written out gate by gate: the plain form and, with the
-    # width-1 flag z, the exact-zero form (flag NAND of D, z as one more
-    # control on every rotation, and for controlled a final X E_0 on z == 0)
+    # width-1 flag z, the exact-zero form (flag NAND of D, for controlled an
+    # X E_0 on z == 0 straight after it, and z as one more control on every
+    # rotation)
     table = build_lambda_table([1.0, 0.5, 0.0, 1.0], 2.0, d, 0.1)
     plan = make_plan(variant, 2.0, d)
     for enforce_zero in (False, True):
@@ -332,13 +333,13 @@ def test_ladder_gate_lists_are_pinned(variant, d):
         if enforce_zero:
             zq = layout.offset("z")
             want += [x(zq), x(zq, controls=tuple((q, 1) for q in dq))]
+            if variant == "controlled":
+                want.append(x(eq[0], controls=((zq, 0),)))
         for k, angle in enumerate(plan.angles):
             if variant == "direct":
                 want.append(roty(-2.0 * angle, dq[k], controls=flag))
             else:
                 want.append(roty(2.0 * angle, eq[k], controls=((dq[k], 1),) + flag))
-        if enforce_zero and variant == "controlled":
-            want.append(x(eq[0], controls=((zq, 0),)))
         assert circuit.gates[layout.width("C") + 1:] == want
 
 
