@@ -22,10 +22,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .simcore import Circuit, StateVector, apply_circuit, register_selector
+from .simcore import _SAMPLE_BLOCK, Circuit, StateVector, _blocks, apply_circuit, register_selector
 
 NU_RULES = ("paper", "optimal")
-_RESCALE_PART = 1 << 16  # amplitudes per part of run_amplified's rescale: 1 MiB of complex128
 
 
 class AmplificationSpec:
@@ -94,9 +93,9 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
 
     Applies U once and scales the target slice of U|0> and the rest by
     their closed-form factors, in place: only the slice is copied.  The
-    rest is scaled one part of ``_RESCALE_PART`` amplitudes at a time, and
-    a part that holds only zeros is left as it is, so the pages of the
-    buffer that U never wrote stay unwritten (and a zero keeps its sign).
+    rest is scaled one ``_blocks`` block of 2**16 amplitudes at a time; a
+    block that holds only zeros is left as it is, so the pages U never
+    wrote stay unwritten (and a zero keeps its sign).
     """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
     apply_circuit(state, spec.synthesis, validate=False, from_zero=True)
@@ -105,8 +104,7 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
         inside, outside = _amplification_factors(u_sq, spec.nu)
         view = state.select(spec.target)
         block = view * inside
-        for lo in range(0, state.amplitudes.shape[0], _RESCALE_PART):
-            part = state.amplitudes[lo:lo + _RESCALE_PART]
+        for part in _blocks(state.amplitudes, _SAMPLE_BLOCK):
             if part.any():
                 part *= outside
         view[...] = block

@@ -220,9 +220,16 @@ def _kept_draws(state, diag, keep: str, shots: int, seed: int):
     return kept, sample(state, kept, rng, {diag.target_register: 0}) if kept else {}
 
 
-def cmd_sample(args) -> int:
+def _check_sampling(args) -> None:
+    """Refuse a --shots below 1 or a negative --seed, before any synthesis."""
     if args.shots < 1:
-        raise ConfigError("--shots must be >= 1")
+        raise ConfigError(f"--shots must be >= 1, got {args.shots}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+
+
+def cmd_sample(args) -> int:
+    _check_sampling(args)
     lattice, state, diag = _synthesize(args, args.shots)
     kept, kept_counts = _kept_draws(state, diag, args.keep, args.shots, args.seed)
     kept_layout = state.layout.without([diag.target_register])
@@ -292,6 +299,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    _check_sampling(args)
     try:
         sizes = sorted({int(tok) for tok in args.sizes.replace("x", ",").split(",") if tok})
     except ValueError:

@@ -58,9 +58,12 @@ class IsingLattice:
     def __post_init__(self):
         if self.rows < 2 or self.cols < 2:
             raise ValueError("lattice needs rows >= 2 and cols >= 2")
-        if not 0.0 < self.beta_j <= MAX_BETA_J:
-            raise ValueError(f"beta_j must be positive and at most {MAX_BETA_J:.2f} "
+        if not self.beta_j <= MAX_BETA_J:
+            raise ValueError(f"beta_j must be at most {MAX_BETA_J:.2f} "
                              f"(gamma = exp(2 beta_j) overflows), got {self.beta_j}")
+        if not math.exp(2.0 * self.beta_j) > 1.0:
+            raise ValueError(f"beta_j must be above 2**-54 = 5.55e-17 "
+                             f"(gamma = exp(2 beta_j) rounds to 1 or less), got {self.beta_j}")
 
     @property
     def num_sites(self) -> int:

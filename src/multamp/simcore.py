@@ -5,11 +5,12 @@ basis index, and a register occupying qubits ``[lo, hi)`` reads its value
 the same way.  Gates act in place on a ``(2,)*n`` view of the amplitude
 buffer, so a gate with ``c`` controls touches ``2**(n-c)`` amplitudes.
 ``z`` allocates nothing.  ``x``, ``swap``, ``h``, ``ry`` and ``phase`` take
-the slice's |0> and |1> halves in pieces of ``2**_PIECE_QUBITS`` amplitudes,
-with ``out=`` ufuncs into at most two piece-sized scratch arrays: 512 KiB for
+the slice's halves in pieces of at most ``2**_PIECE_QUBITS`` amplitudes, with
+``out=`` ufuncs into at most two piece-sized scratch arrays: 512 KiB for
 complex128 whatever the state size (Häner and Steiger, arXiv:1704.01127).
-``RegisterXor`` permutes only the qubit span of its registers, one block of
-``2**hi`` amplitudes at a time (``hi``: top of the span).  No kernel runs in parallel.
+``RegisterXor`` scatters the live prefix of each block of ``2**hi`` amplitudes
+(``hi``: top of its span).  ``_blocks`` cuts the pieces and the blocks of
+``norm``, ``sample`` and ``run_amplified``'s rescale.  No kernel runs in parallel.
 
 ``apply_circuit(..., from_zero=True)`` skips the amplitudes known to be 0.
 It keeps one record: the qubits no instruction has written yet, which
@@ -17,7 +18,7 @@ read 0 on every non-zero amplitude.  ``apply_gate`` indexes them like
 controls, so each gate runs on the slice where they read 0.  A target
 still unwritten is fresh: its |1> half is 0, so the gate reads the |0>
 half and writes both, with no scratch (z and phase do nothing there),
-and skips the pieces whose |0> half holds only zeros.
+and of a slice split into pieces skips those whose |0> half is all zeros.
 Every layout here puts the index register C lowest, so H on C and the
 exponent oracle touch 2**|C| amplitudes, not the whole state, and each
 rotation of the controlled ladder writes a fresh E qubit.  Other
@@ -42,15 +43,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 from typing import Iterable, Mapping
 
 import numpy as np
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-_NORM_BLOCK = 1 << 16
 _PIECE_QUBITS = 14  # half-slice piece of 2**14 amplitudes: four such arrays fill 1 MiB of L2
-_SAMPLE_BLOCK = 1 << 16  # amplitudes per block of ``sample``: 512 KiB of float64 weights
+_SAMPLE_BLOCK = 1 << 16  # amplitudes per block of norm, sample and the rescale: 1 MiB of complex128
+
+
+def _blocks(a: np.ndarray, size: int):
+    """C-order views of at most ``size`` (a power of two) entries tiling ``a``, a flat buffer of
+    2**k entries or a ``(2,)*k`` view: ``a`` if it fits, else ``a[i]`` over its leading axes."""
+    if a.size <= size:
+        return (a,)
+    if a.ndim == 1:
+        a = a.reshape((2,) * (a.size.bit_length() - 1))
+    return [a[i] for i in product((0, 1), repeat=a.ndim - size.bit_length() + 1)]
 
 
 def _require_normalized(value: float, dtype, message: str) -> None:
@@ -179,8 +189,8 @@ class StateVector:
     def norm(self) -> float:
         # accumulate in float64 whatever the buffer dtype, one block at a time
         total = 0.0
-        for lo in range(0, self.amplitudes.shape[0], _NORM_BLOCK):
-            block = self.amplitudes[lo:lo + _NORM_BLOCK].astype(np.complex128, copy=False)
+        for block in _blocks(self.amplitudes, _SAMPLE_BLOCK):
+            block = block.astype(np.complex128, copy=False)
             total += np.vdot(block, block).real
         return math.sqrt(total)
 
@@ -288,38 +298,29 @@ class RegisterXor:
         """Permute the state in place and return it.
 
         ``top``: the caller knows every qubit from ``top`` up reads 0, so
-        every amplitude at index >= 2**top is 0.  When the span reaches
-        above ``top``, the 2**top live amplitudes are copied out, the
-        prefix is zeroed, and each copy is written to its destination; a
-        live index reads 0 on every qubit from ``top`` up, and the
-        permutation sends the zero amplitudes onto the positions left at
-        zero.  Otherwise the span is gathered block by block.
+        every amplitude at index >= 2**top is 0 (default: the qubit count).
+        The permutation maps each block of 2**hi amplitudes (``hi``: top of
+        the key/target span) onto itself.  In each block below 2**top the
+        live prefix, its first 2**min(top, hi), is copied out and zeroed,
+        and each copy is written to its destination, which the zeros left.
         """
         layout = state.layout
         self.validate(layout)
         key, target = self.spans(layout)
-        lo, hi = min(key.start, target.start), max(key.stop, target.stop)
-        if top is not None and top < hi:
-            live = state.amplitudes[:1 << top]
-            moved = live.copy()
+        hi = max(key.stop, target.stop)
+        top = state.num_qubits if top is None else top
+        width = min(top, hi)
+        # dest[i] = i ^ (values[key of i] << target.start); key bits from ``width`` up read 0
+        k_lo, k_hi = min(key.start, width), min(key.stop, width)
+        dest = np.arange(1 << width, dtype=np.int64)
+        by_key = dest.reshape(-1, 1 << (k_hi - k_lo), 1 << k_lo)
+        by_key ^= (self.values[:1 << (k_hi - k_lo)] << target.start)[:, None]
+        moved = np.empty(1 << width, state.amplitudes.dtype)
+        for block in state.amplitudes.reshape(-1, 1 << hi)[:1 << max(top - hi, 0)]:
+            live = block[:1 << width]
+            moved[...] = live
             live[...] = 0
-            dest = np.arange(1 << top, dtype=np.int64)
-            keys = self.values[(dest >> key.start) & ((1 << len(key)) - 1)]
-            keys <<= target.start
-            dest ^= keys
-            state.amplitudes[dest] = moved
-            return state
-        # permute the qubit span [lo, hi) alone, one block of 2**hi amplitudes at a time
-        perm = np.arange(1 << (hi - lo), dtype=np.int64)
-        keys = self.values[(perm >> (key.start - lo)) & ((1 << len(key)) - 1)]
-        keys <<= target.start - lo
-        perm ^= keys
-        blocks = state.amplitudes.reshape(-1, 1 << (hi - lo), 1 << lo)
-        gathered = np.empty_like(blocks[0])
-        for block in blocks:
-            # perm is a permutation of its index range, so "clip" never clips; "raise" would buffer
-            np.take(block, perm, axis=0, out=gathered, mode="clip")
-            block[...] = gathered
+            block[dest] = moved
         return state
 
     def inverse(self) -> "RegisterXor":
@@ -356,10 +357,11 @@ def _check_qubits(n: int, gate: Gate):
         raise ValueError("swap needs a second target")
     if gate.kind != "swap" and gate.target2 is not None:
         raise ValueError(f"{gate.kind} takes a single target")
+    used = list(gate.targets)
     for q, pol in gate.controls:
         if pol not in (0, 1):
             raise ValueError(f"control polarity must be 0 or 1, got {pol}")
-    used = gate.qubits
+        used.append(q)
     for q in used:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n}-qubit state")
@@ -377,10 +379,11 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
     control on 1 of one leaves the state as it is.  A target among them is
     fresh: its |1> half is 0, so the gate reads the |0> half alone and
     writes both (``_butterfly`` with ``fresh``), and z and phase, which
-    act on the |1> half only, leave the state as it is.  Taken in pieces,
-    a fresh write skips a piece whose |0> half holds only zeros, so pages
-    of the buffer that hold no amplitude yet stay unwritten.  A swap runs
-    on both halves whatever ``zeros`` holds of its targets.
+    act on the |1> half only, leave the state as it is.  The halves go to
+    ``_butterfly`` in pieces of at most ``2**_PIECE_QUBITS`` amplitudes; of
+    a slice split into several, a fresh write skips a piece whose |0> half
+    holds only zeros, so pages that hold no amplitude yet stay unwritten.
+    A swap runs on both halves whatever ``zeros`` holds of its targets.
     """
     n = state.num_qubits
     kind = gate.kind
@@ -392,37 +395,34 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
 
     psi = state.amplitudes.reshape((2,) * n)
     free = slice(None)
-    sel = [free] * n
+    sel = [free] * n + [Ellipsis]  # Ellipsis: the halves stay views, 0-d ones too
     for q, pol in gate.controls:
         sel[n - 1 - q] = pol  # qubit q lives on axis n-1-q of the C-order view
     targets = gate.targets
-    fixed = len(gate.controls) + len(targets)
     fresh = False
     for q in zeros:
         if not 0 <= q < n:
             raise ValueError(f"zero qubit {q} outside [0, {n})")
+        i = n - 1 - q
         if q in targets:
             fresh = kind != "swap"
-        elif sel[n - 1 - q] is free:
-            sel[n - 1 - q] = 0
-            fixed += 1
-        elif sel[n - 1 - q] == 1:
+        elif sel[i] is free:
+            sel[i] = 0
+        elif sel[i] == 1:
             return state  # a control no non-zero amplitude satisfies
     if fresh and kind in ("z", "phase"):
         return state
 
     ax = n - 1 - gate.target
-    s0 = list(sel)
-    s0[ax] = 0
-    s1 = list(sel)
-    s1[ax] = 1
+    sel[ax] = 0
     if kind == "swap":
         ax2 = n - 1 - gate.target2
-        s0[ax2] = 1  # |01> half
-        s1[ax2] = 0  # |10> half
-    if fixed == n:
-        s0[ax], s1[ax] = slice(0, 1), slice(1, 2)  # every axis fixed: keep the halves views
-    v0, v1 = psi[tuple(s0)], psi[tuple(s1)]
+        sel[ax2] = 1  # |01> half
+    v0 = psi[tuple(sel)]
+    sel[ax] = 1
+    if kind == "swap":
+        sel[ax2] = 0  # |10> half
+    v1 = psi[tuple(sel)]
     if kind == "z":
         v1 *= -1.0
         return state
@@ -432,33 +432,27 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
         c, s = math.cos(gate.angle), math.sin(gate.angle)
     else:
         c, s = _SQRT1_2, _SQRT1_2
-    lead = v0.ndim - _PIECE_QUBITS
-    if lead <= 0:
-        _butterfly(kind, v0, v1, c, s, fresh)
-        return state
-    t = w = None
-    if not fresh:
-        t = np.empty(v0.shape[lead:], v0.dtype)
-        w = None if kind in ("x", "swap", "phase") else np.empty_like(t)
-    for i in np.ndindex(v0.shape[:lead]):
-        a = v0[i]
-        if fresh and not a.any():
-            continue  # both halves of the piece are 0: leave its pages unwritten
-        _butterfly(kind, a, v1[i], c, s, fresh, t, w)
+    a0 = _blocks(v0, 1 << _PIECE_QUBITS)
+    t = None if fresh else np.empty(a0[0].shape, v0.dtype)
+    w = None if fresh or kind in ("x", "swap", "phase") else np.empty_like(t)
+    for a, b in zip(a0, _blocks(v1, 1 << _PIECE_QUBITS)):
+        if fresh and len(a0) > 1 and not a.any():
+            continue  # a split slice's piece whose halves are both 0: leave its pages unwritten
+        _butterfly(kind, a, b, c, s, fresh, t, w)
     return state
 
 
-def _butterfly(kind, a, b, c, s, fresh=False, t=None, w=None):
+def _butterfly(kind, a, b, c, s, fresh, t, w):
     """One piece of an x/swap/h/ry/phase gate, in place: ``a``, ``b`` are the |0>, |1> halves.
 
-    ``t``, ``w``: contiguous scratch of the piece's shape, allocated here if not given.
+    ``t``, ``w``: contiguous scratch of the piece's shape (``w`` for h and ry only).
     Each term of ``a*c - b*s``, ``a*s + b*c`` (h: ``(a+b)*s``, ``(a-b)*s``) reads the
     strided halves once, with the per-element arithmetic of those whole-slice expressions.
     Phase multiplies ``b`` by ``c + i*s`` through real products and sums of its parts:
     numpy's complex product rounds a 1-element array differently from longer ones.
 
-    ``fresh``: ``b`` is 0 (x, h and ry only), so no scratch is needed: x moves ``a`` to
-    ``b`` and zeroes ``a``, h and ry write ``b = a*s`` and then ``a *= c`` (h: c = s).
+    ``fresh``: ``b`` is 0 (x, h and ry only), so the scratch is unused (None): x moves
+    ``a`` to ``b`` and zeroes ``a``, h and ry write ``b = a*s`` and then ``a *= c`` (h: c = s).
     Each product is the dense one's wherever ``a`` is not a zero.
     """
     if fresh:
@@ -469,27 +463,24 @@ def _butterfly(kind, a, b, c, s, fresh=False, t=None, w=None):
             np.multiply(a, s, out=b)
             np.multiply(a, c, out=a)
     elif kind in ("x", "swap"):
-        if t is None:
-            t = a.copy()
-        else:
-            t[...] = a
+        t[...] = a
         a[...] = b
         b[...] = t
     elif kind == "h":
-        t = np.add(a, b, out=t)
+        np.add(a, b, out=t)
         np.multiply(t, s, out=t)
-        w = np.subtract(a, b, out=w)
+        np.subtract(a, b, out=w)
         np.multiply(w, s, out=w)
         a[...] = t
         b[...] = w
     elif kind == "phase":  # b*c + i*b*s, rounded like Python's complex product
-        t = np.multiply(b, s, out=t)
+        np.multiply(b, s, out=t)
         np.multiply(b, c, out=b)
         np.subtract(b.real, t.imag, out=b.real)
         np.add(b.imag, t.real, out=b.imag)
     else:  # ry
-        t = np.multiply(a, c, out=t)
-        w = np.multiply(b, s, out=w)
+        np.multiply(a, c, out=t)
+        np.multiply(b, s, out=w)
         np.subtract(t, w, out=t)
         np.multiply(a, s, out=w)
         a[...] = t
@@ -509,8 +500,8 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     stands, as ``zeros``: the gate runs on the slice where the others read
     0, and a target in it is fresh.  Then its targets are written.  A
     ``RegisterXor`` gets as ``top`` one above the highest written qubit,
-    and scatters the live amplitudes when its span reaches above it (see
-    ``RegisterXor.apply``); then its target register is written.
+    and moves only the blocks below 2**top (see ``RegisterXor.apply``);
+    then its target register is written.
 
     On the live slice the kernels do the same arithmetic as on the whole
     state, so the amplitudes are bit-equal to the untracked call's, except
@@ -618,10 +609,9 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     if shots < 1:
         raise ValueError("shots must be >= 1")
     view = state.select(conditions or {})
-    width = min(view.size, _SAMPLE_BLOCK)
-    blocks = list(np.ndindex(view.shape[:view.ndim - width.bit_length() + 1]))
-    p = np.empty(width)
-    masses = np.array([_block_weights(view[i], p).sum() for i in blocks])
+    blocks = _blocks(view, _SAMPLE_BLOCK)
+    p = np.empty(blocks[0].size)
+    masses = np.array([_block_weights(block, p).sum() for block in blocks])
     total = masses.sum()
     if not conditions:  # the whole state: None or an empty predicate
         _require_normalized(total, view.dtype, "state is not normalized")
@@ -632,9 +622,9 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     counts = {}
     for b in np.flatnonzero(per_block).tolist():
         if len(blocks) > 1:  # one block keeps its weights from pass 1
-            _block_weights(view[blocks[b]], p)
+            _block_weights(blocks[b], p)
         hit, num = _block_draws(p, int(per_block[b]), rng)
-        hit += b * width
+        hit += b * p.size
         counts.update(zip(hit.tolist(), num.tolist()))
     return counts
 

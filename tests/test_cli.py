@@ -309,9 +309,14 @@ def test_table1_single_precision_rows_pass(capsys):
     assert out.count("[ok]") == 4
 
 
-def test_sample_rejects_bad_shots(capsys):
-    code, _, _ = run(["sample", *LATTICE, "--shots", "0"], capsys)
+@pytest.mark.parametrize("flag,value", [("--shots", "0"), ("--shots", "-3"), ("--seed", "-1")])
+@pytest.mark.parametrize("command", [["sample", *LATTICE], ["table1", "--sizes", "2"]],
+                         ids=["sample", "table1"])
+def test_sample_rejects_bad_shots(command, flag, value, capsys):
+    code, out, err = run([*command, flag, value], capsys)
     assert code == EXIT_CONFIG
+    assert err == f"error: {flag} must be >= {0 if flag == '--seed' else 1}, got {value}\n"
+    assert out == ""  # refused before any synthesis
 
 
 def test_sample_reports_a_failed_allocation(monkeypatch, capsys):

@@ -125,7 +125,7 @@ def test_random_circuits_from_zero_agree_with_the_dense_path(circuit, dtype):
     ([("M", 1), ("T", 2), ("K", 3)], 1),  # key above the top too: scatter of values[0]
     ([("T", 2), ("K", 3)], 2),            # target below the top, key above it: scatter
     ([("K", 2), ("T", 3)], 3),            # target straddling the top: scatter
-    ([("K", 1), ("T", 2), ("M", 2)], 4),  # span below the top: gather
+    ([("K", 1), ("T", 2), ("M", 2)], 4),  # span below the top: both blocks of 2**3 below 2**4
 ])
 def test_keyed_xor_from_a_live_prefix(registers, top, dtype):
     layout = RegisterLayout(registers)
@@ -133,6 +133,21 @@ def test_keyed_xor_from_a_live_prefix(registers, top, dtype):
     circuit = Circuit(layout, [h(q) for q in range(top)] + [RegisterXor("K", "T", values)])
     tracked, dense = both_ways(circuit, dtype)
     assert tracked.tobytes() == dense.tobytes()
+
+
+def test_a_tracked_xor_leaves_the_blocks_from_two_to_the_top_alone():
+    # span [0, 3), top 4: the blocks of 2**3 at 16 and 24 are past the live prefix
+    layout = RegisterLayout([("K", 1), ("T", 2), ("M", 2)])
+    op = RegisterXor("K", "T", [3, 1])
+    rng = np.random.default_rng(241)
+    live = rng.normal(size=16) + 1j * rng.normal(size=16)
+    sentinel = np.arange(16, 32) - 1j
+    state = StateVector(layout, np.concatenate([live, sentinel]))
+    dense = StateVector(layout, np.concatenate([live, np.zeros(16, complex)]))
+    op.apply(state, 4)
+    op.apply(dense)
+    assert state.amplitudes[:16].tobytes() == dense.amplitudes[:16].tobytes()
+    assert state.amplitudes[16:].tobytes() == sentinel.tobytes()
 
 
 KNOWN_LAYOUT = RegisterLayout([("C", 2), ("D", 2), ("z", 1)])
@@ -144,7 +159,7 @@ KNOWN_LAYOUT = RegisterLayout([("C", 2), ("D", 2), ("z", 1)])
     [h(0), h(1), x(4), roty(0.7, 2, ((4, 0),)), roty(0.9, 3, ((4, 1),)), h(2, ((4, 1), (0, 1)))],
     # a swap of two written qubits, then gates controlled on them
     [h(0), x(3), swap(0, 3), roty(0.4, 1, ((3, 1),)), roty(1.1, 2, ((0, 0),)), h(1, ((3, 0),))],
-    # a keyed XOR after x writes the flag spans below the top: the gather path
+    # a keyed XOR after x writes the flag: its span lies below the top
     [h(0), h(1), x(4), RegisterXor("C", "D", [3, 0, 2, 1]), roty(0.5, 4, ((2, 1),))],
     # the XOR writes its target register, whose qubit 3 an x wrote before it
     [h(0), x(3), RegisterXor("C", "D", [1, 2, 0, 3]), roty(0.8, 4, ((3, 1),)), roty(0.3, 4, ((3, 0),))],
@@ -153,10 +168,10 @@ KNOWN_LAYOUT = RegisterLayout([("C", 2), ("D", 2), ("z", 1)])
      roty(0.3, 1, ((2, 1),)), roty(0.5, 1, ((3, 1),)), roty(0.6, 1, ((4, 0),)), h(0, ((4, 1),))],
     # gates controlled on the untouched flag: polarity 1 is skipped, 0 runs on the slice
     [h(0), h(1), roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),)), h(2, ((4, 0), (3, 1)))],
-    # a keyed XOR after them: the skipped ry wrote qubit 3, so the top is 4 and it gathers
+    # a keyed XOR after them: the skipped ry wrote qubit 3, so the top is 4, its span's top
     [h(0), roty(0.7, 3, ((4, 1),)), roty(0.9, 1, ((4, 0),)), RegisterXor("C", "D", [2, 3, 1, 0]),
      roty(0.5, 4, ((3, 1),))],
-], ids=["flag-controls", "swap-known-free", "xor-gather", "xor-forgets-target", "x-rules",
+], ids=["flag-controls", "swap-known-free", "xor-span-below-top", "xor-forgets-target", "x-rules",
         "untouched-flag-controls", "xor-after-untouched-flag"])
 def test_known_values_give_the_dense_bytes(ops, dtype):
     tracked, dense = both_ways(Circuit(KNOWN_LAYOUT, ops), dtype)
@@ -333,8 +348,8 @@ def test_from_zero_refuses_a_state_that_is_not_zero():
 
 
 def test_ising_u_from_zero_holds_only_prefix_sized_scratch():
-    # the 4x4 direct U covers 21 qubits with C and D alone: the gather held a
-    # 32 MiB span block and a 16 MiB index, 64 MiB at peak above the buffer
+    # the 4x4 direct U covers 21 qubits with C and D alone: a dense XOR holds a
+    # 32 MiB copy of that span and a 16 MiB index above the buffer
     circuit = ising_synthesis(4, 4, "direct", False)
     assert circuit.layout.total_qubits == 21
     tracemalloc.start()

@@ -33,8 +33,12 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         IsingLattice(2, 2, -0.3)
     for beta_j in (math.inf, 400.0):  # gamma = exp(2 beta_j) would overflow
-        with pytest.raises(ValueError, match="beta_j"):
+        with pytest.raises(ValueError, match="beta_j must be at most"):
             IsingLattice(2, 2, beta_j)
+    for beta_j in (1e-300, 2.0 ** -54):  # gamma = exp(2 beta_j) would not exceed 1
+        with pytest.raises(ValueError, match="beta_j must be above"):
+            IsingLattice(2, 2, beta_j)
+    IsingLattice(2, 2, 2.0 ** -53)  # exp(2**-52) rounds up to 1 + 2**-52
 
 
 def test_pair_list_counts_right_and_down_for_every_site():
