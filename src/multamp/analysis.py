@@ -4,6 +4,9 @@ Everything here is computed without the simulator: exact post-selected
 norms from the exponent table, a brute-force Boltzmann reference for
 small lattices, and goodness-of-fit tests (Pearson chi-square with
 small-bin pooling, plus total variation distance) for sampled counts.
+The chi-square p-value is the closed-form upper tail for integer degrees
+of freedom (Abramowitz and Stegun 26.4.4-5), so the module needs only
+numpy and the standard library.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
 
 from .transduce import check_gamma, phi_product
 
@@ -72,7 +74,7 @@ def boltzmann_reference(lattice) -> BoltzmannReference:
 
     mag = 2 * np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64) - n
     msupport = np.arange(-n, n + 1, 2, dtype=np.int64)
-    pmag = np.array([float(probs[mag == m].sum()) for m in msupport])
+    pmag = np.bincount((mag + n) // 2, weights=probs, minlength=n + 1)
 
     return BoltzmannReference(
         beta_j=float(lattice.beta_j),
@@ -142,8 +144,34 @@ def distribution_tests(observed, probabilities) -> DistributionTests:
     pooled_exp = np.array(pooled_exp)
     stat = float(np.sum((pooled_obs - pooled_exp) ** 2 / pooled_exp))
     dof = len(pooled_obs) - 1
-    p = float(stats.chi2.sf(stat, dof)) if dof >= 1 else 1.0
+    p = _chi2_sf(stat, dof) if dof >= 1 else 1.0
     return DistributionTests(stat, max(dof, 1), p, _tvd(obs, probs, total), len(pooled_obs))
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square distributed with integer ``dof`` >= 1.
+
+    With h = x / 2 the tail is e^-h sum_{j < dof/2} h^j / j! for even dof,
+    and erfc(sqrt h) + e^-h sum_{j=1}^{(dof-1)/2} h^(j-1/2) / Gamma(j+1/2)
+    for odd dof.  Each term is the one before times h / k.
+    """
+    h = x / 2.0
+    if dof % 2:
+        # erfc magnifies the rounding of sqrt(h) by 2h: correct it to first
+        # order with r = h - z*z, exact by Dekker's split of z
+        z = math.sqrt(h)
+        hi = 134217729.0 * z - (134217729.0 * z - z)
+        lo = z - hi
+        r = ((h - hi * hi) - 2.0 * hi * lo) - lo * lo
+        e = math.exp(-h) / math.sqrt(math.pi)
+        total, term, k = math.erfc(z) - (e * r / z if z else 0.0), 2.0 * e * z, 1.5
+    else:
+        total, term, k = 0.0, math.exp(-h), 1.0
+    for _ in range(dof // 2):
+        total += term
+        term *= h / k
+        k += 1.0
+    return total
 
 
 def _tvd(obs: np.ndarray, probs: np.ndarray, total: float) -> float:

@@ -114,14 +114,18 @@ def compare_norms(alphas, d: int, gamma: float | None = None,
     range on [cutoff_eps, 1] without overflow.
     """
     alphas = check_alphas(alphas)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if not 1 <= d <= 63:
+        raise ValueError(f"d must be in 1..63 (the exponents are int64), got {d}")
     n = num_index_qubits(alphas.shape[0])
     num = alphas.shape[0]
     if cutoff_eps is None:
         cutoff_eps = 2.0 ** -d
+    elif not 0.0 < cutoff_eps < 1.0:  # NaN fails too
+        raise ValueError(f"cutoff_eps must be in (0, 1), got {cutoff_eps}")
     if gamma is None:
         gamma = math.exp(-math.log(cutoff_eps) / ((1 << d) - 1))
+        if gamma == 1.0:
+            raise ValueError(f"the default gamma rounds to 1 at d={d}; use a smaller d or --gamma")
 
     table = build_lambda_table(alphas, gamma, d, cutoff_eps)
     norms = analysis.exact_norms(table.lambdas, gamma, d)

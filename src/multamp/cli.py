@@ -221,9 +221,11 @@ def _kept_draws(state, diag, keep: str, shots: int, seed: int):
 
 
 def _check_sampling(args) -> None:
-    """Refuse a --shots below 1 or a negative --seed, before any synthesis."""
+    """Refuse a --shots outside 1..2**63 - 1 or a negative --seed, before any synthesis."""
     if args.shots < 1:
         raise ConfigError(f"--shots must be >= 1, got {args.shots}")
+    if args.shots > 2**63 - 1:
+        raise ConfigError(f"--shots must be at most 2**63 - 1, got {args.shots}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 

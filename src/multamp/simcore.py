@@ -601,10 +601,10 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     unnormalized one raises.
 
     Pass 1 sums |a|^2 over each block of ``_SAMPLE_BLOCK`` amplitudes, and
-    one multinomial over those masses splits the shots among the blocks.
-    Pass 2 computes |a|^2 again in each block that holds draws and draws
-    them there (``_block_draws``): the law of drawing each shot from the
-    whole of it.
+    one multinomial over those masses splits the shots among the blocks;
+    over a single block it draws no random number.  Pass 2 computes |a|^2
+    again in each block that holds draws and draws them there
+    (``_block_draws``): the law of drawing each shot from the whole of it.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -618,12 +618,10 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     elif not total > 1e-300:
         raise ValueError(f"cannot sample the zero-probability slice {dict(conditions)}")
     rng = np.random.default_rng(seed)
-    per_block = rng.multinomial(shots, masses / total) if len(blocks) > 1 else [shots]
+    per_block = rng.multinomial(shots, masses / total)
     counts = {}
     for b in np.flatnonzero(per_block).tolist():
-        if len(blocks) > 1:  # one block keeps its weights from pass 1
-            _block_weights(blocks[b], p)
-        hit, num = _block_draws(p, int(per_block[b]), rng)
+        hit, num = _block_draws(_block_weights(blocks[b], p), int(per_block[b]), rng)
         hit += b * p.size
         counts.update(zip(hit.tolist(), num.tolist()))
     return counts

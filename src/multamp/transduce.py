@@ -148,8 +148,8 @@ def build_lambda_table(alphas, gamma: float, d: int, cutoff_eps: float) -> Ampli
     if alphas.ndim != 1 or alphas.shape[0] < 1:
         raise ValueError("alphas must be a non-empty 1-D array")
     check_gamma(gamma)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if not 1 <= d <= 63:
+        raise ValueError(f"d must be in 1..63 (the exponents are int64), got {d}")
     if not 0.0 < cutoff_eps < 1.0:
         raise ValueError("cutoff_eps must be in (0, 1)")
 

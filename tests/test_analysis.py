@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from multamp.analysis import (
+    _chi2_sf,
     boltzmann_reference,
     distribution_tests,
     exact_norms,
@@ -147,6 +149,23 @@ def test_chi2_rejects_a_wrong_distribution():
     draw = rng.multinomial(4000, [0.4, 0.3, 0.2, 0.1])
     result = distribution_tests(draw, probs)
     assert result.p_value < 1e-6
+
+
+def test_chi2_tail_matches_scipy():
+    # scipy.stats.chi2.sf carries its own rounding: against mpmath at 30
+    # digits it is up to 1.2e-13 off the exact tail near x = 1400, where
+    # _chi2_sf stays within 2e-15; hence the bound grows as x * 2**-53 past x = 900
+    xs = np.unique(np.concatenate([np.linspace(0.0, 1400.0, 2801),
+                                   np.geomspace(1e-9, 1400.0, 1401)]))
+    tol = np.maximum(1e-13, xs * 2.0 ** -53)
+    for dof in range(1, 81):
+        want = stats.chi2.sf(xs, dof)
+        got = np.array([_chi2_sf(x, dof) for x in xs.tolist()])
+        live = want > 1e-300
+        assert np.all(np.abs(got - want)[live] <= tol[live] * want[live]), dof
+        assert _chi2_sf(0.0, dof) == 1.0
+    for x in xs.tolist():
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
 
 
 def test_tvd_limits():

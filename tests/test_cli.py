@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from scipy import stats
@@ -212,13 +215,13 @@ GOLDEN_SIGMA_FIT = {
     ("2", "controlled", "postselect"):
         (3.2180149289307116, 2, 0.20008610812495312, 0.010646159699631008),
     ("2", "controlled", "conditional"):
-        (0.3128093106112221, 2, 0.8552130538430849, 0.0039088840631893405),
+        (0.3128093106112221, 2, 0.855213053843085, 0.0039088840631893405),
     ("3", "direct", "postselect"):
-        (2.0455062063989953, 5, 0.8428132395510216, 0.01010124588477584),
+        (2.0455062063989953, 5, 0.8428132395510215, 0.01010124588477584),
     ("3", "direct", "conditional"):
-        (11.383537763196973, 5, 0.04428407743790302, 0.020677991755211872),
+        (11.383537763196973, 5, 0.044284077437902934, 0.020677991755211872),
     ("3", "controlled", "postselect"):
-        (5.1279388401776, 5, 0.4004668803901869, 0.015058297232398338),
+        (5.1279388401776, 5, 0.4004668803901876, 0.015058297232398338),
     ("3", "controlled", "conditional"):
         (2.9172314382300097, 5, 0.712744657980487, 0.01160098247181815),
 }
@@ -302,6 +305,22 @@ def test_sample_single_precision_tracks_double(size, tmp_path, capsys):
     assert abs(postamp[True] - postamp[False]) < COMPLEX64_POSTAMP_TOL
 
 
+def test_sample_and_table1_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    import multamp
+
+    src = os.path.dirname(os.path.dirname(multamp.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    prelude = ("import sys; sys.modules['scipy'] = None; from multamp.cli import main; "
+               "sys.exit(main(sys.argv[1:]))")
+    for argv in (["sample", *LATTICE, "--shots", "4096", "--out", str(tmp_path)],
+                 ["table1", "--sizes", "2"]):
+        done = subprocess.run([sys.executable, "-c", prelude, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads((tmp_path / "run.json").read_text())["sigma_fit"]["dof"] >= 1
+
+
 def test_table1_single_precision_rows_pass(capsys):
     code, out, err = run(["table1", "--sizes", "2,3", "--shots", "20000",
                           "--single-precision"], capsys)
@@ -309,13 +328,17 @@ def test_table1_single_precision_rows_pass(capsys):
     assert out.count("[ok]") == 4
 
 
-@pytest.mark.parametrize("flag,value", [("--shots", "0"), ("--shots", "-3"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag,value", [("--shots", "0"), ("--shots", "-3"), ("--seed", "-1"),
+                                        ("--shots", str(2**63)), ("--shots", str(10**20))])
 @pytest.mark.parametrize("command", [["sample", *LATTICE], ["table1", "--sizes", "2"]],
                          ids=["sample", "table1"])
 def test_sample_rejects_bad_shots(command, flag, value, capsys):
+    # numpy's binomial and multinomial draw int64 counts, so 2**63 - 1 is the most shots
     code, out, err = run([*command, flag, value], capsys)
     assert code == EXIT_CONFIG
-    assert err == f"error: {flag} must be >= {0 if flag == '--seed' else 1}, got {value}\n"
+    bound = ("at most 2**63 - 1" if int(value) > 0 else
+             f">= {0 if flag == '--seed' else 1}")
+    assert err == f"error: {flag} must be {bound}, got {value}\n"
     assert out == ""  # refused before any synthesis
 
 
@@ -543,3 +566,20 @@ def test_baselines_from_csv_table(tmp_path, capsys):
         code, out, err = run(["baselines", "--table", str(table), "--d", "4", "--gamma", gamma], capsys)
         assert code == EXIT_CONFIG
         assert "gamma" in err and "norm=" not in out
+
+
+@pytest.mark.parametrize("args,names", [
+    (["--d", "64", "--gamma", "2"], "d must be in 1..63"),
+    (["--d", "0"], "d must be in 1..63"),
+    (["--d", "4", "--eps", "0"], "cutoff_eps must be in (0, 1)"),
+    (["--d", "4", "--eps", "-1"], "cutoff_eps must be in (0, 1)"),
+    (["--d", "4", "--eps", "1.5"], "cutoff_eps must be in (0, 1)"),
+    (["--d", "59"], "rounds to 1 at d=59; use a smaller d or --gamma"),
+], ids=["d64", "d0", "eps0", "eps-1", "eps1.5", "d59"])
+def test_baselines_names_a_bad_argument(args, names, tmp_path, capsys):
+    table = tmp_path / "alphas.csv"
+    table.write_text("0,0.9\n1,0.5\n2,0.25\n3,0.1\n")
+    code, out, err = run(["baselines", "--table", str(table), *args], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and names in err and "Traceback" not in err
+    assert "norm=" not in out
