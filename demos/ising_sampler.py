@@ -6,6 +6,8 @@ Writes histogram CSVs into demo_out/.
 
 import os
 
+import numpy as np
+
 from multamp import IsingLattice, boltzmann_reference, synthesize_boltzmann
 from multamp.analysis import (
     distribution_tests,
@@ -14,7 +16,7 @@ from multamp.analysis import (
     sigma_histogram_rows,
     write_csv,
 )
-from multamp.simcore import filter_counts, sample
+from multamp.simcore import sample
 
 SHOTS = 1 << 17
 lattice = IsingLattice(3, 3, beta_j=0.1)
@@ -25,13 +27,15 @@ print(f"{lattice.rows}x{lattice.cols} lattice at beta*J = {lattice.beta_j}: "
 print(f"u**2 = {diag.u_sq:.4f}; after nu = {diag.nu} amplification rounds the "
       f"post-selection probability is {diag.measured_postamp:.4f}")
 
-counts = sample(state, SHOTS, seed=11)
-kept = filter_counts(counts, state.layout, {diag.target_register: 0})
-kept_shots = sum(kept.values())
+# Binomial(SHOTS, P) of SHOTS whole-state shots would read the target register at 0:
+# draw that many, from that slice alone
+rng = np.random.default_rng(11)
+kept_shots = int(rng.binomial(SHOTS, diag.measured_postamp))
+kept = sample(state, kept_shots, rng, {diag.target_register: 0})
 print(f"kept {kept_shots}/{SHOTS} shots ({kept_shots / SHOTS:.1%})")
 
 reference = boltzmann_reference(lattice)
-sigma_counts, mag_counts = histograms(kept, state.layout, reference)
+sigma_counts, mag_counts = histograms(kept, state.layout.without([diag.target_register]), reference)
 
 print(f"\n{'Sigma':>6} {'observed/state':>15} {'theory/state':>13}")
 rows = sigma_histogram_rows(sigma_counts, reference, kept_shots)

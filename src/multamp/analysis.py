@@ -94,7 +94,7 @@ def boltzmann_reference(lattice) -> BoltzmannReference:
 class DistributionTests:
     chi2_stat: float
     dof: int
-    p_value: float
+    p_value: float | None
     tvd: float
     pooled_bins: int
 
@@ -106,7 +106,7 @@ def distribution_tests(observed, probabilities) -> DistributionTests:
     support (e.g. a reference's ``sigma_support``) and the probabilities
     sum to 1.  A count in a zero-probability bin makes the test fail hard.
     Bins with expected count below CHI2_MIN_EXPECTED are pooled with their
-    successors.
+    successors; ``dof`` is the pooled bins less one, and at 0 ``p_value`` is None.
     """
     obs = np.asarray(observed, dtype=float)
     probs = np.asarray(probabilities, dtype=float)
@@ -119,7 +119,7 @@ def distribution_tests(observed, probabilities) -> DistributionTests:
     if not abs(probs.sum() - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError("reference probabilities must sum to 1")
     if np.any((probs == 0.0) & (obs > 0)):
-        return DistributionTests(math.inf, max(len(obs) - 1, 1), 0.0,
+        return DistributionTests(math.inf, len(obs) - 1, 0.0,
                                  _tvd(obs, probs, total), len(obs))
     exp = probs * total
 
@@ -144,8 +144,8 @@ def distribution_tests(observed, probabilities) -> DistributionTests:
     pooled_exp = np.array(pooled_exp)
     stat = float(np.sum((pooled_obs - pooled_exp) ** 2 / pooled_exp))
     dof = len(pooled_obs) - 1
-    p = _chi2_sf(stat, dof) if dof >= 1 else 1.0
-    return DistributionTests(stat, max(dof, 1), p, _tvd(obs, probs, total), len(pooled_obs))
+    p = _chi2_sf(stat, dof) if dof else None
+    return DistributionTests(stat, dof, p, _tvd(obs, probs, total), len(pooled_obs))
 
 
 def _chi2_sf(x: float, dof: int) -> float:

@@ -259,7 +259,8 @@ def cmd_sample(args) -> int:
     eff_note = "n/a (conditional)" if efficiency is None else f"{efficiency:.6f}"
     print(f"kept {kept}/{args.shots} shots; efficiency = {eff_note}")
     if fit:
-        print(f"sigma fit: chi2 p = {fit['p_value']:.4f}, tvd = {fit['tvd']:.4f}")
+        p_note = "n/a (one pooled bin: no chi2 test)" if fit["p_value"] is None else f"{fit['p_value']:.4f}"
+        print(f"sigma fit: chi2 p = {p_note}, tvd = {fit['tvd']:.4f}")
 
     outdir = _outdir(args)
     if outdir:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis
 from .amplify import AmplificationSpec, postselect_probability, predicted_postamp, run_amplified, select_nu
-# apply_circuit is unused here; bench/spans.py patches and restores it in every module holding it
+# apply_circuit is unused here; bench/test_bench.py asserts that tracing restores ising.apply_circuit
 from .simcore import Circuit, RegisterLayout, StateVector, apply_circuit, h, phase, swap, x  # noqa: F401
 from .transduce import (
     KEPT_REGISTER,

@@ -35,14 +35,16 @@ reflection and amplification scale it in place; nothing copies it.
 positions, running sum and draws (``_SAMPLE_BLOCK`` amplitudes, fewer
 than four draws per entry) and the returned counts (``sample_overhead``).
 
-A StateVector owns its buffer; the concurrency contract is one writer per
-state, and callers must not alias buffers across states.
+An instruction checks what depends on it alone once, when it is built;
+applying it checks only what needs the state.  A StateVector owns its
+buffer; the concurrency contract is one writer per state, and callers must
+not alias buffers across states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress, product
 from typing import Iterable, Mapping
 
@@ -213,8 +215,10 @@ class Gate:
     """One primitive gate: kind in {h, x, z, ry, phase, swap}.
 
     ``controls`` is a tuple of (qubit, polarity) pairs; polarity 1 fires on
-    |1>, polarity 0 on |0>.  ``target2`` is used by swap only.  ``angle``
-    is the full rotation angle theta of RotY(theta) / Phase(theta).
+    |1>, polarity 0 on |0>.  ``angle`` is the full rotation angle theta of
+    RotY(theta) / Phase(theta).  Building a gate (``inverse`` and
+    ``dataclasses.replace`` too) checks the kind, that a swap and only a swap
+    has a ``target2``, the polarities, and that the qubits are distinct and >= 0.
     """
 
     kind: str
@@ -222,6 +226,13 @@ class Gate:
     angle: float = 0.0
     target2: int | None = None
     controls: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in GATE_KINDS or (self.kind == "swap") != (self.target2 is not None):
+            raise ValueError(f"kind must be one of {GATE_KINDS}, and only a swap has a target2: {self}")
+        used = self.qubits
+        if any(p not in (0, 1) for _, p in self.controls) or min(used) < 0 or len(set(used)) != len(used):
+            raise ValueError(f"control polarities must be 0 or 1, and qubits distinct and >= 0: {self}")
 
     @property
     def targets(self) -> tuple:
@@ -233,10 +244,8 @@ class Gate:
         """Every qubit the gate reads or writes: target, target2, then the controls."""
         return self.targets + tuple(q for q, _ in self.controls)
 
-    def inverse(self) -> "Gate":
-        if self.kind in ("ry", "phase"):
-            return Gate(self.kind, self.target, -self.angle, self.target2, self.controls)
-        return self  # h, x, z, swap are self-inverse
+    def inverse(self) -> "Gate":  # h, x, z and swap are self-inverse
+        return replace(self, angle=-self.angle) if self.kind in ("ry", "phase") else self
 
 
 def h(target, controls=()) -> Gate:
@@ -270,15 +279,22 @@ class RegisterXor:
 
     Exactly unitary (a permutation of basis states) and its own inverse,
     since XOR-ing the same value twice cancels.  ``values`` maps every key
-    register value to the integer XOR-ed into the target register.
+    register value to the integer XOR-ed into the target register.  Building
+    one refuses a self-keyed XOR, which is no permutation, and values other
+    than integers >= 0; each ``apply`` runs ``validate`` on their count and range.
     """
 
     def __init__(self, key_register: str, target_register: str, values):
+        if key_register == target_register:
+            raise ValueError(f"register {key_register!r} cannot key an XOR into itself")
+        values = np.asarray(values)
+        if values.ndim != 1 or not np.issubdtype(values.dtype, np.integer):
+            raise ValueError("values must be a flat integer array")
         self.key_register = key_register
         self.target_register = target_register
-        self.values = np.asarray(values, dtype=np.int64)
-        if self.values.ndim != 1:
-            raise ValueError("values must be a flat integer array")
+        self.values = values.astype(np.int64, copy=False)
+        if np.any(self.values < 0):
+            raise ValueError("XOR values must be non-negative")
 
     def validate(self, layout: RegisterLayout):
         kw = layout.width(self.key_register)
@@ -287,7 +303,7 @@ class RegisterXor:
             raise ValueError(
                 f"need one value per key-register state: expected {1 << kw}, got {self.values.shape[0]}"
             )
-        if self.values.min() < 0 or self.values.max() >= (1 << tw):
+        if self.values.max() >= (1 << tw):
             raise ValueError(f"XOR values do not fit in register {self.target_register!r}")
 
     def spans(self, layout: RegisterLayout) -> tuple[range, range]:
@@ -352,28 +368,11 @@ class Circuit:
         return iter(self.gates)
 
 
-def _check_qubits(n: int, gate: Gate):
-    if gate.kind == "swap" and gate.target2 is None:
-        raise ValueError("swap needs a second target")
-    if gate.kind != "swap" and gate.target2 is not None:
-        raise ValueError(f"{gate.kind} takes a single target")
-    used = list(gate.targets)
-    for q, pol in gate.controls:
-        if pol not in (0, 1):
-            raise ValueError(f"control polarity must be 0 or 1, got {pol}")
-        used.append(q)
-    for q in used:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n}-qubit state")
-    if len(set(used)) != len(used):
-        raise ValueError(f"gate touches a qubit twice: {gate}")
-
-
 def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) -> StateVector:
     """Apply one gate in place and return the same state.
 
-    ``validate=True`` additionally checks that the input state is
-    normalized; circuit application does this once up front instead.
+    The gate's wiring was checked when it was built; a call checks its qubits
+    and ``zeros`` against the qubit count and, if ``validate``, the input norm.
     ``zeros``: qubits that read 0 on every non-zero amplitude.  Their axes
     are indexed at 0 like controls, so only that slice is computed, and a
     control on 1 of one leaves the state as it is.  A target among them is
@@ -387,9 +386,8 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
     """
     n = state.num_qubits
     kind = gate.kind
-    if kind not in GATE_KINDS:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    _check_qubits(n, gate)
+    if max(gate.qubits) >= n:
+        raise ValueError(f"{gate} reaches past the {n}-qubit state")
     if validate:
         _require_normalized(state.norm(), state.amplitudes.dtype, "input state is not normalized")
 

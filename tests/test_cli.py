@@ -180,6 +180,16 @@ def test_sample_json_format(tmp_path, capsys):
     assert [row["sigma"] for row in rows] == [0, 4, 8]
 
 
+def test_sample_with_one_pooled_bin_reports_no_chi2_test(tmp_path, capsys):
+    # 9 kept shots pool into one sigma bin: no degrees of freedom, so no p-value
+    code, out, _ = run(["sample", *LATTICE, "--shots", "10", "--seed", "3",
+                        "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    fit = json.loads((tmp_path / "run.json").read_text())["sigma_fit"]
+    assert (fit["dof"], fit["p_value"]) == (0, None)
+    assert "no chi2 test" in out
+
+
 def test_sample_reruns_are_byte_identical(tmp_path, capsys):
     first = tmp_path / "first"
     second = tmp_path / "second"

@@ -1,5 +1,6 @@
 """Statevector engine vs dense-matrix oracles."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -246,6 +247,17 @@ def test_register_xor_validates_value_range():
         RegisterXor("C", "D", [0, 1, 2]).validate(layout)  # wrong key count
 
 
+@pytest.mark.parametrize("key,values", [
+    ("D", [1, 0]),        # keyed on its own target: no permutation
+    ("C", [0.7, 1.9]),    # not integers
+    ("C", [0, -1]),       # negative
+    ("C", [[0, 1]]),      # not flat
+], ids=["self-keyed", "floats", "negative", "not-flat"])
+def test_register_xor_refuses_a_malformed_permutation_when_built(key, values):
+    with pytest.raises(ValueError):
+        RegisterXor(key, "D", values)
+
+
 # --- norm preservation and inversion -------------------------------------
 
 def test_norm_preserved_over_ten_thousand_gates():
@@ -297,6 +309,33 @@ def test_gate_validation_rejects_bad_wiring():
         apply_gate(state, simcore.Gate(kind="x", target=0, target2=1))
     with pytest.raises(ValueError):
         apply_gate(state, x(0, controls=((1, 1), (1, 0))))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: x(0, controls=((1, 2),)),                # polarity 2
+    lambda: x(0, controls=((0, 1),)),                # a control on the target
+    lambda: swap(1, 1),
+    lambda: simcore.Gate(kind="x", target=0, target2=1),
+    lambda: simcore.Gate(kind="swap", target=0),
+    lambda: x(0, controls=((1, 1), (1, 0))),         # one qubit twice among the controls
+    lambda: x(-1),
+    lambda: roty(0.3, 0, controls=((-2, 1),)),
+    lambda: simcore.Gate(kind="y", target=0),
+    lambda: dataclasses.replace(x(0), target2=1),
+], ids=["polarity-2", "control-on-target", "swap-1-1", "x-with-target2", "swap-without-target2",
+        "control-twice", "negative-target", "negative-control", "unknown-kind", "replace-adds-target2"])
+def test_a_malformed_gate_raises_when_built(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_apply_gate_checks_the_qubit_count():
+    state = StateVector.zero_state(RegisterLayout([("R", 3)]))
+    for gate in (x(3), swap(0, 3), x(0, controls=((5, 1),))):
+        with pytest.raises(ValueError):
+            apply_gate(state, gate)
+    with pytest.raises(ValueError):
+        apply_gate(state, x(0), zeros=(3,))
 
 
 def test_apply_circuit_requires_matching_layout():
