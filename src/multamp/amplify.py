@@ -18,11 +18,12 @@ an X-wrapped one for I_s) live with the test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Mapping
 
 import numpy as np
 
-from .simcore import _SAMPLE_BLOCK, Circuit, StateVector, _blocks, apply_circuit, register_selector
+from .simcore import _SAMPLE_BLOCK, Circuit, StateVector, apply_circuit, register_selector
 
 NU_RULES = ("paper", "optimal")
 
@@ -92,22 +93,38 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
     """Prepare U Q^nu |0> from scratch; returns (state, pre-amp u**2).
 
     Applies U once and scales the target slice of U|0> and the rest by
-    their closed-form factors, in place: only the slice is copied.  The
-    rest is scaled one ``_blocks`` block of 2**16 amplitudes at a time; a
-    block that holds only zeros is left as it is, so the pages U never
-    wrote stay unwritten (and a zero keeps its sign).
+    their closed-form factors, in place, one block of 2**16 amplitudes (the
+    ``(2,)*n`` view indexed on its leading qubits) at a time.  A block that
+    holds only zeros is left as it is, so the pages U never wrote stay
+    unwritten (and a zero keeps its sign).  A block whose leading qubits
+    contradict the target is scaled by the rest's factor.  Of any other,
+    the slice's part is copied out scaled, the block scaled, and the copy
+    written back: the one temporary is at most a block.
     """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
     apply_circuit(state, spec.synthesis, validate=False, from_zero=True)
     u_sq = postselect_probability(state, spec.target)
     if spec.nu:
         inside, outside = _amplification_factors(u_sq, spec.nu)
-        view = state.select(spec.target)
-        block = view * inside
-        for part in _blocks(state.amplitudes, _SAMPLE_BLOCK):
-            if part.any():
+        n = state.num_qubits
+        k = max(n - _SAMPLE_BLOCK.bit_length() + 1, 0)  # the leading axes that pick a block
+        sel = register_selector(state.layout, spec.target)
+        within = sel[k:] + (Ellipsis,)  # the slice's part of a block whose leading qubits match
+        scaled = None  # that part times inside: the same shape in every block
+        psi = state.amplitudes.reshape((2,) * n)
+        for lead in product((0, 1), repeat=k):
+            part = psi[lead]  # psi itself when k == 0
+            if not part.any():
+                continue
+            if any(not isinstance(s, slice) and s != b for s, b in zip(sel, lead)):
                 part *= outside
-        view[...] = block
+                continue
+            view = part[within]
+            if scaled is None:
+                scaled = np.empty(view.shape, view.dtype)
+            np.multiply(view, inside, out=scaled)
+            part *= outside
+            view[...] = scaled
     return state, u_sq
 
 

@@ -10,7 +10,10 @@ the slice's halves in pieces of at most ``2**_PIECE_QUBITS`` amplitudes, with
 complex128 whatever the state size (Häner and Steiger, arXiv:1704.01127).
 ``RegisterXor`` scatters the live prefix of each block of ``2**hi`` amplitudes
 (``hi``: top of its span).  ``_blocks`` cuts the pieces and the blocks of
-``norm``, ``sample`` and ``run_amplified``'s rescale.  No kernel runs in parallel.
+``norm`` and ``sample``; ``run_amplified``'s rescale walks the same blocks by
+their leading qubits.  ``norm`` and ``sample``'s block masses read each block
+once, in one fused sum of squares (``_block_mass``).
+No kernel runs in parallel.
 
 ``apply_circuit(..., from_zero=True)`` skips the amplitudes known to be 0.
 It keeps one record: the qubits no instruction has written yet, which
@@ -29,11 +32,14 @@ Post-selection goes through one slice: ``StateVector.select`` is the
 writable view of the basis states whose registers read given values,
 indexed by ``register_selector``.  ``sample`` draws from it,
 ``amplify.postselect_probability`` sums its weight, and ``amplify``'s
-reflection and amplification scale it in place; nothing copies it.
+reflection and amplification scale it in place; none copies more than
+one block of it.
 
 ``sample`` holds no state-sized array: one block's |a|^2, non-zero mask,
 positions, running sum and draws (``_SAMPLE_BLOCK`` amplitudes, fewer
 than four draws per entry) and the returned counts (``sample_overhead``).
+A block's mass copies it only if it is complex64 or strided, to one
+contiguous complex128 block.
 
 An instruction checks what depends on it alone once, when it is built;
 applying it checks only what needs the state.  A StateVector owns its
@@ -52,7 +58,7 @@ import numpy as np
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _PIECE_QUBITS = 14  # half-slice piece of 2**14 amplitudes: four such arrays fill 1 MiB of L2
-_SAMPLE_BLOCK = 1 << 16  # amplitudes per block of norm, sample and the rescale: 1 MiB of complex128
+_SAMPLE_BLOCK = 1 << 16  # amplitudes per block of norm, sample and the rescale: 1 MiB, the most each copies
 
 
 def _blocks(a: np.ndarray, size: int):
@@ -63,6 +69,18 @@ def _blocks(a: np.ndarray, size: int):
     if a.ndim == 1:
         a = a.reshape((2,) * (a.size.bit_length() - 1))
     return [a[i] for i in product((0, 1), repeat=a.ndim - size.bit_length() + 1)]
+
+
+def _block_mass(block: np.ndarray) -> float:
+    """Sum of |a|^2 over ``block``, in float64: one pass over its re and im parts.
+
+    A complex64 or strided block is copied to contiguous complex128 first;
+    that copy is the one temporary.  ``einsum`` sums in numpy's own loop: a
+    BLAS dot (``vdot``, ``dot``) may split the sum across threads, and with
+    them its rounding.
+    """
+    f = np.ascontiguousarray(block, dtype=np.complex128).reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", f, f))
 
 
 def _require_normalized(value: float, dtype, message: str) -> None:
@@ -189,12 +207,8 @@ class StateVector:
         return cls(layout, amps)
 
     def norm(self) -> float:
-        # accumulate in float64 whatever the buffer dtype, one block at a time
-        total = 0.0
-        for block in _blocks(self.amplitudes, _SAMPLE_BLOCK):
-            block = block.astype(np.complex128, copy=False)
-            total += np.vdot(block, block).real
-        return math.sqrt(total)
+        """sqrt of the sum of |a|^2, in float64 whatever the dtype, one block's mass at a time."""
+        return math.sqrt(sum(_block_mass(block) for block in _blocks(self.amplitudes, _SAMPLE_BLOCK)))
 
     def copy(self) -> "StateVector":
         return StateVector(self.layout, self.amplitudes.copy())
@@ -219,6 +233,10 @@ class Gate:
     RotY(theta) / Phase(theta).  Building a gate (``inverse`` and
     ``dataclasses.replace`` too) checks the kind, that a swap and only a swap
     has a ``target2``, the polarities, and that the qubits are distinct and >= 0.
+    It also sets, once, ``targets``: the qubits the gate writes, target then
+    target2; and ``qubits``: every qubit it reads or writes, the targets then
+    the controls.  Neither is a field, so equality, hashing, repr and
+    ``replace`` read the five fields alone.
     """
 
     kind: str
@@ -230,19 +248,12 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS or (self.kind == "swap") != (self.target2 is not None):
             raise ValueError(f"kind must be one of {GATE_KINDS}, and only a swap has a target2: {self}")
-        used = self.qubits
+        targets = (self.target,) if self.target2 is None else (self.target, self.target2)
+        used = targets + tuple(q for q, _ in self.controls)
         if any(p not in (0, 1) for _, p in self.controls) or min(used) < 0 or len(set(used)) != len(used):
             raise ValueError(f"control polarities must be 0 or 1, and qubits distinct and >= 0: {self}")
-
-    @property
-    def targets(self) -> tuple:
-        """The qubits the gate writes: target, then target2."""
-        return (self.target,) if self.target2 is None else (self.target, self.target2)
-
-    @property
-    def qubits(self) -> tuple:
-        """Every qubit the gate reads or writes: target, target2, then the controls."""
-        return self.targets + tuple(q for q, _ in self.controls)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "qubits", used)
 
     def inverse(self) -> "Gate":  # h, x, z and swap are self-inverse
         return replace(self, angle=-self.angle) if self.kind in ("ry", "phase") else self
@@ -319,6 +330,8 @@ class RegisterXor:
         the key/target span) onto itself.  In each block below 2**top the
         live prefix, its first 2**min(top, hi), is copied out and zeroed,
         and each copy is written to its destination, which the zeros left.
+        A prefix that is the whole block is not zeroed: the scatter writes
+        every position of it.
         """
         layout = state.layout
         self.validate(layout)
@@ -335,7 +348,8 @@ class RegisterXor:
         for block in state.amplitudes.reshape(-1, 1 << hi)[:1 << max(top - hi, 0)]:
             live = block[:1 << width]
             moved[...] = live
-            live[...] = 0
+            if width < hi:
+                live[...] = 0
             block[dest] = moved
         return state
 
@@ -598,18 +612,18 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     predicate (``None`` or empty) the whole state is drawn from, and an
     unnormalized one raises.
 
-    Pass 1 sums |a|^2 over each block of ``_SAMPLE_BLOCK`` amplitudes, and
-    one multinomial over those masses splits the shots among the blocks;
-    over a single block it draws no random number.  Pass 2 computes |a|^2
-    again in each block that holds draws and draws them there
-    (``_block_draws``): the law of drawing each shot from the whole of it.
+    Pass 1 takes each block of ``_SAMPLE_BLOCK`` amplitudes' mass in one
+    fused sum of squares (``_block_mass``), and one multinomial over those
+    masses splits the shots among the blocks; over a single block it draws
+    no random number.  Pass 2 computes |a|^2 in each block that holds draws
+    and draws them there (``_block_draws``): the law of drawing each shot
+    from the whole of it.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     view = state.select(conditions or {})
     blocks = _blocks(view, _SAMPLE_BLOCK)
-    p = np.empty(blocks[0].size)
-    masses = np.array([_block_weights(block, p).sum() for block in blocks])
+    masses = np.array([_block_mass(block) for block in blocks])
     total = masses.sum()
     if not conditions:  # the whole state: None or an empty predicate
         _require_normalized(total, view.dtype, "state is not normalized")
@@ -617,6 +631,7 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
         raise ValueError(f"cannot sample the zero-probability slice {dict(conditions)}")
     rng = np.random.default_rng(seed)
     per_block = rng.multinomial(shots, masses / total)
+    p = np.empty(blocks[0].size)
     counts = {}
     for b in np.flatnonzero(per_block).tolist():
         hit, num = _block_draws(_block_weights(blocks[b], p), int(per_block[b]), rng)

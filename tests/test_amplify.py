@@ -1,6 +1,7 @@
 """Amplitude amplification: rotation law, reflections, iterate counts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from multamp import ising, transduce
+from multamp import amplify, ising, transduce
 from multamp.amplify import (
     AmplificationSpec,
     _amplification_factors,
@@ -292,6 +293,57 @@ def test_the_rescale_leaves_empty_parts_alone():
     view[...] = block
     assert np.array_equal(state.amplitudes, whole.amplitudes)
     assert not state.amplitudes.reshape(-1, 1 << 16)[empty].view(np.uint64).any()  # +0.0 bits
+
+
+# blocks of 2**3 on 7 qubits: the block index is qubits 3-6, and qubit 4 stays 0,
+# so every block with it set is empty; "lo" lies inside a block, "mid" straddles
+# the boundary, and "hi" picks whole blocks; a numpy integer value fixes its qubits too
+@pytest.mark.parametrize("target", [{"lo": 1}, {"mid": 0b001}, {"hi": 0b10},
+                                    {"mid": np.int64(0b001)}, {"hi": np.int64(0b10)}])
+def test_the_blockwise_rescale_is_the_whole_buffer_formula(target, monkeypatch):
+    monkeypatch.setattr(amplify, "_SAMPLE_BLOCK", 1 << 3)
+    layout = RegisterLayout([("lo", 2), ("mid", 3), ("hi", 2)])
+    angles = np.random.default_rng(107).uniform(0.3, 2.8, 6)
+    gates = [roty(a, q) for a, q in zip(angles, (0, 1, 2, 3, 5))]
+    gates.append(roty(angles[5], 6, controls=((0, 1),)))
+    circ = Circuit(layout, gates)
+    spec = AmplificationSpec(circ, target, 2)
+    state, u_sq = run_amplified(spec)
+    whole = StateVector.zero_state(layout)
+    apply_circuit(whole, circ, validate=False, from_zero=True)
+    empty = ~whole.amplitudes.reshape(-1, 1 << 3).any(axis=1)
+    assert empty.sum() == 8
+    inside, outside = _amplification_factors(u_sq, spec.nu)
+    view = whole.select(target)
+    block = view * inside
+    whole.amplitudes *= outside
+    view[...] = block
+    whole.amplitudes.reshape(-1, 1 << 3)[empty] = 0  # the empty parts are left as U wrote them
+    assert state.amplitudes.tobytes() == whole.amplitudes.tobytes()
+
+
+def test_the_rescale_holds_one_block_beside_the_state(monkeypatch):
+    # 2**20 amplitudes (16 MiB); the slice t = 0 is every other amplitude, 8 MiB over 16 blocks
+    layout = RegisterLayout([("t", 1), ("R", 19)])
+    spec = AmplificationSpec(Circuit(layout, [h(q) for q in range(20)]), {"t": 0}, 1)
+    summed = amplify.postselect_probability
+    before = []
+
+    def then_reset_peak(state, conditions):  # measure from after u**2 is summed
+        u_sq = summed(state, conditions)
+        tracemalloc.reset_peak()
+        before.append(tracemalloc.get_traced_memory()[0])
+        return u_sq
+
+    monkeypatch.setattr(amplify, "postselect_probability", then_reset_peak)
+    tracemalloc.start()
+    try:
+        state, _ = run_amplified(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(postselect_probability(state, {"t": 0}) - predicted_postamp(math.sqrt(0.5), 1)) < 1e-12
+    assert peak - before[0] <= (1 << 20) + (64 << 10), peak - before[0]  # one block of complex128
 
 
 def test_closed_form_at_zero_iterates_and_past_the_peak():

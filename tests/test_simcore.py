@@ -646,6 +646,46 @@ def test_draws_at_the_total_join_a_non_zero_last_index(zeros, shots, dtype, monk
     assert list(got.items()) == list(oracles.reference_sample(state.amplitudes, shots, 0).items())
 
 
+def test_block_mass_of_signed_zeros_is_exactly_zero():
+    block = np.zeros(1 << 10, dtype=np.complex128)
+    block.real[::3] = -0.0
+    block.imag[1::2] = -0.0
+    assert simcore._block_mass(block) == 0.0
+
+
+def test_block_mass_accumulates_complex64_in_float64():
+    # 2**16 float32 squares summed in float32 lose ~1e-4 of the total; in float64 they keep ~1e-16
+    rng = np.random.default_rng(97)
+    block = (rng.uniform(0.5, 1.0, 1 << 16) + 1j * rng.uniform(0.5, 1.0, 1 << 16)).astype(np.complex64)
+    wide = block.astype(np.complex128)
+    want = math.fsum(np.concatenate([wide.real ** 2, wide.imag ** 2]))
+    float32_sum = float(np.cumsum((np.abs(block) ** 2).astype(np.float32))[-1])
+    assert abs(float32_sum - want) > 1e-6 * want  # the precision a float32 accumulator would lose
+    assert abs(simcore._block_mass(block) - want) <= 1e-13 * want
+
+
+def test_block_mass_reads_strided_and_0d_views():
+    state = random_state(RegisterLayout([("q", 1), ("R", 9)]), np.random.default_rng(101))
+    strided = state.select({"q": 0})  # every other amplitude
+    assert not strided.flags.c_contiguous
+    want = np.sum(np.abs(state.amplitudes[::2]) ** 2)
+    assert abs(simcore._block_mass(strided) - want) <= 1e-14
+    point = state.select({"q": 1, "R": 5})  # basis index 1 + (5 << 1)
+    assert point.ndim == 0
+    a = complex(state.amplitudes[11])
+    want = a.real ** 2 + a.imag ** 2
+    assert abs(simcore._block_mass(point) - want) <= 2 * np.finfo(np.float64).eps * want
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_block_mass_agrees_with_the_sum_of_abs_squared(dtype):
+    rng = np.random.default_rng(103)
+    for size in (1, 7, 1 << 10, 1 << 16):
+        block = (rng.standard_normal(size) + 1j * rng.standard_normal(size)).astype(dtype)
+        want = float(np.sum(np.abs(block.astype(np.complex128)) ** 2))
+        assert abs(simcore._block_mass(block) - want) <= 4 * size * np.finfo(np.float64).eps * want
+
+
 def test_sample_memory_stays_block_sized():
     # 16 MiB of complex128; the whole-buffer sampler peaked at 16.4 MiB above it
     state = random_state(RegisterLayout([("R", 20)]), np.random.default_rng(73))
