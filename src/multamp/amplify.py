@@ -18,12 +18,11 @@ an X-wrapped one for I_s) live with the test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import Mapping
 
 import numpy as np
 
-from .simcore import _SAMPLE_BLOCK, Circuit, StateVector, apply_circuit, register_selector
+from .simcore import Circuit, StateVector, apply_circuit, register_selector
 
 NU_RULES = ("paper", "optimal")
 
@@ -57,8 +56,8 @@ def phase_flip(state: StateVector, conditions: Mapping[str, int]) -> StateVector
 
 
 def postselect_probability(state: StateVector, conditions: Mapping[str, int]) -> float:
-    """Joint probability of reading the given values on the named registers."""
-    return float(np.sum(np.abs(state.select(conditions)) ** 2))
+    """Joint probability of reading the given values on the named registers (``StateVector.mass``)."""
+    return state.mass(conditions)
 
 
 def grover_iterate(state: StateVector, spec: AmplificationSpec) -> StateVector:
@@ -92,39 +91,15 @@ def _amplification_factors(u_sq: float, nu: int) -> tuple[float, float]:
 def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVector, float]:
     """Prepare U Q^nu |0> from scratch; returns (state, pre-amp u**2).
 
-    Applies U once and scales the target slice of U|0> and the rest by
-    their closed-form factors, in place, one block of 2**16 amplitudes (the
-    ``(2,)*n`` view indexed on its leading qubits) at a time.  A block that
-    holds only zeros is left as it is, so the pages U never wrote stay
-    unwritten (and a zero keeps its sign).  A block whose leading qubits
-    contradict the target is scaled by the rest's factor.  Of any other,
-    the slice's part is copied out scaled, the block scaled, and the copy
-    written back: the one temporary is at most a block.
+    Applies U once, reads u**2 off U|0> (``postselect_probability``), and
+    scales the target slice and the rest by their closed-form factors in
+    place (``StateVector.scale``, one block of 2**16 amplitudes at a time).
     """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
     apply_circuit(state, spec.synthesis, validate=False, from_zero=True)
     u_sq = postselect_probability(state, spec.target)
     if spec.nu:
-        inside, outside = _amplification_factors(u_sq, spec.nu)
-        n = state.num_qubits
-        k = max(n - _SAMPLE_BLOCK.bit_length() + 1, 0)  # the leading axes that pick a block
-        sel = register_selector(state.layout, spec.target)
-        within = sel[k:] + (Ellipsis,)  # the slice's part of a block whose leading qubits match
-        scaled = None  # that part times inside: the same shape in every block
-        psi = state.amplitudes.reshape((2,) * n)
-        for lead in product((0, 1), repeat=k):
-            part = psi[lead]  # psi itself when k == 0
-            if not part.any():
-                continue
-            if any(not isinstance(s, slice) and s != b for s, b in zip(sel, lead)):
-                part *= outside
-                continue
-            view = part[within]
-            if scaled is None:
-                scaled = np.empty(view.shape, view.dtype)
-            np.multiply(view, inside, out=scaled)
-            part *= outside
-            view[...] = scaled
+        state.scale(spec.target, *_amplification_factors(u_sq, spec.nu))
     return state, u_sq
 
 

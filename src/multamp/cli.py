@@ -30,7 +30,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from . import analysis, baselines, ising, transduce
+from . import amplify, analysis, baselines, ising, transduce
 from .simcore import sample, sample_overhead
 from .transduce import KEPT_REGISTER, OverflowLambdaError
 
@@ -172,9 +172,8 @@ def _dtype(args):
 
 
 def _state_layout(lattice, variant, d=None, enforce_zero=False):
-    """Layout of the simulated state (no idle ancilla), at the d it really gets."""
-    target = ising.BoltzmannTarget.from_lattice(lattice, d)
-    return transduce.standard_layout(1 << lattice.num_sites, target.d, variant, enforce_zero)
+    """Layout of the simulated state (no idle ancilla): that of the circuit the run builds."""
+    return ising.build_boltzmann_synthesis(lattice, variant, d, enforce_zero)[0].layout
 
 
 def _synthesize(args, shots=0):
@@ -316,7 +315,7 @@ def cmd_table1(args) -> int:
     lattices = {size: ising.IsingLattice(size, size, TABLE1_BETA_J) for size in sizes}
     rows = []
     failures = []
-    for variant in ("direct", "controlled"):
+    for variant in transduce.VARIANTS:
         for size, lattice in lattices.items():
             expect = TABLE1_EXPECTED[(variant, size)]
             try:
@@ -409,10 +408,10 @@ def _add_lattice(p):
     p.add_argument("--beta-j", type=float, help="dimensionless coupling beta*J")
     p.add_argument("--beta-rel-critical", type=float,
                    help="beta as a multiple of the critical 2.269/J")
-    p.add_argument("--variant", choices=("direct", "controlled"), default="direct")
+    p.add_argument("--variant", choices=transduce.VARIANTS, default="direct")
     p.add_argument("--d", type=int, help="exponent register width (default: minimal)")
     p.add_argument("--nu", type=int, help="amplification iterates (default: rule)")
-    p.add_argument("--nu-rule", choices=("paper", "optimal"), default="paper")
+    p.add_argument("--nu-rule", choices=amplify.NU_RULES, default="paper")
     p.add_argument("--enforce-zero", action="store_true",
                    help="exact-zero handling of saturated exponents (extra ancilla)")
     _add_budget(p)

@@ -213,8 +213,21 @@ class SynthesisDiagnostics:
 
 def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None = None,
                               enforce_zero: bool = False) -> tuple[Circuit, BoltzmannTarget, TransductionPlan]:
-    """H on C, Sigma/2 XORed into D (build_ising_L's action on D = 0), transduction."""
+    """H on C, Sigma/2 XORed into D (build_ising_L's action on D = 0), transduction.
+
+    ``enforce_zero``'s flag empties D = 2**d - 1, the saturation value, so
+    no exponent may take it: the default d is then the smallest with
+    max Sigma/2 < 2**d - 1 (one more than without the flag on 3x6 and 6x3,
+    where max Sigma/2 = 15), and an explicit d that leaves max Sigma/2 at
+    2**d - 1 raises OverflowLambdaError.
+    """
     target = BoltzmannTarget.from_lattice(lattice, d)
+    if enforce_zero and int(target.lambdas.max()) == (1 << target.d) - 1:
+        if d is not None:
+            raise OverflowLambdaError(
+                f"d={d}: max Sigma/2 = {(1 << d) - 1} is 2**d - 1, the saturation value the "
+                f"exact-zero flag reserves; need d >= {d + 1}")
+        target = BoltzmannTarget.from_lattice(lattice, target.d + 1)
     plan = make_plan(variant, target.gamma, target.d)
     return build_synthesis(target, plan, enforce_zero), target, plan
 

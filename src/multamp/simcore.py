@@ -9,10 +9,10 @@ the slice's halves in pieces of at most ``2**_PIECE_QUBITS`` amplitudes, with
 ``out=`` ufuncs into at most two piece-sized scratch arrays: 512 KiB for
 complex128 whatever the state size (Häner and Steiger, arXiv:1704.01127).
 ``RegisterXor`` scatters the live prefix of each block of ``2**hi`` amplitudes
-(``hi``: top of its span).  ``_blocks`` cuts the pieces and the blocks of
-``norm`` and ``sample``; ``run_amplified``'s rescale walks the same blocks by
-their leading qubits.  ``norm`` and ``sample``'s block masses read each block
-once, in one fused sum of squares (``_block_mass``).
+(``hi``: top of its span).  ``_blocks`` cuts the pieces, and the blocks of
+``StateVector.mass``, ``StateVector.scale`` and ``sample``.  ``mass`` and
+``sample``'s pass 1 read each block once, in one fused sum of squares
+(``_block_mass``), and sum the blocks' masses the same way.
 No kernel runs in parallel.
 
 ``apply_circuit(..., from_zero=True)`` skips the amplitudes known to be 0.
@@ -31,9 +31,9 @@ the whole-state path.
 Post-selection goes through one slice: ``StateVector.select`` is the
 writable view of the basis states whose registers read given values,
 indexed by ``register_selector``.  ``sample`` draws from it,
-``amplify.postselect_probability`` sums its weight, and ``amplify``'s
-reflection and amplification scale it in place; none copies more than
-one block of it.
+``StateVector.mass`` sums its weight, ``StateVector.scale`` multiplies it
+and the rest by two factors, and ``amplify.phase_flip`` negates it, all
+in place; none copies more than one block of it.
 
 ``sample`` holds no state-sized array: one block's |a|^2, non-zero mask,
 positions, running sum and draws (``_SAMPLE_BLOCK`` amplitudes, fewer
@@ -58,7 +58,7 @@ import numpy as np
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _PIECE_QUBITS = 14  # half-slice piece of 2**14 amplitudes: four such arrays fill 1 MiB of L2
-_SAMPLE_BLOCK = 1 << 16  # amplitudes per block of norm, sample and the rescale: 1 MiB, the most each copies
+_SAMPLE_BLOCK = 1 << 16  # amplitudes per block of mass, sample and scale: 1 MiB, the most each copies
 
 
 def _blocks(a: np.ndarray, size: int):
@@ -207,8 +207,51 @@ class StateVector:
         return cls(layout, amps)
 
     def norm(self) -> float:
-        """sqrt of the sum of |a|^2, in float64 whatever the dtype, one block's mass at a time."""
-        return math.sqrt(sum(_block_mass(block) for block in _blocks(self.amplitudes, _SAMPLE_BLOCK)))
+        """sqrt of the mass of the whole state, in float64 whatever the dtype."""
+        return math.sqrt(self.mass({}))
+
+    def mass(self, conditions: Mapping[str, int]) -> float:
+        """Sum of |a|^2 over ``select(conditions)``: the masses of its blocks, summed as
+        ``sample`` sums them before it draws, so the two totals are the same float."""
+        return float(self._block_masses(conditions)[1].sum())
+
+    def _block_masses(self, conditions: Mapping[str, int]) -> tuple:
+        """The ``_SAMPLE_BLOCK``-amplitude blocks of ``select(conditions)`` and their masses."""
+        blocks = _blocks(self.select(conditions), _SAMPLE_BLOCK)
+        return blocks, np.array([_block_mass(block) for block in blocks])
+
+    def scale(self, conditions: Mapping[str, int], inside: float, outside: float) -> "StateVector":
+        """Multiply ``select(conditions)`` by ``inside`` and the rest by ``outside``, in place.
+
+        Walks the ``(2,)*n`` view in blocks of ``_SAMPLE_BLOCK`` amplitudes,
+        each picked by its leading qubits.  A block that holds only zeros is
+        left as it is, so pages no gate wrote stay unwritten (and a zero keeps
+        its sign).  A block whose leading qubits contradict the predicate is
+        multiplied by ``outside``.  Of any other, the slice's part is copied
+        out times ``inside``, the block multiplied by ``outside``, and the
+        part written back: the one temporary is at most a block.
+        """
+        n = self.num_qubits
+        blocks = _blocks(self.amplitudes.reshape((2,) * n), _SAMPLE_BLOCK)
+        k = n - blocks[0].ndim  # the leading axes that pick a block
+        sel = register_selector(self.layout, conditions)
+        meets = np.zeros((2,) * k, dtype=bool)
+        meets[sel[:k]] = True  # in C order, as the blocks: those whose leading qubits match
+        within = sel[k:] + (Ellipsis,)  # the slice's part of such a block
+        scaled = None  # that part times inside: the same shape in every block
+        for block, meet in zip(blocks, meets.ravel().tolist()):
+            if not block.any():
+                continue
+            if not meet:
+                block *= outside
+                continue
+            part = block[within]
+            if scaled is None:
+                scaled = np.empty(part.shape, part.dtype)
+            np.multiply(part, inside, out=scaled)
+            block *= outside
+            part[...] = scaled
+        return self
 
     def copy(self) -> "StateVector":
         return StateVector(self.layout, self.amplitudes.copy())
@@ -621,12 +664,10 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    view = state.select(conditions or {})
-    blocks = _blocks(view, _SAMPLE_BLOCK)
-    masses = np.array([_block_mass(block) for block in blocks])
+    blocks, masses = state._block_masses(conditions or {})
     total = masses.sum()
     if not conditions:  # the whole state: None or an empty predicate
-        _require_normalized(total, view.dtype, "state is not normalized")
+        _require_normalized(total, state.amplitudes.dtype, "state is not normalized")
     elif not total > 1e-300:
         raise ValueError(f"cannot sample the zero-probability slice {dict(conditions)}")
     rng = np.random.default_rng(seed)

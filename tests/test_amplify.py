@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from multamp import amplify, ising, transduce
+from multamp import amplify, ising, simcore, transduce
 from multamp.amplify import (
     AmplificationSpec,
     _amplification_factors,
@@ -301,7 +301,7 @@ def test_the_rescale_leaves_empty_parts_alone():
 @pytest.mark.parametrize("target", [{"lo": 1}, {"mid": 0b001}, {"hi": 0b10},
                                     {"mid": np.int64(0b001)}, {"hi": np.int64(0b10)}])
 def test_the_blockwise_rescale_is_the_whole_buffer_formula(target, monkeypatch):
-    monkeypatch.setattr(amplify, "_SAMPLE_BLOCK", 1 << 3)
+    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 3)
     layout = RegisterLayout([("lo", 2), ("mid", 3), ("hi", 2)])
     angles = np.random.default_rng(107).uniform(0.3, 2.8, 6)
     gates = [roty(a, q) for a, q in zip(angles, (0, 1, 2, 3, 5))]
@@ -323,19 +323,19 @@ def test_the_blockwise_rescale_is_the_whole_buffer_formula(target, monkeypatch):
 
 
 def test_the_rescale_holds_one_block_beside_the_state(monkeypatch):
-    # 2**20 amplitudes (16 MiB); the slice t = 0 is every other amplitude, 8 MiB over 16 blocks
+    # 2**20 amplitudes (16 MiB); the slice t = 0 is every other amplitude, 8 MiB over 16 blocks:
+    # from after U, the u**2 sum and the rescale each hold at most one block beside the state
     layout = RegisterLayout([("t", 1), ("R", 19)])
     spec = AmplificationSpec(Circuit(layout, [h(q) for q in range(20)]), {"t": 0}, 1)
-    summed = amplify.postselect_probability
     before = []
 
-    def then_reset_peak(state, conditions):  # measure from after u**2 is summed
-        u_sq = summed(state, conditions)
+    def then_reset_peak(state, circuit, **kwargs):  # measure from after U
+        apply_circuit(state, circuit, **kwargs)
         tracemalloc.reset_peak()
         before.append(tracemalloc.get_traced_memory()[0])
-        return u_sq
+        return state
 
-    monkeypatch.setattr(amplify, "postselect_probability", then_reset_peak)
+    monkeypatch.setattr(amplify, "apply_circuit", then_reset_peak)
     tracemalloc.start()
     try:
         state, _ = run_amplified(spec)

@@ -131,6 +131,19 @@ def test_memory_refusal_of_synth_names_the_buffer_alone(capsys):
     assert "26 qubits need a 1.0 GiB amplitude buffer; rerun with --allow-large" in err
 
 
+def test_memory_check_sizes_the_circuit_that_runs(capsys):
+    # with --enforce-zero, 3x6 gets d = 5 so that no exponent is the saturation value 2**4 - 1:
+    # the refusal counts that circuit's 18 + 5 + 5 + 1 qubits, not the 27 of d = 4
+    code, _, err = run(["synth", "--rows", "3", "--cols", "6", "--beta-j", "0.05",
+                        "--variant", "controlled", "--enforce-zero"], capsys)
+    assert code == EXIT_MEMORY
+    assert "29 qubits need a 8.0 GiB amplitude buffer" in err
+    code, _, err = run(["synth", "--rows", "3", "--cols", "6", "--beta-j", "0.05",
+                        "--enforce-zero", "--d", "4"], capsys)
+    assert code == EXIT_OVERFLOW
+    assert "max Sigma/2 = 15 is 2**d - 1" in err and "need d >= 5" in err
+
+
 def test_synth_rejects_unknown_variant():
     # synth writes only run.json, so it takes no --format either
     for flags in (["--variant", "sideways"], ["--format", "json"]):

@@ -324,3 +324,33 @@ def test_enforce_zero_variant_runs_and_matches_norms():
     forced, diag1 = synthesize_boltzmann(lattice, variant="direct", nu=0, enforce_zero=True)
     assert diag1.total_qubits == diag0.total_qubits + 1
     assert abs(diag0.u_sq - diag1.u_sq) < 1e-12
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 6), (6, 3)])
+def test_enforce_zero_leaves_the_saturation_value_to_no_exponent(rows, cols):
+    # max Sigma/2 = 15 = 2**4 - 1, the value the flag empties at the minimal d = 4
+    lattice = IsingLattice(rows, cols, 0.05)
+    for variant in ("direct", "controlled"):
+        _, plain, _ = ising.build_boltzmann_synthesis(lattice, variant)
+        circ, target, _ = ising.build_boltzmann_synthesis(lattice, variant, enforce_zero=True)
+        assert plain.d == 4 and int(plain.lambdas.max()) == 15
+        assert target.d == 5 and np.all(target.lambdas < (1 << target.d) - 1)
+        assert circ.layout.width("D") == 5 and "z" in circ.layout
+    with pytest.raises(OverflowLambdaError, match="2\\*\\*d - 1"):
+        ising.build_boltzmann_synthesis(lattice, "direct", d=4, enforce_zero=True)
+    assert ising.build_boltzmann_synthesis(lattice, "direct", d=6, enforce_zero=True)[1].d == 6
+
+
+def test_enforce_zero_keeps_the_top_sigma_of_3x6():
+    # the six Sigma = 30 configurations hold 6.585e-6 of the post-selected slice
+    # at nu = 0, their Boltzmann share; the flag must leave them that, not exactly 0
+    lattice = IsingLattice(3, 6, 0.05)
+    top = lattice.sigma == 30
+    state, diag = synthesize_boltzmann(lattice, "direct", nu=0, enforce_zero=True)
+    assert diag.d == 5 and top.sum() == 6
+    kept = np.abs(state.select({"D": 0, "z": 1}).reshape(-1)) ** 2  # indexed by C
+    assert not state.select({"D": 0, "z": 0}).any()
+    want = np.exp(-2 * lattice.beta_j * lattice.sigma)
+    got = kept / kept.sum()
+    assert np.allclose(got, want / want.sum(), rtol=1e-9, atol=0)
+    assert abs(got[top].sum() - 6.585e-6) < 0.001e-6

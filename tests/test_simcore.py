@@ -686,6 +686,31 @@ def test_block_mass_agrees_with_the_sum_of_abs_squared(dtype):
         assert abs(simcore._block_mass(block) - want) <= 4 * size * np.finfo(np.float64).eps * want
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_postselect_probability_is_the_total_sample_draws_by(dtype, monkeypatch):
+    # 2**10 amplitudes in blocks of 8: a strided slice over many blocks, a
+    # slice inside one block, and the whole state; u**2 must be, to the bit,
+    # the sum of the block masses that sample's pass 1 normalizes by
+    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 3)
+    layout = RegisterLayout([("A", 3), ("B", 2), ("R", 5)])
+    state = random_state(layout, np.random.default_rng(131))
+    state = StateVector(layout, state.amplitudes.astype(dtype))
+    block_mass = simcore._block_mass
+    masses = []
+
+    def recorded(block):
+        masses.append(block_mass(block))
+        return masses[-1]
+
+    monkeypatch.setattr(simcore, "_block_mass", recorded)
+    for conditions in ({"B": 1}, {"A": 5}, {"B": 2, "R": 17}, {}):
+        masses.clear()
+        sample(state, 100, 7, conditions)
+        total = np.array(masses).sum()
+        assert len(masses) > 1 or conditions == {"B": 2, "R": 17}
+        assert postselect_probability(state, conditions) == total, conditions
+
+
 def test_sample_memory_stays_block_sized():
     # 16 MiB of complex128; the whole-buffer sampler peaked at 16.4 MiB above it
     state = random_state(RegisterLayout([("R", 20)]), np.random.default_rng(73))
