@@ -93,7 +93,8 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
 
     Applies U once, reads u**2 off U|0> (``postselect_probability``), and
     scales the target slice and the rest by their closed-form factors in
-    place (``StateVector.scale``, one block of 2**16 amplitudes at a time).
+    place (``StateVector.scale``, in blocks of 2**16 amplitudes split among the
+    workers).
     """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
     apply_circuit(state, spec.synthesis, validate=False, from_zero=True)

@@ -172,8 +172,10 @@ def _dtype(args):
 
 
 def _state_layout(lattice, variant, d=None, enforce_zero=False):
-    """Layout of the simulated state (no idle ancilla): that of the circuit the run builds."""
-    return ising.build_boltzmann_synthesis(lattice, variant, d, enforce_zero)[0].layout
+    """Layout of the simulated state (no idle ancilla): that of the circuit the run builds,
+    at the same d, with no gate built."""
+    target = ising.boltzmann_target(lattice, d, enforce_zero)
+    return transduce.standard_layout(target.num_entries, target.d, variant, enforce_zero)
 
 
 def _synthesize(args, shots=0):

@@ -211,9 +211,9 @@ class SynthesisDiagnostics:
     measured_postamp: float
 
 
-def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None = None,
-                              enforce_zero: bool = False) -> tuple[Circuit, BoltzmannTarget, TransductionPlan]:
-    """H on C, Sigma/2 XORed into D (build_ising_L's action on D = 0), transduction.
+def boltzmann_target(lattice: IsingLattice, d: int | None = None,
+                     enforce_zero: bool = False) -> BoltzmannTarget:
+    """The lattice's amplitude table at the d its synthesis uses.
 
     ``enforce_zero``'s flag empties D = 2**d - 1, the saturation value, so
     no exponent may take it: the default d is then the smallest with
@@ -228,6 +228,14 @@ def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None
                 f"d={d}: max Sigma/2 = {(1 << d) - 1} is 2**d - 1, the saturation value the "
                 f"exact-zero flag reserves; need d >= {d + 1}")
         target = BoltzmannTarget.from_lattice(lattice, target.d + 1)
+    return target
+
+
+def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None = None,
+                              enforce_zero: bool = False) -> tuple[Circuit, BoltzmannTarget, TransductionPlan]:
+    """H on C, Sigma/2 XORed into D (build_ising_L's action on D = 0), transduction,
+    for the table ``boltzmann_target`` gives."""
+    target = boltzmann_target(lattice, d, enforce_zero)
     plan = make_plan(variant, target.gamma, target.d)
     return build_synthesis(target, plan, enforce_zero), target, plan
 

@@ -6,14 +6,25 @@ the same way.  Gates act in place on a ``(2,)*n`` view of the amplitude
 buffer, so a gate with ``c`` controls touches ``2**(n-c)`` amplitudes.
 ``z`` allocates nothing.  ``x``, ``swap``, ``h``, ``ry`` and ``phase`` take
 the slice's halves in pieces of at most ``2**_PIECE_QUBITS`` amplitudes, with
-``out=`` ufuncs into at most two piece-sized scratch arrays: 512 KiB for
-complex128 whatever the state size (Häner and Steiger, arXiv:1704.01127).
-``RegisterXor`` scatters the live prefix of each block of ``2**hi`` amplitudes
-(``hi``: top of its span).  ``_blocks`` cuts the pieces, and the blocks of
-``StateVector.mass``, ``StateVector.scale`` and ``sample``.  ``mass`` and
-``sample``'s pass 1 read each block once, in one fused sum of squares
-(``_block_mass``), and sum the blocks' masses the same way.
-No kernel runs in parallel.
+``out=`` ufuncs into at most two piece-sized scratch arrays per worker:
+512 KiB for complex128 whatever the state size (Häner and Steiger,
+arXiv:1704.01127).  ``RegisterXor`` scatters the live prefix of each block
+of ``2**hi`` amplitudes (``hi``: top of its span).  ``_blocks`` cuts the
+pieces, and the blocks of ``StateVector.mass``, ``StateVector.scale`` and
+``sample``.  ``mass`` and ``sample``'s pass 1 read each block once, in one
+fused sum of squares (``_block_mass``), and sum the blocks' masses the same
+way, in block order.
+
+The gate pieces, the blocks of ``mass`` and of ``scale`` are walked by
+``_walk``, in contiguous shares, one per CPU the process may run on
+(``os.sched_getaffinity``): the calling thread takes the first and a pool
+of threads, started by the first walk that splits, the rest.  In
+``sample``'s pass 2 one of those threads computes the next drawn block's
+|a|^2 while the caller draws from the current one; every random number is
+drawn by the caller, in block order.  Each block runs the same numpy calls
+on the same memory at any worker count, so amplitudes, masses and counts
+are the same bytes.  A walk over at most ``_SAMPLE_BLOCK`` amplitudes runs
+inline, on one thread.  A forked child starts a pool of its own.
 
 ``apply_circuit(..., from_zero=True)`` skips the amplitudes known to be 0.
 It keeps one record: the qubits no instruction has written yet, which
@@ -33,23 +44,28 @@ writable view of the basis states whose registers read given values,
 indexed by ``register_selector``.  ``sample`` draws from it,
 ``StateVector.mass`` sums its weight, ``StateVector.scale`` multiplies it
 and the rest by two factors, and ``amplify.phase_flip`` negates it, all
-in place; none copies more than one block of it.
+in place; none copies more than one block of it per worker.
 
-``sample`` holds no state-sized array: one block's |a|^2, non-zero mask,
-positions, running sum and draws (``_SAMPLE_BLOCK`` amplitudes, fewer
-than four draws per entry) and the returned counts (``sample_overhead``).
-A block's mass copies it only if it is complex64 or strided, to one
-contiguous complex128 block.
+``sample`` holds no state-sized array: two blocks' |a|^2 (the drawing one
+and the next), one block's non-zero mask, positions, running sum and draws
+(``_SAMPLE_BLOCK`` amplitudes, fewer than four draws per entry) and the
+returned counts (``sample_overhead``).  A block's mass copies it only if
+it is complex64 or strided, to one contiguous complex128 block per worker.
 
 An instruction checks what depends on it alone once, when it is built;
 applying it checks only what needs the state.  A StateVector owns its
 buffer; the concurrency contract is one writer per state, and callers must
-not alias buffers across states.
+not alias buffers across states.  The worker threads a call splits its
+walk over write only that call's state, and the call returns once they end.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from itertools import compress, product
 from typing import Iterable, Mapping
@@ -69,6 +85,60 @@ def _blocks(a: np.ndarray, size: int):
     if a.ndim == 1:
         a = a.reshape((2,) * (a.size.bit_length() - 1))
     return [a[i] for i in product((0, 1), repeat=a.ndim - size.bit_length() + 1)]
+
+
+def _workers() -> int:
+    """The CPUs this process may run on: the shares a walk of many blocks is split into."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+_pool = None  # the threads beyond the caller's, started by the first walk that splits
+_pool_lock = threading.Lock()
+
+
+def _reset_pool() -> None:
+    """Forget the pool: a forked child holds none of its threads, so it starts its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _submit(fn, *args):
+    """Run ``fn(*args)`` on the pool, in the caller's ``contextvars`` (numpy's ``errstate``)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _workers() - 1), thread_name_prefix="simcore")
+    return _pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+def _walk(share, count: int, size: int) -> None:
+    """Call ``share(lo, hi)`` on contiguous shares ``[lo, hi)`` of ``range(count)``, one per worker.
+
+    ``count`` items (blocks or pieces) hold ``size`` amplitudes in all.  A
+    walk over at most ``_SAMPLE_BLOCK`` amplitudes runs inline and starts no
+    thread.  Else the calling thread takes the first share and the pool the
+    rest, and the call returns once every share has ended.  ``share`` writes
+    only what its own items own, so the result is the same at any worker count.
+    """
+    k = min(count, _workers()) if size > _SAMPLE_BLOCK else 1
+    if k <= 1:
+        share(0, count)
+        return
+    bounds = [count * i // k for i in range(k + 1)]
+    jobs = [_submit(share, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        share(bounds[0], bounds[1])
+    finally:
+        wait(jobs)  # no share outlives the call, even when the caller's raised
+    for job in jobs:
+        job.result()
 
 
 def _block_mass(block: np.ndarray) -> float:
@@ -217,8 +287,16 @@ class StateVector:
 
     def _block_masses(self, conditions: Mapping[str, int]) -> tuple:
         """The ``_SAMPLE_BLOCK``-amplitude blocks of ``select(conditions)`` and their masses."""
-        blocks = _blocks(self.select(conditions), _SAMPLE_BLOCK)
-        return blocks, np.array([_block_mass(block) for block in blocks])
+        view = self.select(conditions)
+        blocks = _blocks(view, _SAMPLE_BLOCK)
+        masses = np.empty(len(blocks))
+
+        def share(lo, hi):
+            for i in range(lo, hi):
+                masses[i] = _block_mass(blocks[i])
+
+        _walk(share, len(blocks), view.size)
+        return blocks, masses
 
     def scale(self, conditions: Mapping[str, int], inside: float, outside: float) -> "StateVector":
         """Multiply ``select(conditions)`` by ``inside`` and the rest by ``outside``, in place.
@@ -229,7 +307,8 @@ class StateVector:
         its sign).  A block whose leading qubits contradict the predicate is
         multiplied by ``outside``.  Of any other, the slice's part is copied
         out times ``inside``, the block multiplied by ``outside``, and the
-        part written back: the one temporary is at most a block.
+        part written back.  The blocks are split among the workers
+        (``_walk``), each with one part-sized temporary: at most a block.
         """
         n = self.num_qubits
         blocks = _blocks(self.amplitudes.reshape((2,) * n), _SAMPLE_BLOCK)
@@ -237,20 +316,25 @@ class StateVector:
         sel = register_selector(self.layout, conditions)
         meets = np.zeros((2,) * k, dtype=bool)
         meets[sel[:k]] = True  # in C order, as the blocks: those whose leading qubits match
+        meets = meets.ravel().tolist()
         within = sel[k:] + (Ellipsis,)  # the slice's part of such a block
-        scaled = None  # that part times inside: the same shape in every block
-        for block, meet in zip(blocks, meets.ravel().tolist()):
-            if not block.any():
-                continue
-            if not meet:
+
+        def share(lo, hi):
+            scaled = None  # that part times inside: the same shape in every block
+            for block, meet in zip(blocks[lo:hi], meets[lo:hi]):
+                if not block.any():
+                    continue
+                if not meet:
+                    block *= outside
+                    continue
+                part = block[within]
+                if scaled is None:
+                    scaled = np.empty(part.shape, part.dtype)
+                np.multiply(part, inside, out=scaled)
                 block *= outside
-                continue
-            part = block[within]
-            if scaled is None:
-                scaled = np.empty(part.shape, part.dtype)
-            np.multiply(part, inside, out=scaled)
-            block *= outside
-            part[...] = scaled
+                part[...] = scaled
+
+        _walk(share, len(blocks), self.amplitudes.size)
         return self
 
     def copy(self) -> "StateVector":
@@ -439,7 +523,9 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
     ``_butterfly`` in pieces of at most ``2**_PIECE_QUBITS`` amplitudes; of
     a slice split into several, a fresh write skips a piece whose |0> half
     holds only zeros, so pages that hold no amplitude yet stay unwritten.
-    A swap runs on both halves whatever ``zeros`` holds of its targets.
+    The pieces are split among the workers (``_walk``), each with its own
+    ``_butterfly`` scratch.  A swap runs on both halves whatever ``zeros``
+    holds of its targets.
     """
     n = state.num_qubits
     kind = gate.kind
@@ -487,13 +573,17 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
         c, s = math.cos(gate.angle), math.sin(gate.angle)
     else:
         c, s = _SQRT1_2, _SQRT1_2
-    a0 = _blocks(v0, 1 << _PIECE_QUBITS)
-    t = None if fresh else np.empty(a0[0].shape, v0.dtype)
-    w = None if fresh or kind in ("x", "swap", "phase") else np.empty_like(t)
-    for a, b in zip(a0, _blocks(v1, 1 << _PIECE_QUBITS)):
-        if fresh and len(a0) > 1 and not a.any():
-            continue  # a split slice's piece whose halves are both 0: leave its pages unwritten
-        _butterfly(kind, a, b, c, s, fresh, t, w)
+    a0, a1 = _blocks(v0, 1 << _PIECE_QUBITS), _blocks(v1, 1 << _PIECE_QUBITS)
+
+    def share(lo, hi):
+        t = None if fresh else np.empty(a0[0].shape, v0.dtype)
+        w = None if fresh or kind in ("x", "swap", "phase") else np.empty_like(t)
+        for a, b in zip(a0[lo:hi], a1[lo:hi]):
+            if fresh and len(a0) > 1 and not a.any():
+                continue  # a split slice's piece whose halves are both 0: leave its pages unwritten
+            _butterfly(kind, a, b, c, s, fresh, t, w)
+
+    _walk(share, len(a0), v0.size + v1.size)
     return state
 
 
@@ -660,7 +750,9 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     masses splits the shots among the blocks; over a single block it draws
     no random number.  Pass 2 computes |a|^2 in each block that holds draws
     and draws them there (``_block_draws``): the law of drawing each shot
-    from the whole of it.
+    from the whole of it.  With more than one worker, a pool thread
+    computes the next such block's |a|^2 while the caller draws from this
+    one; every random number is drawn by the caller, in block order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -672,27 +764,43 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
         raise ValueError(f"cannot sample the zero-probability slice {dict(conditions)}")
     rng = np.random.default_rng(seed)
     per_block = rng.multinomial(shots, masses / total)
-    p = np.empty(blocks[0].size)
+    drawn = np.flatnonzero(per_block).tolist()
+    p = _block_weights(blocks[drawn[0]], np.empty(blocks[0].size))
+    ahead = np.empty_like(p) if len(drawn) > 1 and _workers() > 1 else None
     counts = {}
-    for b in np.flatnonzero(per_block).tolist():
-        hit, num = _block_draws(_block_weights(blocks[b], p), int(per_block[b]), rng)
+    for b, after in zip(drawn, drawn[1:] + [None]):
+        job = None if ahead is None or after is None else _submit(
+            _block_weights, blocks[after], ahead)  # the next block's |a|^2 while this one draws
+        try:
+            hit, num = _block_draws(p, int(per_block[b]), rng)
+        finally:
+            if job is not None:
+                wait([job])
         hit += b * p.size
         counts.update(zip(hit.tolist(), num.tolist()))
+        if job is not None:
+            p, ahead = job.result(), p
+        elif after is not None:
+            _block_weights(blocks[after], p)
     return counts
 
 
 def sample_overhead(size: int, shots: int) -> int:
     """Upper bound on the bytes ``sample`` holds beside a ``size``-amplitude buffer.
 
-    64 B per block entry: |a|^2, the non-zero mask and positions, the
-    packed weights, and one block's draws (fewer than four per entry) with
-    their search index.  112 B per outcome drawn, at most min(shots, size):
-    the returned dict's entries and ints and the lists they come from.
-    ``tracemalloc`` measured 164 B per entry for 2**30 shots on 2**16
-    amplitudes, 106 B per outcome for 2**26 shots on 2**18, and 0.9 MB for
-    4096 shots on 2**20.
+    Per block entry, the larger of the two passes.  Pass 1: one contiguous
+    complex128 copy of a block per worker (16 B each), made of a complex64
+    or strided block.  Pass 2: 72 B, the |a|^2 of the block that draws and of
+    the next one (a worker computes it meanwhile), the non-zero mask and
+    positions, the packed weights, and one block's draws (fewer than four
+    per entry) with their search index.  112 B per outcome drawn, at most
+    min(shots, size): the returned dict's entries and ints and the lists
+    they come from.  ``tracemalloc`` measured 164 B per entry for 2**30
+    shots on 2**16 amplitudes, 106 B per outcome for 2**26 shots on 2**18,
+    and 0.9 MB for 4096 shots on 2**20 (1.4 MB with a worker computing the
+    next block's |a|^2).
     """
-    return 64 * min(size, _SAMPLE_BLOCK) + 112 * min(shots, size)
+    return max(72, 16 * _workers()) * min(size, _SAMPLE_BLOCK) + 112 * min(shots, size)
 
 
 def filter_counts(counts: Mapping[int, int], layout: RegisterLayout,

@@ -322,9 +322,13 @@ def test_the_blockwise_rescale_is_the_whole_buffer_formula(target, monkeypatch):
     assert state.amplitudes.tobytes() == whole.amplitudes.tobytes()
 
 
-def test_the_rescale_holds_one_block_beside_the_state(monkeypatch):
-    # 2**20 amplitudes (16 MiB); the slice t = 0 is every other amplitude, 8 MiB over 16 blocks:
-    # from after U, the u**2 sum and the rescale each hold at most one block beside the state
+def rescale_peak(monkeypatch):
+    """Bytes traced above the state from after U to the end of ``run_amplified``.
+
+    2**20 amplitudes (16 MiB); the slice t = 0 is every other amplitude,
+    8 MiB over 16 blocks, so each block's mass copies 1 MiB of it and the
+    rescale 512 KiB.
+    """
     layout = RegisterLayout([("t", 1), ("R", 19)])
     spec = AmplificationSpec(Circuit(layout, [h(q) for q in range(20)]), {"t": 0}, 1)
     before = []
@@ -343,7 +347,20 @@ def test_the_rescale_holds_one_block_beside_the_state(monkeypatch):
     finally:
         tracemalloc.stop()
     assert abs(postselect_probability(state, {"t": 0}) - predicted_postamp(math.sqrt(0.5), 1)) < 1e-12
-    assert peak - before[0] <= (1 << 20) + (64 << 10), peak - before[0]  # one block of complex128
+    return peak - before[0]
+
+
+def test_the_rescale_holds_one_block_beside_the_state(monkeypatch):
+    # one worker: the u**2 sum and the rescale each hold at most one block beside the state
+    monkeypatch.setattr(simcore, "_workers", lambda: 1)
+    held = rescale_peak(monkeypatch)
+    assert held <= (1 << 20) + (64 << 10), held  # one block of complex128
+
+
+def test_the_rescale_holds_one_block_per_worker(monkeypatch):
+    # every CPU this process may use walks its share of the blocks with its own block of scratch
+    held = rescale_peak(monkeypatch)
+    assert held <= simcore._workers() * (1 << 20) + (64 << 10), held
 
 
 def test_closed_form_at_zero_iterates_and_past_the_peak():

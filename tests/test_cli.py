@@ -114,10 +114,14 @@ def test_synth_exit_codes(capsys):
 @pytest.mark.parametrize("flags, buffer, peak", [([], "1.0", "1.02"),
                                                   (["--single-precision"], "0.5", "0.52"),
                                                   (["--shots", str(1 << 30)], "1.0", "1.22")])
-def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, capsys):
+def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, monkeypatch, capsys):
     # 4x4 controlled is a 27-qubit circuit simulated on 26 qubits (no idle
-    # ancilla); sampling the E == 0 slice adds 4 MiB of block scratch and up
-    # to 112 B per outcome, of which there are at most min(shots, 2**21)
+    # ancilla); sampling the E == 0 slice adds 4.5 MiB of block scratch and up
+    # to 112 B per outcome, of which there are at most min(shots, 2**21); the
+    # scratch grows past 4.5 MiB with five or more workers, so two are pinned
+    from multamp import simcore
+
+    monkeypatch.setattr(simcore, "_workers", lambda: 2)
     code, _, err = run(["sample", "--rows", "4", "--cols", "4", "--beta-j", "0.1",
                         "--variant", "controlled", *flags], capsys)
     assert code == EXIT_MEMORY
@@ -142,6 +146,22 @@ def test_memory_check_sizes_the_circuit_that_runs(capsys):
                         "--enforce-zero", "--d", "4"], capsys)
     assert code == EXIT_OVERFLOW
     assert "max Sigma/2 = 15 is 2**d - 1" in err and "need d >= 5" in err
+
+
+def test_memory_check_builds_no_gates(monkeypatch):
+    # the check reads the layout off the d the run will use, without building the circuit
+    from multamp import cli, ising, transduce
+
+    cases = [(ising.IsingLattice(rows, cols, 0.05), variant, None, flag)
+             for rows, cols in ((2, 3), (3, 6)) for variant in transduce.VARIANTS
+             for flag in (False, True)]
+    layouts = [ising.build_boltzmann_synthesis(*case)[0].layout for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the memory check built a circuit")
+
+    monkeypatch.setattr(ising, "build_synthesis", refuse)
+    assert [cli._state_layout(*case) for case in cases] == layouts
 
 
 def test_synth_rejects_unknown_variant():

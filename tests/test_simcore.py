@@ -1,7 +1,10 @@
 """Statevector engine vs dense-matrix oracles."""
 
 import dataclasses
+import hashlib
 import math
+import multiprocessing
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,8 +12,8 @@ import pytest
 from scipy import stats
 
 import oracles
-from multamp import ising, simcore
-from multamp.amplify import postselect_probability
+from multamp import ising, simcore, transduce
+from multamp.amplify import _amplification_factors, postselect_probability
 from multamp.simcore import (
     Circuit,
     RegisterLayout,
@@ -696,17 +699,17 @@ def test_postselect_probability_is_the_total_sample_draws_by(dtype, monkeypatch)
     state = random_state(layout, np.random.default_rng(131))
     state = StateVector(layout, state.amplitudes.astype(dtype))
     block_mass = simcore._block_mass
-    masses = []
+    masses = {}  # by the block's address: workers may take the blocks in any order
 
     def recorded(block):
-        masses.append(block_mass(block))
-        return masses[-1]
+        masses[block.ctypes.data] = block_mass(block)
+        return masses[block.ctypes.data]
 
     monkeypatch.setattr(simcore, "_block_mass", recorded)
     for conditions in ({"B": 1}, {"A": 5}, {"B": 2, "R": 17}, {}):
         masses.clear()
         sample(state, 100, 7, conditions)
-        total = np.array(masses).sum()
+        total = np.array([masses[at] for at in sorted(masses)]).sum()  # the blocks lie in block order
         assert len(masses) > 1 or conditions == {"B": 2, "R": 17}
         assert postselect_probability(state, conditions) == total, conditions
 
@@ -722,6 +725,76 @@ def test_sample_memory_stays_block_sized():
         tracemalloc.stop()
     assert peak <= 4 << 20, peak
     assert peak <= simcore.sample_overhead(1 << 20, 4096)
+
+
+def block_walk_outputs(circ, dtype):
+    """What each split block walk returns on a 22-qubit table state and a random 2**20 state."""
+    state = apply_circuit(StateVector.zero_state(circ.layout, dtype), circ, validate=False,
+                          from_zero=True)
+    u_bytes = hashlib.sha256(state.amplitudes).digest()
+    u_sq = state.mass({"E": 0})
+    state.scale({"E": 0}, *_amplification_factors(u_sq, 2))
+    scaled = hashlib.sha256(state.amplitudes).digest()
+    counts = sample(state, 1 << 17, 7), sample(state, 1 << 17, 7, {"E": 0})
+    noise = random_state(RegisterLayout([("R", 20)]), np.random.default_rng(3))
+    norm = StateVector(noise.layout, noise.amplitudes.astype(dtype)).norm()
+    return u_bytes, u_sq, scaled, counts, norm
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_block_walks_give_the_same_bytes_at_any_worker_count(dtype, monkeypatch):
+    # the 2**13-entry controlled table with the flag (22 qubits, 64 blocks): U, u**2, the
+    # rescale, sample with and without a predicate, and the norm, at 1, 2 and 3 workers (3
+    # splits 64 blocks unevenly), with a short switch interval to interleave the threads
+    rng = np.random.default_rng(601)
+    alphas = np.exp(rng.uniform(math.log(2.5e-4), 0.0, size=1 << 13))
+    table = transduce.build_lambda_table(alphas, 1.6, 4, 1e-3)
+    circ = transduce.build_synthesis(table, transduce.make_plan("controlled", 1.6, 4), True)
+    assert circ.layout.total_qubits == 22
+    monkeypatch.setattr(simcore, "_pool", None)  # a pool of this test's own, two threads
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simcore, "_workers", lambda: workers)
+            outputs.append(block_walk_outputs(circ, dtype))
+    finally:
+        sys.setswitchinterval(interval)
+        if simcore._pool is not None:
+            simcore._pool.shutdown()
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_a_worker_keeps_the_callers_errstate(monkeypatch):
+    # two blocks, the second the pool's: its overflow raises as the caller's block would
+    monkeypatch.setattr(simcore, "_workers", lambda: 2)
+    state = StateVector.basis_state(RegisterLayout([("R", 17)]), 0)
+    state.amplitudes[-1] = 1e200
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        state.scale({}, 1e200, 1.0)
+
+
+def mass_in_child(state, want):
+    if state.mass({}) != want:
+        raise SystemExit(1)
+
+
+def test_a_forked_child_starts_its_own_pool(monkeypatch):
+    # the child holds none of the parent's pool threads: work sent to that pool would never run
+    monkeypatch.setattr(simcore, "_workers", lambda: 2)
+    state = random_state(RegisterLayout([("R", 18)]), np.random.default_rng(5))  # four blocks
+    want = state.mass({})
+    assert simcore._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=mass_in_child, args=(state, want))
+    child.start()
+    child.join(timeout=30)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0, child.exitcode
 
 
 def test_nan_states_are_not_normalized():
