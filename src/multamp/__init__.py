@@ -22,7 +22,6 @@ from .simcore import (
     StateVector,
     apply_circuit,
     apply_gate,
-    filter_counts,
     sample,
 )
 from .transduce import (
@@ -79,7 +78,6 @@ __all__ = [
     "compare_norms",
     "distribution_tests",
     "exact_norms",
-    "filter_counts",
     "grover_iterate",
     "load_alphas",
     "make_plan",

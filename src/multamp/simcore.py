@@ -42,9 +42,10 @@ the whole-state path.
 Post-selection goes through one slice: ``StateVector.select`` is the
 writable view of the basis states whose registers read given values,
 indexed by ``register_selector``.  ``sample`` draws from it,
-``StateVector.mass`` sums its weight, ``StateVector.scale`` multiplies it
-and the rest by two factors, and ``amplify.phase_flip`` negates it, all
-in place; none copies more than one block of it per worker.
+``StateVector.mass`` sums its weight and ``amplify.phase_flip`` negates
+it, all in place; none copies more than one block of it per worker.
+``StateVector.scale`` multiplies it by one factor and the rest, one view
+per qubit the predicate fixes, by the other, in place and with no scratch.
 
 ``sample`` holds no state-sized array: two blocks' |a|^2 (the drawing one
 and the next), one block's non-zero mask, positions, running sum and draws
@@ -74,16 +75,15 @@ import numpy as np
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _PIECE_QUBITS = 14  # half-slice piece of 2**14 amplitudes: four such arrays fill 1 MiB of L2
-_SAMPLE_BLOCK = 1 << 16  # amplitudes per block of mass, sample and scale: 1 MiB, the most each copies
+_SAMPLE_BLOCK = 1 << 16  # amplitudes per block of mass, sample and scale: 1 MiB, the most mass and sample copy
 
 
 def _blocks(a: np.ndarray, size: int):
-    """C-order views of at most ``size`` (a power of two) entries tiling ``a``, a flat buffer of
-    2**k entries or a ``(2,)*k`` view: ``a`` if it fits, else ``a[i]`` over its leading axes."""
+    """C-order views of at most ``size`` (a power of two) entries tiling ``a``, a ``(2,)*k`` view:
+    ``a`` if it fits, else ``a[i]`` over its leading axes.  Every caller passes such a view
+    (``select``'s, one of ``StateVector.scale``'s parts, a gate's half), never a flat buffer."""
     if a.size <= size:
         return (a,)
-    if a.ndim == 1:
-        a = a.reshape((2,) * (a.size.bit_length() - 1))
     return [a[i] for i in product((0, 1), repeat=a.ndim - size.bit_length() + 1)]
 
 
@@ -156,7 +156,8 @@ def _block_mass(block: np.ndarray) -> float:
 def _require_normalized(value: float, dtype, message: str) -> None:
     """Raise ``ValueError(message)`` unless |value - 1| <= max(1e-6, 4096 epsilons of ``dtype``).
 
-    Rounding moves the norm by about one epsilon per gate (the float32
+    ``value`` is a mass (``StateVector.mass``): the gates and ``sample`` check
+    the same sum.  Rounding moves it by about one epsilon per gate (the float32
     1/sqrt(2) alone is off by 1e-8), and 4096 is several times the gate
     count of the largest synthesis circuit here.  A NaN value fails.
     """
@@ -301,38 +302,26 @@ class StateVector:
     def scale(self, conditions: Mapping[str, int], inside: float, outside: float) -> "StateVector":
         """Multiply ``select(conditions)`` by ``inside`` and the rest by ``outside``, in place.
 
-        Walks the ``(2,)*n`` view in blocks of ``_SAMPLE_BLOCK`` amplitudes,
-        each picked by its leading qubits.  A block that holds only zeros is
-        left as it is, so pages no gate wrote stay unwritten (and a zero keeps
-        its sign).  A block whose leading qubits contradict the predicate is
-        multiplied by ``outside``.  Of any other, the slice's part is copied
-        out times ``inside``, the block multiplied by ``outside``, and the
-        part written back.  The blocks are split among the workers
-        (``_walk``), each with one part-sized temporary: at most a block.
+        The rest is one view per qubit the predicate fixes, highest first:
+        the amplitudes where that qubit reads the other value and the fixed
+        qubits above it read theirs.  With the slice, these views are disjoint
+        and cover the state.  Each is walked in blocks of at most
+        ``_SAMPLE_BLOCK`` amplitudes (``_blocks``), split among the workers
+        (``_walk``), and each block is multiplied by its factor once, in
+        place, with no scratch.  A block that holds only zeros is left as it
+        is, so pages no gate wrote stay unwritten (and a zero keeps its sign).
         """
-        n = self.num_qubits
-        blocks = _blocks(self.amplitudes.reshape((2,) * n), _SAMPLE_BLOCK)
-        k = n - blocks[0].ndim  # the leading axes that pick a block
+        psi = self.amplitudes.reshape((2,) * self.num_qubits)
         sel = register_selector(self.layout, conditions)
-        meets = np.zeros((2,) * k, dtype=bool)
-        meets[sel[:k]] = True  # in C order, as the blocks: those whose leading qubits match
-        meets = meets.ravel().tolist()
-        within = sel[k:] + (Ellipsis,)  # the slice's part of such a block
+        parts = [(sel, inside)] + [(sel[:i] + (1 - v,), outside)
+                                   for i, v in enumerate(sel) if not isinstance(v, slice)]
+        blocks = [(block, factor) for index, factor in parts
+                  for block in _blocks(psi[index + (Ellipsis,)], _SAMPLE_BLOCK)]
 
         def share(lo, hi):
-            scaled = None  # that part times inside: the same shape in every block
-            for block, meet in zip(blocks[lo:hi], meets[lo:hi]):
-                if not block.any():
-                    continue
-                if not meet:
-                    block *= outside
-                    continue
-                part = block[within]
-                if scaled is None:
-                    scaled = np.empty(part.shape, part.dtype)
-                np.multiply(part, inside, out=scaled)
-                block *= outside
-                part[...] = scaled
+            for block, factor in blocks[lo:hi]:
+                if block.any():
+                    block *= factor
 
         _walk(share, len(blocks), self.amplitudes.size)
         return self
@@ -513,7 +502,7 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
     """Apply one gate in place and return the same state.
 
     The gate's wiring was checked when it was built; a call checks its qubits
-    and ``zeros`` against the qubit count and, if ``validate``, the input norm.
+    and ``zeros`` against the qubit count and, if ``validate``, the input mass.
     ``zeros``: qubits that read 0 on every non-zero amplitude.  Their axes
     are indexed at 0 like controls, so only that slice is computed, and a
     control on 1 of one leaves the state as it is.  A target among them is
@@ -532,7 +521,7 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
     if max(gate.qubits) >= n:
         raise ValueError(f"{gate} reaches past the {n}-qubit state")
     if validate:
-        _require_normalized(state.norm(), state.amplitudes.dtype, "input state is not normalized")
+        _require_normalized(state.mass({}), state.amplitudes.dtype, "input state is not normalized")
 
     psi = state.amplitudes.reshape((2,) * n)
     free = slice(None)
@@ -657,7 +646,7 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match the state layout")
     if validate:
-        _require_normalized(state.norm(), state.amplitudes.dtype, "input state is not normalized")
+        _require_normalized(state.mass({}), state.amplitudes.dtype, "input state is not normalized")
     n = state.num_qubits
     if from_zero and state.amplitudes[0] != 1:
         raise ValueError("from_zero needs the state |0...0>")

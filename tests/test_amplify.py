@@ -295,9 +295,25 @@ def test_the_rescale_leaves_empty_parts_alone():
     assert not state.amplitudes.reshape(-1, 1 << 16)[empty].view(np.uint64).any()  # +0.0 bits
 
 
-# blocks of 2**3 on 7 qubits: the block index is qubits 3-6, and qubit 4 stays 0,
-# so every block with it set is empty; "lo" lies inside a block, "mid" straddles
-# the boundary, and "hi" picks whole blocks; a numpy integer value fixes its qubits too
+def rescale_units(layout, target, size):
+    """Per amplitude, the unit the rescale leaves alone when U left it all zero: its part
+    (-1 for the slice, else the highest fixed qubit it contradicts, above which the fixed
+    qubits match and below which they are free) and, when the part holds more than ``size``
+    amplitudes, the values of the part's free qubits above the ``size`` a block holds."""
+    fixed = {q: (int(val) >> k) & 1 for reg, val in target.items()
+             for k, q in enumerate(layout.qubits(reg))}
+    n = layout.total_qubits
+    units = []
+    for i in range(1 << n):
+        part = max((q for q, v in fixed.items() if (i >> q) & 1 != v), default=-1)
+        free = [q for q in range(n) if q not in fixed or q < part]  # lowest first
+        units.append((part,) + tuple((i >> q) & 1 for q in free[size.bit_length() - 1:]))
+    return units
+
+
+# blocks of 2**3 on 7 qubits, and qubit 4 stays 0: "lo" fixes the two lowest qubits, so every
+# block of the slice is strided, "mid" straddles qubit 3, the lowest that picks a contiguous
+# block, and "hi" picks whole contiguous blocks; a numpy integer value fixes its qubits too
 @pytest.mark.parametrize("target", [{"lo": 1}, {"mid": 0b001}, {"hi": 0b10},
                                     {"mid": np.int64(0b001)}, {"hi": np.int64(0b10)}])
 def test_the_blockwise_rescale_is_the_whole_buffer_formula(target, monkeypatch):
@@ -311,15 +327,58 @@ def test_the_blockwise_rescale_is_the_whole_buffer_formula(target, monkeypatch):
     state, u_sq = run_amplified(spec)
     whole = StateVector.zero_state(layout)
     apply_circuit(whole, circ, validate=False, from_zero=True)
-    empty = ~whole.amplitudes.reshape(-1, 1 << 3).any(axis=1)
-    assert empty.sum() == 8
+    u = whole.amplitudes.copy()
     inside, outside = _amplification_factors(u_sq, spec.nu)
     view = whole.select(target)
     block = view * inside
     whole.amplitudes *= outside
     view[...] = block
-    whole.amplitudes.reshape(-1, 1 << 3)[empty] = 0  # the empty parts are left as U wrote them
+    units = {}
+    for i, unit in enumerate(rescale_units(layout, target, 1 << 3)):
+        units.setdefault(unit, []).append(i)
+    empty = [i for members in units.values() if not u[members].any() for i in members]
+    # every unit with qubit 4 set is empty, but the slice's of "lo" hold qubit 4 beside live
+    # amplitudes, and where "lo"'s qubit 0 reads 0 so does qubit 6
+    assert len(empty) == (48 if "lo" in target else 64)
+    whole.amplitudes[empty] = u[empty]  # the empty units are left as U wrote them
     assert state.amplitudes.tobytes() == whole.amplitudes.tobytes()
+
+
+@st.composite
+def rescale_cases(draw):
+    """A layout of 2-4 registers on at most 10 qubits, a predicate on none, some or all of
+    them (a 0-d slice), random amplitudes on the basis states where the registers left at 0
+    read 0, and a block of 2**2 to 2**4 amplitudes."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4).filter(lambda w: sum(w) <= 10))
+    layout = RegisterLayout((f"r{i}", w) for i, w in enumerate(widths))
+    target = {name: draw(st.integers(0, (1 << layout.width(name)) - 1))
+              for name in layout.names() if draw(st.booleans())}
+    zeroed = [name for name in layout.names() if draw(st.booleans())]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << layout.total_qubits
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    index = np.arange(size)
+    for name in zeroed:
+        amps[layout.values(index, name) != 0] = 0
+    return layout, target, amps, 1 << draw(st.integers(2, 4))
+
+
+# neither factor is 0 or +-1 and they differ, so an amplitude missed, scaled twice or by the
+# other factor would show
+@settings(max_examples=150, deadline=None)
+@given(case=rescale_cases(), factors=st.permutations((3.0, -0.5, 1.75, -2.5)))
+def test_the_rescale_multiplies_each_amplitude_once(case, factors):
+    layout, target, amps, block = case
+    inside, outside = factors[:2]
+    sel = simcore.register_selector(layout, target) + (Ellipsis,)
+    shape = (2,) * layout.total_qubits
+    want = amps * outside
+    want.reshape(shape)[sel] = amps.reshape(shape)[sel] * inside
+    state = StateVector(layout, amps.copy())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simcore, "_SAMPLE_BLOCK", block)
+        state.scale(target, inside, outside)
+    assert np.array_equal(state.amplitudes, want)
 
 
 def rescale_peak(monkeypatch):

@@ -810,6 +810,23 @@ def test_nan_states_are_not_normalized():
     assert np.isnan(state.amplitudes[0]) and np.all(state.amplitudes[1:] == 0.5)  # untouched
 
 
+@pytest.mark.parametrize("excess,accepted", [(1.5e-6, False), (0.5e-6, True)])
+def test_gates_and_the_sampler_read_one_normalization(excess, accepted):
+    # a mass of 1 + 1.5e-6 has a norm within 1e-6 of 1; the gates once checked that
+    # norm and ran on a state the sampler then refused
+    layout = RegisterLayout([("R", 2)])
+    amps = np.full(4, math.sqrt((1.0 + excess) / 4.0), dtype=np.complex128)
+    calls = (lambda s: sample(s, 10, 0), lambda s: apply_gate(s, h(0)),
+             lambda s: apply_circuit(s, Circuit(layout, [h(0)])))
+    for call in calls:
+        state = StateVector(layout, amps.copy())
+        if accepted:
+            call(state)
+        else:
+            with pytest.raises(ValueError, match="not normalized"):
+                call(state)
+
+
 # --- counts helpers --------------------------------------------------------
 
 def test_filter_counts_keeps_the_matching_keys():
