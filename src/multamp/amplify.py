@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .simcore import Circuit, StateVector, apply_circuit, register_selector
+from .simcore import Circuit, StateVector, _take_support, apply_circuit, register_selector
 
 NU_RULES = ("paper", "optimal")
 
@@ -91,17 +91,20 @@ def _amplification_factors(u_sq: float, nu: int) -> tuple[float, float]:
 def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVector, float]:
     """Prepare U Q^nu |0> from scratch; returns (state, pre-amp u**2).
 
-    Applies U once, reads u**2 off U|0> (``postselect_probability``), and
-    scales the target slice and the rest by their closed-form factors in
-    place (``StateVector.scale``: the slice and one view per qubit the target
+    Applies U once, reads u**2 off U|0> (``StateVector.mass``), and scales
+    the target slice and the rest by their closed-form factors in place
+    (``StateVector.scale``: the slice and one view per qubit the target
     fixes, one multiply per amplitude in blocks of 2**16 split among the
-    workers, with no scratch).
+    workers, with no scratch).  When U took ``apply_circuit``'s keyed path,
+    both walk only the blocks that hold the rows it wrote, and the rescale
+    multiplies them without reading them first: the same float and bytes.
     """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
     apply_circuit(state, spec.synthesis, validate=False, from_zero=True)
-    u_sq = postselect_probability(state, spec.target)
+    support = _take_support(state)
+    u_sq = state._mass(spec.target, support)
     if spec.nu:
-        state.scale(spec.target, *_amplification_factors(u_sq, spec.nu))
+        state._scale(spec.target, *_amplification_factors(u_sq, spec.nu), support)
     return state, u_sq
 
 

@@ -39,6 +39,17 @@ rotation of the controlled ladder writes a fresh E qubit.  Other
 states, such as the one ``amplify.grover_iterate`` runs U^-1 on, take
 the whole-state path.
 
+After the exponent oracle no instruction of U reads or writes C: C's
+qubits are global in Häner and Steiger's sense, and U|0> = v * sum_c
+|c> (x) V|lambda(c)> meets only the distinct exponents.  So on a state of
+more than ``_SAMPLE_BLOCK`` amplitudes ``apply_circuit`` runs V once per
+distinct exponent, on a compact state, and gathers back each row (2**|C|
+contiguous amplitudes, one value of the other qubits) that holds a
+non-zero, through the XOR's inverse index.  It records which rows those
+are, and ``amplify.run_amplified`` sums u^2 and rescales over the blocks
+that hold them alone, without reading the others (``_take_support``,
+``_live``).
+
 Post-selection goes through one slice: ``StateVector.select`` is the
 writable view of the basis states whose registers read given values,
 indexed by ``register_selector``.  ``sample`` draws from it,
@@ -85,6 +96,22 @@ def _blocks(a: np.ndarray, size: int):
     if a.size <= size:
         return (a,)
     return [a[i] for i in product((0, 1), repeat=a.ndim - size.bit_length() + 1)]
+
+
+def _live(support, index: tuple, count: int):
+    """Whether each of the ``count`` blocks ``_blocks`` cuts from ``psi[index + ...]`` holds a non-zero.
+
+    ``support`` is what ``apply_circuit``'s keyed path recorded (``_take_support``):
+    one bool per contiguous segment of 2**g amplitudes, g <= log2 ``_SAMPLE_BLOCK``,
+    over the ``(2,)*(n - g)`` axes of the qubits from g up, True where the segment
+    holds a non-zero.  When ``index`` fixes no qubit below g, every block is a run
+    of whole segments along the same leading axes, so indexing ``support`` alike
+    answers for it.  None (read the blocks) without a ``support``, or when ``index``
+    fixes a qubit inside a segment.
+    """
+    if support is None or not all(isinstance(i, slice) for i in index[support.ndim:]):
+        return None
+    return support[index[:support.ndim] + (Ellipsis,)].reshape(count, -1).any(axis=1)
 
 
 def _workers() -> int:
@@ -252,6 +279,8 @@ class RegisterLayout:
 class StateVector:
     """Dense complex amplitude vector over a register layout."""
 
+    _support = None  # where a keyed apply_circuit from |0> left non-zeros: see _take_support
+
     def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
         if amplitudes.ndim != 1 or amplitudes.shape[0] != (1 << layout.total_qubits):
             raise ValueError("amplitude buffer size does not match the layout")
@@ -284,19 +313,27 @@ class StateVector:
     def mass(self, conditions: Mapping[str, int]) -> float:
         """Sum of |a|^2 over ``select(conditions)``: the masses of its blocks, summed as
         ``sample`` sums them before it draws, so the two totals are the same float."""
-        return float(self._block_masses(conditions)[1].sum())
+        return self._mass(conditions, None)
 
-    def _block_masses(self, conditions: Mapping[str, int]) -> tuple:
+    def _mass(self, conditions: Mapping[str, int], support) -> float:
+        """``mass``, reading only the blocks ``support`` marks (see ``_live``): the others
+        hold only zeros, so their masses are 0.0 and the sum is the same float."""
+        return float(self._block_masses(conditions, support)[1].sum())
+
+    def _block_masses(self, conditions: Mapping[str, int], support=None) -> tuple:
         """The ``_SAMPLE_BLOCK``-amplitude blocks of ``select(conditions)`` and their masses."""
-        view = self.select(conditions)
+        sel = register_selector(self.layout, conditions)
+        view = self.amplitudes.reshape((2,) * self.num_qubits)[sel + (Ellipsis,)]
         blocks = _blocks(view, _SAMPLE_BLOCK)
-        masses = np.empty(len(blocks))
+        live = _live(support, sel, len(blocks))
+        read = range(len(blocks)) if live is None else np.flatnonzero(live)
+        masses = np.zeros(len(blocks))
 
         def share(lo, hi):
-            for i in range(lo, hi):
+            for i in read[lo:hi]:
                 masses[i] = _block_mass(blocks[i])
 
-        _walk(share, len(blocks), view.size)
+        _walk(share, len(read), len(read) * blocks[0].size)
         return blocks, masses
 
     def scale(self, conditions: Mapping[str, int], inside: float, outside: float) -> "StateVector":
@@ -310,20 +347,33 @@ class StateVector:
         (``_walk``), and each block is multiplied by its factor once, in
         place, with no scratch.  A block that holds only zeros is left as it
         is, so pages no gate wrote stay unwritten (and a zero keeps its sign).
+        After a keyed ``apply_circuit`` from |0>, ``amplify.run_amplified``
+        calls ``_scale`` with the rows U wrote, which finds the same blocks
+        without reading any.
         """
+        return self._scale(conditions, inside, outside, None)
+
+    def _scale(self, conditions: Mapping[str, int], inside: float, outside: float, support
+               ) -> "StateVector":
+        """``scale``, walking only the blocks ``support`` marks (see ``_live``) and
+        multiplying them without reading them first: the same blocks, the same bytes."""
         psi = self.amplitudes.reshape((2,) * self.num_qubits)
         sel = register_selector(self.layout, conditions)
         parts = [(sel, inside)] + [(sel[:i] + (1 - v,), outside)
                                    for i, v in enumerate(sel) if not isinstance(v, slice)]
-        blocks = [(block, factor) for index, factor in parts
-                  for block in _blocks(psi[index + (Ellipsis,)], _SAMPLE_BLOCK)]
+        blocks = []  # (block, factor, whether it is still to be read for a non-zero)
+        for index, factor in parts:
+            part = _blocks(psi[index + (Ellipsis,)], _SAMPLE_BLOCK)
+            live = _live(support, index, len(part))
+            blocks += [(block, factor, live is None)
+                       for block in (part if live is None else compress(part, live))]
 
         def share(lo, hi):
-            for block, factor in blocks[lo:hi]:
-                if block.any():
+            for block, factor, unread in blocks[lo:hi]:
+                if not unread or block.any():
                     block *= factor
 
-        _walk(share, len(blocks), self.amplitudes.size)
+        _walk(share, len(blocks), sum(block.size for block, _, _ in blocks))
         return self
 
     def copy(self) -> "StateVector":
@@ -642,6 +692,16 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     that an amplitude that stays 0 keeps +0.0 where the dense butterflies
     may write -0.0, and a fresh write of a zero ``a`` gives ``a*s`` where
     the dense one adds the zero half to it.
+
+    The keyed path: when an XOR's key is the lowest register, it and only
+    it has been written, its 2**|C| live amplitudes are the same bytes, no
+    later instruction is an XOR or reads or writes a key qubit, and the
+    state holds more than ``_SAMPLE_BLOCK`` amplitudes, then after the XOR
+    the state is v * sum_c |c> (x) |values[c]>, and the rest of the circuit
+    acts on each value of C alike.  So the rest runs once per distinct XOR
+    value instead (``_run_keyed``), and the amplitudes written back are the
+    values the gate path computes, each by the same per-element arithmetic.
+    ``_take_support`` then gives the segments that hold a non-zero.
     """
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match the state layout")
@@ -650,15 +710,92 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     n = state.num_qubits
     if from_zero and state.amplitudes[0] != 1:
         raise ValueError("from_zero needs the state |0...0>")
+    state._support = None
     zeros = set(range(n)) if from_zero else set()  # the qubits no instruction has written yet
-    for op in circuit.gates:
+    for i, op in enumerate(circuit.gates):
         if isinstance(op, Gate):
             apply_gate(state, op, validate=False, zeros=zeros)
             zeros.difference_update(op.targets)
-        else:
-            op.apply(state, max((q + 1 for q in range(n) if q not in zeros), default=0))
-            zeros.difference_update(op.spans(state.layout)[1])
+            continue
+        v = _keyed_amplitude(state, op, zeros, circuit.gates[i + 1:]) if from_zero else None
+        op.apply(state, max((q + 1 for q in range(n) if q not in zeros), default=0))
+        zeros.difference_update(op.spans(state.layout)[1])
+        if v is not None:
+            state._support = _run_keyed(state, op, v, zeros, circuit.gates[i + 1:])
+            break
     return state
+
+
+def _keyed_amplitude(state: StateVector, op: RegisterXor, zeros: set, later: list):
+    """The amplitude every key value carries, if ``later`` can run once per distinct
+    value ``op`` XORs in (see ``apply_circuit``); else None."""
+    n, k = state.num_qubits, state.layout.width(op.key_register)
+    if (state.amplitudes.size <= _SAMPLE_BLOCK or state.layout.offset(op.key_register) != 0
+            or zeros != set(range(k, n))
+            or not all(isinstance(g, Gate) and min(g.qubits) >= k for g in later)):
+        return None
+    live = state.amplitudes[:1 << k]
+    bits = live.view(f"u{live.itemsize // 2}").reshape(-1, 2)  # the same bytes, not just values
+    return live[0] if (bits == bits[0]).all() else None
+
+
+def _run_keyed(state: StateVector, op: RegisterXor, v, zeros: set, later: list) -> np.ndarray:
+    """Run ``later`` on one row of C per distinct value of ``op.values``; write the rows back.
+
+    A row is 2**k contiguous amplitudes, k = |C|: one value of the other
+    qubits.  The compact state's key register holds m >= 1 qubits, one value
+    per distinct XOR value, with v where the XOR put it.  Every later gate
+    runs on it through ``apply_gate``, its qubits and ``zeros`` shifted down
+    by k - m.  Then each row that holds a non-zero is gathered from its
+    compact row through the inverse index, the rows split among the workers
+    (``_walk``), and the rows the XOR wrote that are now empty are cleared.
+    Returns the ``support`` ``_live`` reads: whether each segment of 2**seg
+    amplitudes, seg = min(k, log2 ``_SAMPLE_BLOCK``), holds a non-zero, read
+    off the compact rows.  Scratch: the 2**k int64 inverse index and the
+    compact state.
+    """
+    layout, n = state.layout, state.num_qubits
+    k = layout.width(op.key_register)
+    present = np.bincount(op.values) > 0  # np.unique's values and inverse, without its sort
+    values, index = np.flatnonzero(present), (np.cumsum(present) - 1)[op.values]
+    m = max(1, (len(values) - 1).bit_length())
+    down = k - m
+    compact = StateVector(RegisterLayout([(op.key_register, m)] + [(r, layout.width(r))
+                                                                   for r in layout.names()[1:]]),
+                          np.zeros(1 << (n - down), state.amplitudes.dtype))
+    compact.amplitudes[np.arange(len(values)) | (values << (layout.offset(op.target_register) - down))] = v
+    czeros = {q - down for q in zeros}
+    for g in later:
+        g = replace(g, target=g.target - down, target2=None if g.target2 is None else g.target2 - down,
+                    controls=tuple((q - down, p) for q, p in g.controls))
+        apply_gate(compact, g, validate=False, zeros=czeros)
+        czeros.difference_update(g.targets)
+
+    rows = state.amplitudes.reshape(-1, 1 << k)
+    crows = compact.amplitudes.reshape(-1, 1 << m)[:, :len(values)]
+    seg = min(k, _SAMPLE_BLOCK.bit_length() - 1)  # a segment is 2**seg amplitudes
+    holds = np.zeros((1 << (k - seg), len(values)), bool)  # [s, j]: segment s of a row holds key value j
+    holds[np.arange(1 << (k - seg))[:, None], index.reshape(-1, 1 << seg)] = True
+    support = (crows != 0) @ holds.T
+    live = support.any(axis=1)
+    written = np.flatnonzero(live)
+
+    def share(lo, hi):
+        for r in written[lo:hi]:
+            np.take(crows[r], index, out=rows[r], mode="clip")
+
+    _walk(share, len(written), len(written) << k)
+    xored = values << (layout.offset(op.target_register) - k)  # the rows the XOR wrote
+    rows[xored[~live[xored]]] = 0
+    return support.reshape((2,) * (n - seg))
+
+
+def _take_support(state: StateVector):
+    """Where the last ``apply_circuit(..., from_zero=True)`` on ``state`` left non-zeros, if it
+    took the keyed path (the ``support`` ``_live`` reads), else None; forgets it either way,
+    since a later write would make it stale."""
+    support, state._support = state._support, None
+    return support
 
 
 def register_selector(layout: RegisterLayout, conditions: Mapping[str, int]) -> tuple:

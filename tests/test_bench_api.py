@@ -40,11 +40,19 @@ def test_tracer_sees_the_sample_handler_and_its_reference(tmp_path, capsys):
     assert tracer.calls("analysis.boltzmann_reference") == 1
 
 
-@pytest.mark.parametrize("variant", ["direct", "controlled"])
-def test_tracer_sees_every_gate_of_one_sample_run(variant, tmp_path, capsys):
+@pytest.mark.parametrize("variant,block", [pytest.param("direct", None, id="direct"),
+                                           pytest.param("controlled", None, id="controlled"),
+                                           pytest.param("controlled", 1 << 4, id="controlled-keyed")])
+def test_tracer_sees_every_gate_of_one_sample_run(variant, block, tmp_path, capsys, monkeypatch):
     # the per-gate metrics hold only if apply_circuit runs each gate through
-    # the public simcore.apply_gate and each XOR through RegisterXor.apply
-    from multamp import cli, ising
+    # the public simcore.apply_gate and each XOR through RegisterXor.apply,
+    # on the keyed path too (``block``: a ``_SAMPLE_BLOCK`` below the state's size)
+    from multamp import cli, ising, simcore
+    keyed = []
+    if block is not None:
+        run_keyed = simcore._run_keyed
+        monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", block)
+        monkeypatch.setattr(simcore, "_run_keyed", lambda *args: keyed.append(1) or run_keyed(*args))
     spans = load_bench("spans")
     tracer = spans.Tracer().install()
     try:
@@ -59,3 +67,4 @@ def test_tracer_sees_every_gate_of_one_sample_run(variant, tmp_path, capsys):
     assert {g: rec[0] for g, rec in tracer.gates.items()} == Counter(map(spans.gate_class, circ.gates))
     assert tracer.u_applications == 1
     assert tracer.ising_u[0] == 1
+    assert len(keyed) == (block is not None)

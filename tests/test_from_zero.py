@@ -248,6 +248,122 @@ def test_built_circuits_do_the_pinned_tracked_work(build, args, total, tops, mon
     assert seen == tops
 
 
+KEYED_BLOCK = 1 << 4  # below the 2**7 amplitudes of the smallest built state
+
+
+@pytest.fixture
+def keyed_runs(monkeypatch):
+    """``simcore._SAMPLE_BLOCK`` patched to ``KEYED_BLOCK``, so that every built state is large
+    enough for the keyed path, and the list of the supports ``_run_keyed`` returns."""
+    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", KEYED_BLOCK)
+    runs = []
+    run_keyed = simcore._run_keyed
+
+    def recording(*args):
+        runs.append(run_keyed(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(simcore, "_run_keyed", recording)
+    return runs
+
+
+def kept_register(layout):
+    return "E" if "E" in layout else "D"
+
+
+def check_support(state, support, target):
+    """``support`` marks exactly the segments of ``state`` that hold a non-zero, and u**2 and
+    the rescale read off it are the bits of ``mass`` and ``scale`` without it."""
+    held = state.amplitudes.reshape(support.size, -1).any(axis=1)
+    assert np.array_equal(support.reshape(-1), held)
+    assert state._mass(target, support).hex() == state.mass(target).hex()
+    # a negative factor writes -0.0 on each zero of a block it multiplies
+    want = state.copy().scale(target, 1.75, -2.5).amplitudes
+    assert state._scale(target, 1.75, -2.5, support).amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("build,args", BUILT)
+def test_built_circuits_give_the_dense_bytes_on_the_keyed_path(build, args, dtype, keyed_runs, request):
+    # the comparator's second XOR reads the key, so it takes the gate path
+    circuit = build(*args)
+    tracked, dense = both_ways(circuit, dtype)
+    assert tracked.tobytes() == dense.tobytes()
+    if "comparator" in request.node.callspec.id:
+        assert keyed_runs == []
+        return
+    assert len(keyed_runs) == 1
+    check_support(StateVector(circuit.layout, tracked), keyed_runs[0], {kept_register(circuit.layout): 0})
+
+
+# amplitudes sent through ``_butterfly`` on the keyed path: the prefix's Hadamards on the
+# whole state, then the rest of U on the compact state, one row of C per distinct exponent
+KEYED_WORK = {
+    "table-direct-plain": 1_150,
+    "table-direct-zero": 1_694,
+    "table-controlled-plain": 3_966,
+    "table-controlled-zero": 5_022,
+    "ising-2x2-direct-plain": 126,
+    "ising-2x2-direct-zero": 198,
+    "ising-2x2-controlled-plain": 254,
+    "ising-2x2-controlled-zero": 390,
+    "ising-2x3-direct-plain": 318,
+    "ising-2x3-direct-zero": 462,
+    "ising-2x3-controlled-plain": 574,
+    "ising-2x3-controlled-zero": 846,
+    "ising-3x3-direct-plain": 1_214,
+    "ising-3x3-direct-zero": 1_358,
+    "ising-3x3-controlled-plain": 1_470,
+    "ising-3x3-controlled-zero": 1_742,
+}
+
+
+@pytest.mark.parametrize("build,args,total", [pytest.param(*p.values, KEYED_WORK[p.id], id=p.id)
+                                              for p in BUILT if p.id in KEYED_WORK])
+def test_built_circuits_do_the_pinned_keyed_work(build, args, total, keyed_runs, monkeypatch):
+    assert sum(size for _, size in butterfly_sizes(build(*args), monkeypatch)) == total
+    assert len(keyed_runs) == 1
+
+
+FALLBACK_LAYOUT = [("C", 3), ("D", 2), ("E", 2)]
+FALLBACK_VALUES = [3, 0, 1, 3, 2, 0, 1, 1]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("registers,ops", [
+    # an ry on a key qubit: the key values carry different amplitudes
+    (FALLBACK_LAYOUT, [roty(0.7, 0), h(1), h(2), RegisterXor("C", "D", FALLBACK_VALUES),
+                       roty(0.4, 3), roty(1.1, 5, ((3, 1),))]),
+    # a gate after the XOR controlled on a key qubit
+    (FALLBACK_LAYOUT, [h(0), h(1), h(2), RegisterXor("C", "D", FALLBACK_VALUES),
+                       roty(0.4, 3), roty(1.1, 5, ((0, 1),))]),
+    # the key above the target register
+    ([("D", 2), ("C", 3), ("E", 2)], [h(2), h(3), h(4), RegisterXor("C", "D", FALLBACK_VALUES),
+                                       roty(0.4, 0), roty(1.1, 5, ((0, 1),))]),
+], ids=["key-not-uniform", "key-controls-later", "key-not-lowest"])
+def test_circuits_the_keyed_path_cannot_run_take_the_gate_path(registers, ops, dtype, keyed_runs):
+    tracked, dense = both_ways(Circuit(RegisterLayout(registers), ops), dtype)
+    assert tracked.tobytes() == dense.tobytes()
+    assert keyed_runs == []
+
+
+def big_table_synthesis(variant):
+    """The 2**13-entry log-uniform table with the flag, gamma 1.6, d 4, eps 1e-3: 18 and 22 qubits."""
+    alphas = np.exp(np.random.default_rng(5).uniform(math.log(2.5e-4), 0.0, 1 << 13))
+    table = transduce.build_lambda_table(alphas, 1.6, 4, 1e-3)
+    return transduce.build_synthesis(table, transduce.make_plan(variant, 1.6, 4), enforce_zero=True)
+
+
+@pytest.mark.parametrize("variant", transduce.VARIANTS)
+def test_the_keyed_support_of_a_large_table_marks_its_non_zeros(variant):
+    # no patch: both states hold more than _SAMPLE_BLOCK amplitudes
+    circuit = big_table_synthesis(variant)
+    state = apply_circuit(StateVector.zero_state(circuit.layout), circuit, validate=False, from_zero=True)
+    support = simcore._take_support(state)
+    assert support is not None and simcore._take_support(state) is None
+    check_support(state, support, {kept_register(circuit.layout): 0})
+
+
 @pytest.mark.parametrize("ops,sizes", [
     # no ry on z = 1 while the flag is untouched; the skipped ry writes qubit 2
     ([h(0), roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),))], [("h", 2), ("ry", 8)]),

@@ -13,21 +13,30 @@ from the ``src/`` beside this directory:
 
 Each run writes its files into ``OUT/<run>/`` and its standard output to
 ``OUT/<run>/stdout.txt``, with ``OUT/<run>`` written as ``<out>`` and the
-exit code on a last line.  ``diff -r`` of two such directories then
-shows every output that differs between the checkouts.  Needs numpy and
-the package only.
+exit code on a last line.  ``OUT/state_hashes.txt`` then holds the sha256
+of the bytes of four amplified states ``amplify.run_amplified`` returns,
+one line each: a seeded 2**13-entry log-uniform table (gamma 1.6, d 4,
+eps 1e-3, with the exact-zero flag) and the 4x4 lattice at beta J = 0.35,
+both variants each, so the comparison covers what U and the rescale
+write, not only what is sampled from it.  ``diff -r`` of two such
+directories then shows every output that differs between the checkouts.
+Needs numpy and the package only.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import math
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from multamp import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from multamp import amplify, analysis, cli, ising, transduce  # noqa: E402
 
 SMALL = ("--seed", "23", "--shots", "5000", "--beta-j", "0.35")
 LARGE = ("--seed", "23", "--beta-j", "0.35")
@@ -51,6 +60,26 @@ def runs():
     return out
 
 
+def amplified_states():
+    """(name, nu, state) of every state ``state_hashes.txt`` covers, nu by the paper rule, in turn."""
+    alphas = np.exp(np.random.default_rng(23).uniform(math.log(1e-3 / 4), 0.0, 1 << 13))
+    table = transduce.build_lambda_table(alphas, 1.6, 4, 1e-3)
+    norms = analysis.exact_norms(table.lambdas, table.gamma, table.d)
+    for variant, u, kept in (("direct", norms.u_direct, "D"), ("controlled", norms.u_controlled, "E")):
+        circuit = transduce.build_synthesis(table, transduce.make_plan(variant, 1.6, 4), enforce_zero=True)
+        spec = amplify.AmplificationSpec(circuit, {kept: 0}, amplify.select_nu(u, "paper"))
+        yield f"table_8192_{variant}", spec.nu, amplify.run_amplified(spec)[0]
+    for variant in ("direct", "controlled"):  # the states of the 4x4 sample runs
+        state, diagnostics = ising.synthesize_boltzmann(ising.IsingLattice(4, 4, 0.35), variant)
+        yield f"ising_4x4_{variant}", diagnostics.nu, state
+
+
+def state_hashes() -> str:
+    """One line per amplified state: its name, nu and the sha256 of its amplitudes' bytes."""
+    return "".join(f"{name} nu={nu} {hashlib.sha256(state.amplitudes.data).hexdigest()}\n"
+                   for name, nu, state in amplified_states())
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -67,6 +96,9 @@ def main(argv=None) -> int:
             fh.write(printed.getvalue().replace(outdir, "<out>"))
             fh.write(f"exit {code}\n")
         print(f"{name}: exit {code}")
+    with open(os.path.join(root, "state_hashes.txt"), "w") as fh:
+        fh.write(state_hashes())
+    print("state_hashes.txt written")
     return 0
 
 
