@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .simcore import Circuit, StateVector, _take_support, apply_circuit, register_selector
+from .simcore import Circuit, StateVector, apply_circuit, register_selector
 
 NU_RULES = ("paper", "optimal")
 
@@ -55,9 +55,13 @@ def phase_flip(state: StateVector, conditions: Mapping[str, int]) -> StateVector
     return state
 
 
-def postselect_probability(state: StateVector, conditions: Mapping[str, int]) -> float:
-    """Joint probability of reading the given values on the named registers (``StateVector.mass``)."""
-    return state.mass(conditions)
+def postselect_probability(state: StateVector, conditions: Mapping[str, int], *, _support=None) -> float:
+    """Joint probability of reading the given values on the named registers (``StateVector.mass``).
+
+    ``_support``: a keyed ``apply_circuit``'s record of this state's non-zero
+    segments, as ``run_amplified`` passes it; only the blocks it marks are read.
+    """
+    return float(state._block_masses(conditions, _support)[1].sum())
 
 
 def grover_iterate(state: StateVector, spec: AmplificationSpec) -> StateVector:
@@ -91,20 +95,22 @@ def _amplification_factors(u_sq: float, nu: int) -> tuple[float, float]:
 def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVector, float]:
     """Prepare U Q^nu |0> from scratch; returns (state, pre-amp u**2).
 
-    Applies U once, reads u**2 off U|0> (``StateVector.mass``), and scales
-    the target slice and the rest by their closed-form factors in place
-    (``StateVector.scale``: the slice and one view per qubit the target
-    fixes, one multiply per amplitude in blocks of 2**16 split among the
-    workers, with no scratch).  When U took ``apply_circuit``'s keyed path,
-    both walk only the blocks that hold the rows it wrote, and the rescale
-    multiplies them without reading them first: the same float and bytes.
+    Applies U once, reads u**2 off U|0> (``postselect_probability``), and
+    scales the target slice and the rest by their closed-form factors in
+    place (``StateVector.scale``: the slice and one view per qubit the
+    target fixes, one multiply per amplitude in blocks of 2**16 split among
+    the workers, with no scratch).  When U took ``apply_circuit``'s keyed
+    path, it hands both the rows it wrote (``_written``): they walk only the
+    blocks that hold those rows, and the rescale multiplies them without
+    reading them first, so u**2 is the same float and the bytes the same.
     """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
-    apply_circuit(state, spec.synthesis, validate=False, from_zero=True)
-    support = _take_support(state)
-    u_sq = state._mass(spec.target, support)
+    written = []
+    apply_circuit(state, spec.synthesis, validate=False, from_zero=True, _written=written)
+    support = written[0] if written else None
+    u_sq = postselect_probability(state, spec.target, _support=support)
     if spec.nu:
-        state._scale(spec.target, *_amplification_factors(u_sq, spec.nu), support)
+        state.scale(spec.target, *_amplification_factors(u_sq, spec.nu), _support=support)
     return state, u_sq
 
 

@@ -46,9 +46,12 @@ more than ``_SAMPLE_BLOCK`` amplitudes ``apply_circuit`` runs V once per
 distinct exponent, on a compact state, and gathers back each row (2**|C|
 contiguous amplitudes, one value of the other qubits) that holds a
 non-zero, through the XOR's inverse index.  It records which rows those
-are, and ``amplify.run_amplified`` sums u^2 and rescales over the blocks
-that hold them alone, without reading the others (``_take_support``,
-``_live``).
+are for a caller that asks (``_written``), and ``amplify.run_amplified``
+sums u^2 and rescales over the blocks that hold them alone, without
+reading the others (``_live``).  The compact state saves nothing when
+the distinct XOR values need every qubit of C, and on the small states of
+the Ising sampler (at most ``_SAMPLE_BLOCK`` amplitudes) the keyed path
+measured about 10% slower end to end; both run every gate on the buffer.
 
 Post-selection goes through one slice: ``StateVector.select`` is the
 writable view of the basis states whose registers read given values,
@@ -101,7 +104,7 @@ def _blocks(a: np.ndarray, size: int):
 def _live(support, index: tuple, count: int):
     """Whether each of the ``count`` blocks ``_blocks`` cuts from ``psi[index + ...]`` holds a non-zero.
 
-    ``support`` is what ``apply_circuit``'s keyed path recorded (``_take_support``):
+    ``support`` is what ``apply_circuit``'s keyed path appends to ``_written``:
     one bool per contiguous segment of 2**g amplitudes, g <= log2 ``_SAMPLE_BLOCK``,
     over the ``(2,)*(n - g)`` axes of the qubits from g up, True where the segment
     holds a non-zero.  When ``index`` fixes no qubit below g, every block is a run
@@ -279,8 +282,6 @@ class RegisterLayout:
 class StateVector:
     """Dense complex amplitude vector over a register layout."""
 
-    _support = None  # where a keyed apply_circuit from |0> left non-zeros: see _take_support
-
     def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
         if amplitudes.ndim != 1 or amplitudes.shape[0] != (1 << layout.total_qubits):
             raise ValueError("amplitude buffer size does not match the layout")
@@ -313,15 +314,15 @@ class StateVector:
     def mass(self, conditions: Mapping[str, int]) -> float:
         """Sum of |a|^2 over ``select(conditions)``: the masses of its blocks, summed as
         ``sample`` sums them before it draws, so the two totals are the same float."""
-        return self._mass(conditions, None)
-
-    def _mass(self, conditions: Mapping[str, int], support) -> float:
-        """``mass``, reading only the blocks ``support`` marks (see ``_live``): the others
-        hold only zeros, so their masses are 0.0 and the sum is the same float."""
-        return float(self._block_masses(conditions, support)[1].sum())
+        return float(self._block_masses(conditions)[1].sum())
 
     def _block_masses(self, conditions: Mapping[str, int], support=None) -> tuple:
-        """The ``_SAMPLE_BLOCK``-amplitude blocks of ``select(conditions)`` and their masses."""
+        """The ``_SAMPLE_BLOCK``-amplitude blocks of ``select(conditions)`` and their masses.
+
+        Given a keyed ``apply_circuit``'s ``support`` (see ``_live``), only the
+        blocks it marks are read; the others hold only zeros, so their masses
+        are 0.0 and every sum over them is the same float.
+        """
         sel = register_selector(self.layout, conditions)
         view = self.amplitudes.reshape((2,) * self.num_qubits)[sel + (Ellipsis,)]
         blocks = _blocks(view, _SAMPLE_BLOCK)
@@ -336,7 +337,8 @@ class StateVector:
         _walk(share, len(read), len(read) * blocks[0].size)
         return blocks, masses
 
-    def scale(self, conditions: Mapping[str, int], inside: float, outside: float) -> "StateVector":
+    def scale(self, conditions: Mapping[str, int], inside: float, outside: float, *, _support=None
+              ) -> "StateVector":
         """Multiply ``select(conditions)`` by ``inside`` and the rest by ``outside``, in place.
 
         The rest is one view per qubit the predicate fixes, highest first:
@@ -347,16 +349,11 @@ class StateVector:
         (``_walk``), and each block is multiplied by its factor once, in
         place, with no scratch.  A block that holds only zeros is left as it
         is, so pages no gate wrote stay unwritten (and a zero keeps its sign).
-        After a keyed ``apply_circuit`` from |0>, ``amplify.run_amplified``
-        calls ``_scale`` with the rows U wrote, which finds the same blocks
-        without reading any.
+        Given a keyed ``apply_circuit``'s ``_support`` of this state, as
+        ``amplify.run_amplified`` passes it, only the blocks it marks are
+        walked, and they are multiplied without being read first: the same
+        blocks, the same bytes.
         """
-        return self._scale(conditions, inside, outside, None)
-
-    def _scale(self, conditions: Mapping[str, int], inside: float, outside: float, support
-               ) -> "StateVector":
-        """``scale``, walking only the blocks ``support`` marks (see ``_live``) and
-        multiplying them without reading them first: the same blocks, the same bytes."""
         psi = self.amplitudes.reshape((2,) * self.num_qubits)
         sel = register_selector(self.layout, conditions)
         parts = [(sel, inside)] + [(sel[:i] + (1 - v,), outside)
@@ -364,7 +361,7 @@ class StateVector:
         blocks = []  # (block, factor, whether it is still to be read for a non-zero)
         for index, factor in parts:
             part = _blocks(psi[index + (Ellipsis,)], _SAMPLE_BLOCK)
-            live = _live(support, index, len(part))
+            live = _live(_support, index, len(part))
             blocks += [(block, factor, live is None)
                        for block in (part if live is None else compress(part, live))]
 
@@ -674,7 +671,7 @@ def _butterfly(kind, a, b, c, s, fresh, t, w):
 
 
 def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
-                  from_zero: bool = False) -> StateVector:
+                  from_zero: bool = False, *, _written: list | None = None) -> StateVector:
     """Apply every instruction of the circuit in order, in place.
 
     ``from_zero=True`` promises that ``state`` is |0...0> (only
@@ -699,9 +696,11 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     state holds more than ``_SAMPLE_BLOCK`` amplitudes, then after the XOR
     the state is v * sum_c |c> (x) |values[c]>, and the rest of the circuit
     acts on each value of C alike.  So the rest runs once per distinct XOR
-    value instead (``_run_keyed``), and the amplitudes written back are the
-    values the gate path computes, each by the same per-element arithmetic.
-    ``_take_support`` then gives the segments that hold a non-zero.
+    value instead (``_run_keyed``), unless those values need as many qubits
+    as C, and the amplitudes written back are the values the gate path
+    computes, each by the same per-element arithmetic.  The path then
+    appends to ``_written``, if given, the segments that hold a non-zero
+    (the ``support`` ``_live`` reads); it is valid until the next write.
     """
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match the state layout")
@@ -710,7 +709,6 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     n = state.num_qubits
     if from_zero and state.amplitudes[0] != 1:
         raise ValueError("from_zero needs the state |0...0>")
-    state._support = None
     zeros = set(range(n)) if from_zero else set()  # the qubits no instruction has written yet
     for i, op in enumerate(circuit.gates):
         if isinstance(op, Gate):
@@ -720,8 +718,10 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
         v = _keyed_amplitude(state, op, zeros, circuit.gates[i + 1:]) if from_zero else None
         op.apply(state, max((q + 1 for q in range(n) if q not in zeros), default=0))
         zeros.difference_update(op.spans(state.layout)[1])
-        if v is not None:
-            state._support = _run_keyed(state, op, v, zeros, circuit.gates[i + 1:])
+        support = None if v is None else _run_keyed(state, op, v, zeros, circuit.gates[i + 1:])
+        if support is not None:
+            if _written is not None:
+                _written.append(support)
             break
     return state
 
@@ -752,7 +752,9 @@ def _run_keyed(state: StateVector, op: RegisterXor, v, zeros: set, later: list) 
     Returns the ``support`` ``_live`` reads: whether each segment of 2**seg
     amplitudes, seg = min(k, log2 ``_SAMPLE_BLOCK``), holds a non-zero, read
     off the compact rows.  Scratch: the 2**k int64 inverse index and the
-    compact state.
+    compact state.  Returns None, having written nothing, when the distinct
+    values need all k qubits: the compact state would be as large as the
+    state, and the gate path is left to run ``later``.
     """
     layout, n = state.layout, state.num_qubits
     k = layout.width(op.key_register)
@@ -760,6 +762,8 @@ def _run_keyed(state: StateVector, op: RegisterXor, v, zeros: set, later: list) 
     values, index = np.flatnonzero(present), (np.cumsum(present) - 1)[op.values]
     m = max(1, (len(values) - 1).bit_length())
     down = k - m
+    if not down:
+        return None
     compact = StateVector(RegisterLayout([(op.key_register, m)] + [(r, layout.width(r))
                                                                    for r in layout.names()[1:]]),
                           np.zeros(1 << (n - down), state.amplitudes.dtype))
@@ -788,14 +792,6 @@ def _run_keyed(state: StateVector, op: RegisterXor, v, zeros: set, later: list) 
     xored = values << (layout.offset(op.target_register) - k)  # the rows the XOR wrote
     rows[xored[~live[xored]]] = 0
     return support.reshape((2,) * (n - seg))
-
-
-def _take_support(state: StateVector):
-    """Where the last ``apply_circuit(..., from_zero=True)`` on ``state`` left non-zeros, if it
-    took the keyed path (the ``support`` ``_live`` reads), else None; forgets it either way,
-    since a later write would make it stale."""
-    support, state._support = state._support, None
-    return support
 
 
 def register_selector(layout: RegisterLayout, conditions: Mapping[str, int]) -> tuple:

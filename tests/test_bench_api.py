@@ -52,7 +52,7 @@ def test_tracer_sees_every_gate_of_one_sample_run(variant, block, tmp_path, caps
     if block is not None:
         run_keyed = simcore._run_keyed
         monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", block)
-        monkeypatch.setattr(simcore, "_run_keyed", lambda *args: keyed.append(1) or run_keyed(*args))
+        monkeypatch.setattr(simcore, "_run_keyed", lambda *args: keyed.append(run_keyed(*args)) or keyed[-1])
     spans = load_bench("spans")
     tracer = spans.Tracer().install()
     try:
@@ -67,4 +67,27 @@ def test_tracer_sees_every_gate_of_one_sample_run(variant, block, tmp_path, caps
     assert {g: rec[0] for g, rec in tracer.gates.items()} == Counter(map(spans.gate_class, circ.gates))
     assert tracer.u_applications == 1
     assert tracer.ising_u[0] == 1
-    assert len(keyed) == (block is not None)
+    assert [support is not None for support in keyed] == [True] * (block is not None)
+
+
+def test_tracer_times_the_u_squared_pass_of_a_keyed_run(monkeypatch):
+    # run_amplified reads u**2 through the public postselect_probability, also
+    # when it hands it the keyed path's support, so the traced span covers that pass
+    import numpy as np
+
+    from multamp import amplify, simcore, transduce
+    keyed = []
+    run_keyed = simcore._run_keyed
+    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 4)
+    monkeypatch.setattr(simcore, "_run_keyed", lambda *args: keyed.append(run_keyed(*args)) or keyed[-1])
+    table = transduce.build_lambda_table(np.linspace(0.05, 1.0, 1 << 6), 2.0, 4, 1e-3)
+    circuit = transduce.build_synthesis(table, transduce.make_plan("controlled", 2.0, 4), enforce_zero=True)
+    tracer = load_bench("spans").Tracer().install()
+    try:
+        amplify.run_amplified(amplify.AmplificationSpec(circuit, {"E": 0}, 1))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("amplify.run_amplified") == 1
+    assert tracer.u_applications == 1
+    assert tracer.calls("amplify.postselect_probability") == 1
+    assert len(keyed) == 1 and keyed[0] is not None

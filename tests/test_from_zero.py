@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multamp import ising, simcore, transduce
+from multamp.amplify import postselect_probability
 from multamp.baselines import build_comparator_synthesis
 from multamp.simcore import (Circuit, Gate, RegisterLayout, RegisterXor, StateVector, apply_circuit, h,
                              phase, roty, swap, x)
@@ -254,14 +255,16 @@ KEYED_BLOCK = 1 << 4  # below the 2**7 amplitudes of the smallest built state
 @pytest.fixture
 def keyed_runs(monkeypatch):
     """``simcore._SAMPLE_BLOCK`` patched to ``KEYED_BLOCK``, so that every built state is large
-    enough for the keyed path, and the list of the supports ``_run_keyed`` returns."""
+    enough for the keyed path, and the list of the supports of the runs ``_run_keyed`` takes."""
     monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", KEYED_BLOCK)
     runs = []
     run_keyed = simcore._run_keyed
 
     def recording(*args):
-        runs.append(run_keyed(*args))
-        return runs[-1]
+        support = run_keyed(*args)
+        if support is not None:
+            runs.append(support)
+        return support
 
     monkeypatch.setattr(simcore, "_run_keyed", recording)
     return runs
@@ -276,10 +279,10 @@ def check_support(state, support, target):
     the rescale read off it are the bits of ``mass`` and ``scale`` without it."""
     held = state.amplitudes.reshape(support.size, -1).any(axis=1)
     assert np.array_equal(support.reshape(-1), held)
-    assert state._mass(target, support).hex() == state.mass(target).hex()
+    assert postselect_probability(state, target, _support=support).hex() == state.mass(target).hex()
     # a negative factor writes -0.0 on each zero of a block it multiplies
     want = state.copy().scale(target, 1.75, -2.5).amplitudes
-    assert state._scale(target, 1.75, -2.5, support).amplitudes.tobytes() == want.tobytes()
+    assert state.scale(target, 1.75, -2.5, _support=support).amplitudes.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -330,19 +333,22 @@ FALLBACK_VALUES = [3, 0, 1, 3, 2, 0, 1, 1]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("registers,ops", [
+@pytest.mark.parametrize("circuit", [
     # an ry on a key qubit: the key values carry different amplitudes
-    (FALLBACK_LAYOUT, [roty(0.7, 0), h(1), h(2), RegisterXor("C", "D", FALLBACK_VALUES),
-                       roty(0.4, 3), roty(1.1, 5, ((3, 1),))]),
+    Circuit(RegisterLayout(FALLBACK_LAYOUT), [roty(0.7, 0), h(1), h(2), RegisterXor("C", "D", FALLBACK_VALUES),
+                                              roty(0.4, 3), roty(1.1, 5, ((3, 1),))]),
     # a gate after the XOR controlled on a key qubit
-    (FALLBACK_LAYOUT, [h(0), h(1), h(2), RegisterXor("C", "D", FALLBACK_VALUES),
-                       roty(0.4, 3), roty(1.1, 5, ((0, 1),))]),
+    Circuit(RegisterLayout(FALLBACK_LAYOUT), [h(0), h(1), h(2), RegisterXor("C", "D", FALLBACK_VALUES),
+                                              roty(0.4, 3), roty(1.1, 5, ((0, 1),))]),
     # the key above the target register
-    ([("D", 2), ("C", 3), ("E", 2)], [h(2), h(3), h(4), RegisterXor("C", "D", FALLBACK_VALUES),
-                                       roty(0.4, 0), roty(1.1, 5, ((0, 1),))]),
-], ids=["key-not-uniform", "key-controls-later", "key-not-lowest"])
-def test_circuits_the_keyed_path_cannot_run_take_the_gate_path(registers, ops, dtype, keyed_runs):
-    tracked, dense = both_ways(Circuit(RegisterLayout(registers), ops), dtype)
+    Circuit(RegisterLayout([("D", 2), ("C", 3), ("E", 2)]),
+            [h(2), h(3), h(4), RegisterXor("C", "D", FALLBACK_VALUES), roty(0.4, 0), roty(1.1, 5, ((0, 1),))]),
+    # 7 distinct values of 8 keys: the compact key would be as wide as C, so nothing is saved
+    # (a comparator with no alpha of 1, so no second XOR reads the key)
+    build_comparator_synthesis([0.9, 0.8, 0.27, 0.125, 0.7, 0.5, 0.0, 0.33], 3)[0],
+], ids=["key-not-uniform", "key-controls-later", "key-not-lowest", "values-fill-the-key"])
+def test_circuits_the_keyed_path_cannot_run_take_the_gate_path(circuit, dtype, keyed_runs):
+    tracked, dense = both_ways(circuit, dtype)
     assert tracked.tobytes() == dense.tobytes()
     assert keyed_runs == []
 
@@ -358,10 +364,11 @@ def big_table_synthesis(variant):
 def test_the_keyed_support_of_a_large_table_marks_its_non_zeros(variant):
     # no patch: both states hold more than _SAMPLE_BLOCK amplitudes
     circuit = big_table_synthesis(variant)
-    state = apply_circuit(StateVector.zero_state(circuit.layout), circuit, validate=False, from_zero=True)
-    support = simcore._take_support(state)
-    assert support is not None and simcore._take_support(state) is None
-    check_support(state, support, {kept_register(circuit.layout): 0})
+    written = []
+    state = apply_circuit(StateVector.zero_state(circuit.layout), circuit, validate=False, from_zero=True,
+                          _written=written)
+    assert len(written) == 1
+    check_support(state, written[0], {kept_register(circuit.layout): 0})
 
 
 @pytest.mark.parametrize("ops,sizes", [
