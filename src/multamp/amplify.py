@@ -100,9 +100,11 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
     place (``StateVector.scale``: the slice and one view per qubit the
     target fixes, one multiply per amplitude in blocks of 2**16 split among
     the workers, with no scratch).  When U took ``apply_circuit``'s keyed
-    path, it hands both the rows it wrote (``_written``): they walk only the
-    blocks that hold those rows, and the rescale multiplies them without
-    reading them first, so u**2 is the same float and the bytes the same.
+    path (all checks before any write, then the oracle and the ladder on a
+    compact state), it hands both the rows it wrote (``_written``): they
+    walk only the blocks that hold those rows, and the rescale multiplies
+    them without reading them first, so u**2 is the same float and the bytes
+    the same.
     """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
     written = []

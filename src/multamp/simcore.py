@@ -6,25 +6,26 @@ the same way.  Gates act in place on a ``(2,)*n`` view of the amplitude
 buffer, so a gate with ``c`` controls touches ``2**(n-c)`` amplitudes.
 ``z`` allocates nothing.  ``x``, ``swap``, ``h``, ``ry`` and ``phase`` take
 the slice's halves in pieces of at most ``2**_PIECE_QUBITS`` amplitudes, with
-``out=`` ufuncs into at most two piece-sized scratch arrays per worker:
+``out=`` ufuncs into at most two piece-sized scratch arrays per gate:
 512 KiB for complex128 whatever the state size (Häner and Steiger,
-arXiv:1704.01127).  ``RegisterXor`` scatters the live prefix of each block
-of ``2**hi`` amplitudes (``hi``: top of its span).  ``_blocks`` cuts the
-pieces, and the blocks of ``StateVector.mass``, ``StateVector.scale`` and
-``sample``.  ``mass`` and ``sample``'s pass 1 read each block once, in one
-fused sum of squares (``_block_mass``), and sum the blocks' masses the same
-way, in block order.
+arXiv:1704.01127).  Every gate runs on the calling thread.  ``RegisterXor``
+scatters the live prefix of each block of ``2**hi`` amplitudes (``hi``: top
+of its span).  ``_blocks`` cuts the pieces, and the blocks of
+``StateVector.mass``, ``StateVector.scale`` and ``sample``.  ``mass`` and
+``sample``'s pass 1 read each block once, in one fused sum of squares
+(``_block_mass``), and sum the blocks' masses the same way, in block order.
 
-The gate pieces, the blocks of ``mass`` and of ``scale`` are walked by
-``_walk``, in contiguous shares, one per CPU the process may run on
-(``os.sched_getaffinity``): the calling thread takes the first and a pool
-of threads, started by the first walk that splits, the rest.  In
-``sample``'s pass 2 one of those threads computes the next drawn block's
-|a|^2 while the caller draws from the current one; every random number is
-drawn by the caller, in block order.  Each block runs the same numpy calls
-on the same memory at any worker count, so amplitudes, masses and counts
-are the same bytes.  A walk over at most ``_SAMPLE_BLOCK`` amplitudes runs
-inline, on one thread.  A forked child starts a pool of its own.
+The blocks of ``mass`` and of ``scale`` and the rows the keyed path
+gathers (below) are walked by ``_walk``, in contiguous shares, one per CPU
+the process may run on (``os.sched_getaffinity``): the calling thread
+takes the first and a pool of threads, started by the first walk that
+splits, the rest.  In ``sample``'s pass 2 one of those threads computes
+the next drawn block's |a|^2 while the caller draws from the current one;
+every random number is drawn by the caller, in block order.  Each block
+runs the same numpy calls on the same memory at any worker count, so
+amplitudes, masses and counts are the same bytes.  A walk over at most
+``_SAMPLE_BLOCK`` amplitudes runs inline, on one thread.  A forked child
+starts a pool of its own.
 
 ``apply_circuit(..., from_zero=True)`` skips the amplitudes known to be 0.
 It keeps one record: the qubits no instruction has written yet, which
@@ -42,16 +43,17 @@ the whole-state path.
 After the exponent oracle no instruction of U reads or writes C: C's
 qubits are global in Häner and Steiger's sense, and U|0> = v * sum_c
 |c> (x) V|lambda(c)> meets only the distinct exponents.  So on a state of
-more than ``_SAMPLE_BLOCK`` amplitudes ``apply_circuit`` runs V once per
-distinct exponent, on a compact state, and gathers back each row (2**|C|
-contiguous amplitudes, one value of the other qubits) that holds a
-non-zero, through the XOR's inverse index.  It records which rows those
-are for a caller that asks (``_written``), and ``amplify.run_amplified``
-sums u^2 and rescales over the blocks that hold them alone, without
-reading the others (``_live``).  The compact state saves nothing when
-the distinct XOR values need every qubit of C, and on the small states of
-the Ising sampler (at most ``_SAMPLE_BLOCK`` amplitudes) the keyed path
-measured about 10% slower end to end; both run every gate on the buffer.
+more than ``_SAMPLE_BLOCK`` amplitudes ``apply_circuit`` runs the oracle
+and V once per distinct exponent, on a compact state, having checked all
+of this before any write, and gathers back each row (2**|C| contiguous
+amplitudes, one value of the other qubits) that holds a non-zero, through
+the XOR's inverse index.  It records which rows those are for a caller
+that asks (``_written``), and ``amplify.run_amplified`` sums u^2 and
+rescales over the blocks that hold them alone (``_live``).  The compact
+state saves nothing when the distinct XOR values need every qubit of C,
+and on the small states of the Ising sampler (at most ``_SAMPLE_BLOCK``
+amplitudes) the keyed path measured about 10% slower end to end; both
+run every instruction on the buffer.
 
 Post-selection goes through one slice: ``StateVector.select`` is the
 writable view of the basis states whose registers read given values,
@@ -151,11 +153,12 @@ def _submit(fn, *args):
 def _walk(share, count: int, size: int) -> None:
     """Call ``share(lo, hi)`` on contiguous shares ``[lo, hi)`` of ``range(count)``, one per worker.
 
-    ``count`` items (blocks or pieces) hold ``size`` amplitudes in all.  A
-    walk over at most ``_SAMPLE_BLOCK`` amplitudes runs inline and starts no
-    thread.  Else the calling thread takes the first share and the pool the
-    rest, and the call returns once every share has ended.  ``share`` writes
-    only what its own items own, so the result is the same at any worker count.
+    ``count`` items (blocks, or the keyed path's rows) hold ``size`` amplitudes
+    in all.  A walk over at most ``_SAMPLE_BLOCK`` amplitudes runs inline and
+    starts no thread.  Else the calling thread takes the first share and the
+    pool the rest, and the call returns once every share has ended.  ``share``
+    writes only what its own items own, so the result is the same at any
+    worker count.  A gate runs on the calling thread alone, with no walk.
     """
     k = min(count, _workers()) if size > _SAMPLE_BLOCK else 1
     if k <= 1:
@@ -559,9 +562,9 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
     ``_butterfly`` in pieces of at most ``2**_PIECE_QUBITS`` amplitudes; of
     a slice split into several, a fresh write skips a piece whose |0> half
     holds only zeros, so pages that hold no amplitude yet stay unwritten.
-    The pieces are split among the workers (``_walk``), each with its own
-    ``_butterfly`` scratch.  A swap runs on both halves whatever ``zeros``
-    holds of its targets.
+    The pieces run in order on the calling thread, through one
+    ``_butterfly`` scratch per gate.  A swap runs on both halves whatever
+    ``zeros`` holds of its targets.
     """
     n = state.num_qubits
     kind = gate.kind
@@ -610,16 +613,12 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
     else:
         c, s = _SQRT1_2, _SQRT1_2
     a0, a1 = _blocks(v0, 1 << _PIECE_QUBITS), _blocks(v1, 1 << _PIECE_QUBITS)
-
-    def share(lo, hi):
-        t = None if fresh else np.empty(a0[0].shape, v0.dtype)
-        w = None if fresh or kind in ("x", "swap", "phase") else np.empty_like(t)
-        for a, b in zip(a0[lo:hi], a1[lo:hi]):
-            if fresh and len(a0) > 1 and not a.any():
-                continue  # a split slice's piece whose halves are both 0: leave its pages unwritten
-            _butterfly(kind, a, b, c, s, fresh, t, w)
-
-    _walk(share, len(a0), v0.size + v1.size)
+    t = None if fresh else np.empty(a0[0].shape, v0.dtype)
+    w = None if fresh or kind in ("x", "swap", "phase") else np.empty_like(t)
+    for a, b in zip(a0, a1):
+        if fresh and len(a0) > 1 and not a.any():
+            continue  # a split slice's piece whose halves are both 0: leave its pages unwritten
+        _butterfly(kind, a, b, c, s, fresh, t, w)
     return state
 
 
@@ -695,12 +694,13 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
     later instruction is an XOR or reads or writes a key qubit, and the
     state holds more than ``_SAMPLE_BLOCK`` amplitudes, then after the XOR
     the state is v * sum_c |c> (x) |values[c]>, and the rest of the circuit
-    acts on each value of C alike.  So the rest runs once per distinct XOR
-    value instead (``_run_keyed``), unless those values need as many qubits
-    as C, and the amplitudes written back are the values the gate path
-    computes, each by the same per-element arithmetic.  The path then
-    appends to ``_written``, if given, the segments that hold a non-zero
-    (the ``support`` ``_live`` reads); it is valid until the next write.
+    acts on each value of C alike.  So the XOR and the rest run once per
+    distinct XOR value, on a compact state (``_run_keyed``), unless those
+    values need as many qubits as C, and the amplitudes written back are
+    the gate path's, by the same per-element arithmetic.  Every check runs
+    before any write; the XOR runs on the state only if the path refused.
+    The path appends to ``_written``, if given, the segments that hold a
+    non-zero (the ``support`` ``_live`` reads); valid until the next write.
     """
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match the state layout")
@@ -715,49 +715,44 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
             apply_gate(state, op, validate=False, zeros=zeros)
             zeros.difference_update(op.targets)
             continue
-        v = _keyed_amplitude(state, op, zeros, circuit.gates[i + 1:]) if from_zero else None
-        op.apply(state, max((q + 1 for q in range(n) if q not in zeros), default=0))
-        zeros.difference_update(op.spans(state.layout)[1])
-        support = None if v is None else _run_keyed(state, op, v, zeros, circuit.gates[i + 1:])
+        support = _run_keyed(state, op, zeros, circuit.gates[i + 1:]) if from_zero else None
         if support is not None:
             if _written is not None:
                 _written.append(support)
             break
+        op.apply(state, max((q + 1 for q in range(n) if q not in zeros), default=0))
+        zeros.difference_update(op.spans(state.layout)[1])
     return state
 
 
-def _keyed_amplitude(state: StateVector, op: RegisterXor, zeros: set, later: list):
-    """The amplitude every key value carries, if ``later`` can run once per distinct
-    value ``op`` XORs in (see ``apply_circuit``); else None."""
-    n, k = state.num_qubits, state.layout.width(op.key_register)
-    if (state.amplitudes.size <= _SAMPLE_BLOCK or state.layout.offset(op.key_register) != 0
-            or zeros != set(range(k, n))
-            or not all(isinstance(g, Gate) and min(g.qubits) >= k for g in later)):
-        return None
-    live = state.amplitudes[:1 << k]
-    bits = live.view(f"u{live.itemsize // 2}").reshape(-1, 2)  # the same bytes, not just values
-    return live[0] if (bits == bits[0]).all() else None
+def _run_keyed(state: StateVector, op: RegisterXor, zeros: set, later: list) -> np.ndarray | None:
+    """Run ``op`` and ``later`` on one row of C per distinct value of ``op.values``; write the rows back.
 
-
-def _run_keyed(state: StateVector, op: RegisterXor, v, zeros: set, later: list) -> np.ndarray:
-    """Run ``later`` on one row of C per distinct value of ``op.values``; write the rows back.
-
-    A row is 2**k contiguous amplitudes, k = |C|: one value of the other
-    qubits.  The compact state's key register holds m >= 1 qubits, one value
-    per distinct XOR value, with v where the XOR put it.  Every later gate
-    runs on it through ``apply_gate``, its qubits and ``zeros`` shifted down
-    by k - m.  Then each row that holds a non-zero is gathered from its
-    compact row through the inverse index, the rows split among the workers
-    (``_walk``), and the rows the XOR wrote that are now empty are cleared.
-    Returns the ``support`` ``_live`` reads: whether each segment of 2**seg
-    amplitudes, seg = min(k, log2 ``_SAMPLE_BLOCK``), holds a non-zero, read
-    off the compact rows.  Scratch: the 2**k int64 inverse index and the
-    compact state.  Returns None, having written nothing, when the distinct
-    values need all k qubits: the compact state would be as large as the
-    state, and the gate path is left to run ``later``.
+    First every check of ``apply_circuit``'s keyed path, and that the
+    distinct values fit in m < k = |C| qubits (else the compact state would
+    be as large as the state): if one fails, returns None having written and
+    allocated nothing.  The compact key register holds m >= 1 qubits, one
+    value per distinct XOR value; its first ones carry the prefix's v, and a
+    ``RegisterXor`` of the distinct values, padded with 0, runs on it.
+    Every later gate follows through ``apply_gate``, its qubits and
+    ``zeros`` shifted down by k - m.  Then each row of the state (2**k
+    contiguous amplitudes: one value of the other qubits) that holds a
+    non-zero is gathered from its compact row through the inverse index, the
+    rows split among the workers (``_walk``), and row 0, H's prefix, is
+    cleared if no gather wrote it.  Returns the ``support`` ``_live`` reads:
+    whether each segment of 2**seg amplitudes, seg = min(k, log2
+    ``_SAMPLE_BLOCK``), holds a non-zero, read off the compact rows.
+    Scratch: the 2**k int64 inverse index and the compact state.
     """
     layout, n = state.layout, state.num_qubits
     k = layout.width(op.key_register)
+    bits = state.amplitudes[:1 << k].view(f"u{state.amplitudes.itemsize // 2}").reshape(-1, 2)
+    if (state.amplitudes.size <= _SAMPLE_BLOCK or layout.offset(op.key_register) != 0
+            or zeros != set(range(k, n))
+            or not all(isinstance(g, Gate) and min(g.qubits) >= k for g in later)
+            or not (bits == bits[0]).all()):  # the same bytes, not just values
+        return None
+    op.validate(layout)
     present = np.bincount(op.values) > 0  # np.unique's values and inverse, without its sort
     values, index = np.flatnonzero(present), (np.cumsum(present) - 1)[op.values]
     m = max(1, (len(values) - 1).bit_length())
@@ -767,8 +762,10 @@ def _run_keyed(state: StateVector, op: RegisterXor, v, zeros: set, later: list) 
     compact = StateVector(RegisterLayout([(op.key_register, m)] + [(r, layout.width(r))
                                                                    for r in layout.names()[1:]]),
                           np.zeros(1 << (n - down), state.amplitudes.dtype))
-    compact.amplitudes[np.arange(len(values)) | (values << (layout.offset(op.target_register) - down))] = v
-    czeros = {q - down for q in zeros}
+    compact.amplitudes[:len(values)] = state.amplitudes[0]
+    RegisterXor(op.key_register, op.target_register,
+                np.pad(values, (0, (1 << m) - len(values)))).apply(compact, m)
+    czeros = {q - down for q in zeros.difference(op.spans(layout)[1])}  # the XOR wrote its target
     for g in later:
         g = replace(g, target=g.target - down, target2=None if g.target2 is None else g.target2 - down,
                     controls=tuple((q - down, p) for q, p in g.controls))
@@ -789,8 +786,8 @@ def _run_keyed(state: StateVector, op: RegisterXor, v, zeros: set, later: list) 
             np.take(crows[r], index, out=rows[r], mode="clip")
 
     _walk(share, len(written), len(written) << k)
-    xored = values << (layout.offset(op.target_register) - k)  # the rows the XOR wrote
-    rows[xored[~live[xored]]] = 0
+    if not live[0]:
+        rows[0] = 0
     return support.reshape((2,) * (n - seg))
 
 

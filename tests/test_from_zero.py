@@ -328,6 +328,35 @@ def test_built_circuits_do_the_pinned_keyed_work(build, args, total, keyed_runs,
     assert len(keyed_runs) == 1
 
 
+def xor_qubit_counts(circuit, monkeypatch):
+    """The qubit count of each state ``RegisterXor.apply`` gets while ``circuit`` runs from |0>."""
+    seen = []
+    xor_apply = RegisterXor.apply
+
+    def recording(op, state, top=None):
+        seen.append(state.num_qubits)
+        return xor_apply(op, state, top)
+
+    monkeypatch.setattr(RegisterXor, "apply", recording)
+    apply_circuit(StateVector.zero_state(circuit.layout), circuit, from_zero=True)
+    return seen
+
+
+@pytest.mark.parametrize("build,args", [p for p in BUILT if p.id in KEYED_WORK] + [
+    # 7 distinct values of 8 keys, as in values-fill-the-key below: the keyed path refuses
+    pytest.param(lambda: build_comparator_synthesis([0.9, 0.8, 0.27, 0.125, 0.7, 0.5, 0.0, 0.33], 3)[0], (),
+                 id="values-fill-the-key")])
+def test_the_oracle_runs_once_on_the_compact_state_or_else_on_the_state(build, args, keyed_runs, monkeypatch):
+    # the compact key holds m = ceil(log2(distinct values)) >= 1 qubits in place of C's k;
+    # with m = k the keyed path refuses and the one XOR runs on the whole state
+    circuit = build(*args)
+    xor = next(op for op in circuit if isinstance(op, RegisterXor))
+    k = circuit.layout.width(xor.key_register)
+    m = max(1, math.ceil(math.log2(len(set(xor.values.tolist())))))
+    assert xor_qubit_counts(circuit, monkeypatch) == [circuit.layout.total_qubits - (k - m)]
+    assert len(keyed_runs) == (m < k)
+
+
 FALLBACK_LAYOUT = [("C", 3), ("D", 2), ("E", 2)]
 FALLBACK_VALUES = [3, 0, 1, 3, 2, 0, 1, 1]
 

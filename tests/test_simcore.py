@@ -776,6 +776,15 @@ def test_a_worker_keeps_the_callers_errstate(monkeypatch):
         state.scale({}, 1e200, 1.0)
 
 
+def test_a_gate_runs_on_the_calling_thread(monkeypatch):
+    # 2**18 amplitudes: eight pieces per half, more than a walk runs inline, yet no gate splits
+    monkeypatch.setattr(simcore, "_workers", lambda: 2)
+    monkeypatch.setattr(simcore, "_submit", lambda *args: pytest.fail("a gate submitted work to the pool"))
+    state = random_state(RegisterLayout([("R", 18)]), np.random.default_rng(9))
+    for gate in (h(17), roty(0.3, 0), x(5, ((17, 1),)), phase(0.2, 3), swap(1, 2)):
+        apply_gate(state, gate, validate=False)
+
+
 def mass_in_child(state, want):
     if state.mass({}) != want:
         raise SystemExit(1)
