@@ -56,12 +56,9 @@ def phase_flip(state: StateVector, conditions: Mapping[str, int]) -> StateVector
 
 
 def postselect_probability(state: StateVector, conditions: Mapping[str, int], *, _support=None) -> float:
-    """Joint probability of reading the given values on the named registers (``StateVector.mass``).
-
-    ``_support``: a keyed ``apply_circuit``'s record of this state's non-zero
-    segments, as ``run_amplified`` passes it; only the blocks it marks are read.
-    """
-    return float(state._block_masses(conditions, _support)[1].sum())
+    """Joint probability of reading the given values on the named registers:
+    ``StateVector.mass``, to which ``run_amplified`` hands its ``_support``."""
+    return state.mass(conditions, _support=_support)
 
 
 def grover_iterate(state: StateVector, spec: AmplificationSpec) -> StateVector:
@@ -100,11 +97,13 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
     place (``StateVector.scale``: the slice and one view per qubit the
     target fixes, one multiply per amplitude in blocks of 2**16 split among
     the workers, with no scratch).  When U took ``apply_circuit``'s keyed
-    path (all checks before any write, then the oracle and the ladder on a
-    compact state), it hands both the rows it wrote (``_written``): they
-    walk only the blocks that hold those rows, and the rescale multiplies
-    them without reading them first, so u**2 is the same float and the bytes
-    the same.
+    path (chosen from the circuit before any write, as every Ising
+    synthesis and every table whose distinct exponents fit in fewer qubits
+    than C are; the oracle and the ladder then run on a compact state, and
+    the Hadamards on C are computed), it hands both the rows it
+    wrote (``_written``): they walk only the blocks that hold those rows,
+    and the rescale multiplies them without reading them first, so u**2 is
+    the same float and the bytes the same.  Any other U runs dense.
     """
     state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
     written = []

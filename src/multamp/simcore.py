@@ -27,33 +27,22 @@ amplitudes, masses and counts are the same bytes.  A walk over at most
 ``_SAMPLE_BLOCK`` amplitudes runs inline, on one thread.  A forked child
 starts a pool of its own.
 
-``apply_circuit(..., from_zero=True)`` skips the amplitudes known to be 0.
-It keeps one record: the qubits no instruction has written yet, which
-read 0 on every non-zero amplitude.  ``apply_gate`` indexes them like
-controls, so each gate runs on the slice where they read 0.  A target
-still unwritten is fresh: its |1> half is 0, so the gate reads the |0>
-half and writes both, with no scratch (z and phase do nothing there),
-and of a slice split into pieces skips those whose |0> half is all zeros.
-Every layout here puts the index register C lowest, so H on C and the
-exponent oracle touch 2**|C| amplitudes, not the whole state, and each
-rotation of the controlled ladder writes a fresh E qubit.  Other
-states, such as the one ``amplify.grover_iterate`` runs U^-1 on, take
-the whole-state path.
-
-After the exponent oracle no instruction of U reads or writes C: C's
-qubits are global in Häner and Steiger's sense, and U|0> = v * sum_c
-|c> (x) V|lambda(c)> meets only the distinct exponents.  So on a state of
-more than ``_SAMPLE_BLOCK`` amplitudes ``apply_circuit`` runs the oracle
-and V once per distinct exponent, on a compact state, having checked all
-of this before any write, and gathers back each row (2**|C| contiguous
-amplitudes, one value of the other qubits) that holds a non-zero, through
-the XOR's inverse index.  It records which rows those are for a caller
+``apply_circuit(..., from_zero=True)`` chooses the keyed path from the
+circuit alone, before any write, at any state size (``_keyed_plan``).
+The paper's U is H on the index register C, the exponent oracle keyed on
+C, then gates that never read or write C: C's qubits are global in Häner
+and Steiger's sense, and U|0> = v * sum_c |c> (x) V|lambda(c)>, v =
+(1/sqrt 2)**|C|, meets only the distinct exponents.  So the Hadamards are
+not applied but v is computed, in the state's dtype, and the oracle and V
+run once per distinct exponent, through the dense kernels, on a compact
+state.  Each row of the state (2**|C| contiguous amplitudes, one value of
+the other qubits) that holds a non-zero is then gathered back through the
+XOR's inverse index.  The path records which rows those are for a caller
 that asks (``_written``), and ``amplify.run_amplified`` sums u^2 and
-rescales over the blocks that hold them alone (``_live``).  The compact
-state saves nothing when the distinct XOR values need every qubit of C,
-and on the small states of the Ising sampler (at most ``_SAMPLE_BLOCK``
-amplitudes) the keyed path measured about 10% slower end to end; both
-run every instruction on the buffer.
+rescales over the blocks that hold them alone (``_live``).  Every other
+circuit runs dense, each gate on its 2**(n-c) amplitudes: the comparator,
+whose second XOR reads C, a table whose distinct exponents need every
+qubit of C, and the U^-1 ``amplify.grover_iterate`` runs.
 
 Post-selection goes through one slice: ``StateVector.select`` is the
 writable view of the basis states whose registers read given values,
@@ -314,10 +303,12 @@ class StateVector:
         """sqrt of the mass of the whole state, in float64 whatever the dtype."""
         return math.sqrt(self.mass({}))
 
-    def mass(self, conditions: Mapping[str, int]) -> float:
+    def mass(self, conditions: Mapping[str, int], *, _support=None) -> float:
         """Sum of |a|^2 over ``select(conditions)``: the masses of its blocks, summed as
-        ``sample`` sums them before it draws, so the two totals are the same float."""
-        return float(self._block_masses(conditions)[1].sum())
+        ``sample`` sums them before it draws, so the two totals are the same float.
+        ``_support``: a keyed ``apply_circuit``'s record of this state's non-zero
+        segments, as ``amplify.run_amplified`` passes it; only the blocks it marks are read."""
+        return float(self._block_masses(conditions, _support)[1].sum())
 
     def _block_masses(self, conditions: Mapping[str, int], support=None) -> tuple:
         """The ``_SAMPLE_BLOCK``-amplitude blocks of ``select(conditions)`` and their masses.
@@ -483,15 +474,13 @@ class RegisterXor:
         if self.values.max() >= (1 << tw):
             raise ValueError(f"XOR values do not fit in register {self.target_register!r}")
 
-    def spans(self, layout: RegisterLayout) -> tuple[range, range]:
-        """The key and target registers' qubits in ``layout``."""
-        return layout.qubits(self.key_register), layout.qubits(self.target_register)
-
     def apply(self, state: StateVector, top: int | None = None) -> StateVector:
         """Permute the state in place and return it.
 
         ``top``: the caller knows every qubit from ``top`` up reads 0, so
         every amplitude at index >= 2**top is 0 (default: the qubit count).
+        ``apply_circuit``'s keyed path passes the compact key's width, having
+        written the compact state's first entries alone.
         The permutation maps each block of 2**hi amplitudes (``hi``: top of
         the key/target span) onto itself.  In each block below 2**top the
         live prefix, its first 2**min(top, hi), is copied out and zeroed,
@@ -501,7 +490,7 @@ class RegisterXor:
         """
         layout = state.layout
         self.validate(layout)
-        key, target = self.spans(layout)
+        key, target = layout.qubits(self.key_register), layout.qubits(self.target_register)
         hi = max(key.stop, target.stop)
         top = state.num_qubits if top is None else top
         width = min(top, hi)
@@ -548,23 +537,15 @@ class Circuit:
         return iter(self.gates)
 
 
-def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) -> StateVector:
+def apply_gate(state: StateVector, gate: Gate, validate: bool = True) -> StateVector:
     """Apply one gate in place and return the same state.
 
     The gate's wiring was checked when it was built; a call checks its qubits
-    and ``zeros`` against the qubit count and, if ``validate``, the input mass.
-    ``zeros``: qubits that read 0 on every non-zero amplitude.  Their axes
-    are indexed at 0 like controls, so only that slice is computed, and a
-    control on 1 of one leaves the state as it is.  A target among them is
-    fresh: its |1> half is 0, so the gate reads the |0> half alone and
-    writes both (``_butterfly`` with ``fresh``), and z and phase, which
-    act on the |1> half only, leave the state as it is.  The halves go to
-    ``_butterfly`` in pieces of at most ``2**_PIECE_QUBITS`` amplitudes; of
-    a slice split into several, a fresh write skips a piece whose |0> half
-    holds only zeros, so pages that hold no amplitude yet stay unwritten.
-    The pieces run in order on the calling thread, through one
-    ``_butterfly`` scratch per gate.  A swap runs on both halves whatever
-    ``zeros`` holds of its targets.
+    against the qubit count and, if ``validate``, the input mass.  The gate
+    runs on the slice where its controls read their polarities, 2**(n - c)
+    amplitudes for c controls, whatever they hold.  Its |0> and |1> halves go
+    to ``_butterfly`` in pieces of at most ``2**_PIECE_QUBITS`` amplitudes,
+    in order on the calling thread, through one scratch per gate.
     """
     n = state.num_qubits
     kind = gate.kind
@@ -574,25 +555,9 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
         _require_normalized(state.mass({}), state.amplitudes.dtype, "input state is not normalized")
 
     psi = state.amplitudes.reshape((2,) * n)
-    free = slice(None)
-    sel = [free] * n + [Ellipsis]  # Ellipsis: the halves stay views, 0-d ones too
+    sel = [slice(None)] * n + [Ellipsis]  # Ellipsis: the halves stay views, 0-d ones too
     for q, pol in gate.controls:
         sel[n - 1 - q] = pol  # qubit q lives on axis n-1-q of the C-order view
-    targets = gate.targets
-    fresh = False
-    for q in zeros:
-        if not 0 <= q < n:
-            raise ValueError(f"zero qubit {q} outside [0, {n})")
-        i = n - 1 - q
-        if q in targets:
-            fresh = kind != "swap"
-        elif sel[i] is free:
-            sel[i] = 0
-        elif sel[i] == 1:
-            return state  # a control no non-zero amplitude satisfies
-    if fresh and kind in ("z", "phase"):
-        return state
-
     ax = n - 1 - gate.target
     sel[ax] = 0
     if kind == "swap":
@@ -613,16 +578,14 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True, zeros=()) 
     else:
         c, s = _SQRT1_2, _SQRT1_2
     a0, a1 = _blocks(v0, 1 << _PIECE_QUBITS), _blocks(v1, 1 << _PIECE_QUBITS)
-    t = None if fresh else np.empty(a0[0].shape, v0.dtype)
-    w = None if fresh or kind in ("x", "swap", "phase") else np.empty_like(t)
+    t = np.empty(a0[0].shape, v0.dtype)
+    w = None if kind in ("x", "swap", "phase") else np.empty_like(t)
     for a, b in zip(a0, a1):
-        if fresh and len(a0) > 1 and not a.any():
-            continue  # a split slice's piece whose halves are both 0: leave its pages unwritten
-        _butterfly(kind, a, b, c, s, fresh, t, w)
+        _butterfly(kind, a, b, c, s, t, w)
     return state
 
 
-def _butterfly(kind, a, b, c, s, fresh, t, w):
+def _butterfly(kind, a, b, c, s, t, w):
     """One piece of an x/swap/h/ry/phase gate, in place: ``a``, ``b`` are the |0>, |1> halves.
 
     ``t``, ``w``: contiguous scratch of the piece's shape (``w`` for h and ry only).
@@ -630,19 +593,8 @@ def _butterfly(kind, a, b, c, s, fresh, t, w):
     strided halves once, with the per-element arithmetic of those whole-slice expressions.
     Phase multiplies ``b`` by ``c + i*s`` through real products and sums of its parts:
     numpy's complex product rounds a 1-element array differently from longer ones.
-
-    ``fresh``: ``b`` is 0 (x, h and ry only), so the scratch is unused (None): x moves
-    ``a`` to ``b`` and zeroes ``a``, h and ry write ``b = a*s`` and then ``a *= c`` (h: c = s).
-    Each product is the dense one's wherever ``a`` is not a zero.
     """
-    if fresh:
-        if kind == "x":
-            b[...] = a
-            a[...] = 0
-        else:
-            np.multiply(a, s, out=b)
-            np.multiply(a, c, out=a)
-    elif kind in ("x", "swap"):
+    if kind in ("x", "swap"):
         t[...] = a
         a[...] = b
         b[...] = t
@@ -673,104 +625,111 @@ def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
                   from_zero: bool = False, *, _written: list | None = None) -> StateVector:
     """Apply every instruction of the circuit in order, in place.
 
+    The dense path, the specification: each gate runs through ``apply_gate``
+    on the whole state and each ``RegisterXor`` through its ``apply``.
+
     ``from_zero=True`` promises that ``state`` is |0...0> (only
-    ``amplitudes[0] == 1`` is checked).  The call then records, local to
-    it, the qubits no instruction has written yet, starting with every
-    qubit.  Each gate runs through ``apply_gate`` with that set, as it
-    stands, as ``zeros``: the gate runs on the slice where the others read
-    0, and a target in it is fresh.  Then its targets are written.  A
-    ``RegisterXor`` gets as ``top`` one above the highest written qubit,
-    and moves only the blocks below 2**top (see ``RegisterXor.apply``);
-    then its target register is written.
-
-    On the live slice the kernels do the same arithmetic as on the whole
-    state, so the amplitudes are bit-equal to the untracked call's, except
-    that an amplitude that stays 0 keeps +0.0 where the dense butterflies
-    may write -0.0, and a fresh write of a zero ``a`` gives ``a*s`` where
-    the dense one adds the zero half to it.
-
-    The keyed path: when an XOR's key is the lowest register, it and only
-    it has been written, its 2**|C| live amplitudes are the same bytes, no
-    later instruction is an XOR or reads or writes a key qubit, and the
-    state holds more than ``_SAMPLE_BLOCK`` amplitudes, then after the XOR
-    the state is v * sum_c |c> (x) |values[c]>, and the rest of the circuit
-    acts on each value of C alike.  So the XOR and the rest run once per
-    distinct XOR value, on a compact state (``_run_keyed``), unless those
-    values need as many qubits as C, and the amplitudes written back are
-    the gate path's, by the same per-element arithmetic.  Every check runs
-    before any write; the XOR runs on the state only if the path refused.
-    The path appends to ``_written``, if given, the segments that hold a
-    non-zero (the ``support`` ``_live`` reads); valid until the next write.
+    ``amplitudes[0] == 1`` is checked) and lets the call take the keyed
+    path, chosen from the circuit alone before anything is written
+    (``_keyed_plan``): k uncontrolled H, one on each qubit of C, the
+    layout's first register, in any order; then a ``RegisterXor`` keyed on
+    C whose distinct values fit in m < k qubits; then only gates that
+    neither target nor control a qubit of C.  After the XOR the state is
+    v * sum_c |c> (x) |values[c]>, v = (1/sqrt 2)**k, and the rest acts on
+    each value of C alike, so ``_run_keyed`` runs it once per distinct value,
+    on a compact state.  Every other circuit runs dense.  The keyed amplitudes
+    are the dense path's: the same bytes in every row the path writes, and
+    the same values in the rows it leaves at +0.0, where the dense butterflies
+    may write -0.0.  The path appends to ``_written``, if given, the segments
+    that hold a non-zero (the ``support`` ``_live`` reads); valid until the
+    next write.
     """
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match the state layout")
     if validate:
         _require_normalized(state.mass({}), state.amplitudes.dtype, "input state is not normalized")
-    n = state.num_qubits
     if from_zero and state.amplitudes[0] != 1:
         raise ValueError("from_zero needs the state |0...0>")
-    zeros = set(range(n)) if from_zero else set()  # the qubits no instruction has written yet
-    for i, op in enumerate(circuit.gates):
+    plan = _keyed_plan(circuit) if from_zero else None
+    if plan is not None:
+        support = _run_keyed(state, *plan)
+        if _written is not None:
+            _written.append(support)
+        return state
+    for op in circuit.gates:
         if isinstance(op, Gate):
-            apply_gate(state, op, validate=False, zeros=zeros)
-            zeros.difference_update(op.targets)
-            continue
-        support = _run_keyed(state, op, zeros, circuit.gates[i + 1:]) if from_zero else None
-        if support is not None:
-            if _written is not None:
-                _written.append(support)
-            break
-        op.apply(state, max((q + 1 for q in range(n) if q not in zeros), default=0))
-        zeros.difference_update(op.spans(state.layout)[1])
+            apply_gate(state, op, validate=False)
+        else:
+            op.apply(state)
     return state
 
 
-def _run_keyed(state: StateVector, op: RegisterXor, zeros: set, later: list) -> np.ndarray | None:
-    """Run ``op`` and ``later`` on one row of C per distinct value of ``op.values``; write the rows back.
+def _keyed_plan(circuit: Circuit) -> tuple | None:
+    """``_run_keyed``'s arguments after ``state``, read off the circuit alone, or None.
 
-    First every check of ``apply_circuit``'s keyed path, and that the
-    distinct values fit in m < k = |C| qubits (else the compact state would
-    be as large as the state): if one fails, returns None having written and
-    allocated nothing.  The compact key register holds m >= 1 qubits, one
-    value per distinct XOR value; its first ones carry the prefix's v, and a
-    ``RegisterXor`` of the distinct values, padded with 0, runs on it.
-    Every later gate follows through ``apply_gate``, its qubits and
-    ``zeros`` shifted down by k - m.  Then each row of the state (2**k
-    contiguous amplitudes: one value of the other qubits) that holds a
-    non-zero is gathered from its compact row through the inverse index, the
-    rows split among the workers (``_walk``), and row 0, H's prefix, is
-    cleared if no gather wrote it.  Returns the ``support`` ``_live`` reads:
-    whether each segment of 2**seg amplitudes, seg = min(k, log2
-    ``_SAMPLE_BLOCK``), holds a non-zero, read off the compact rows.
-    Scratch: the 2**k int64 inverse index and the compact state.
+    None unless the circuit has the form ``apply_circuit``'s keyed path
+    needs: instructions 0..k-1 are one uncontrolled H on each qubit of C
+    (the layout's first register, k qubits), instruction k is a
+    ``RegisterXor`` keyed on C, every later instruction is a gate on qubits
+    from k up, and the XOR's distinct values fit in m < k qubits (else the
+    compact state would be as large as the state).  Else (the XOR, the later
+    gates, the distinct values in ascending order, the inverse index that
+    maps each value of C to its distinct value's place, m).
+    """
+    layout, ops = circuit.layout, circuit.gates
+    key = layout.names()[0]
+    k = layout.width(key)
+    if (len(ops) <= k or not isinstance(ops[k], RegisterXor) or ops[k].key_register != key
+            or sorted(g.target for g in ops[:k] if isinstance(g, Gate) and g.kind == "h" and not g.controls)
+            != list(range(k))
+            or not all(isinstance(g, Gate) and min(g.qubits) >= k for g in ops[k + 1:])):
+        return None
+    op = ops[k]
+    op.validate(layout)
+    present = np.bincount(op.values) > 0  # np.unique's values and inverse, without its sort
+    values = np.flatnonzero(present)
+    m = max(1, (len(values) - 1).bit_length())
+    if m >= k:
+        return None
+    return op, ops[k + 1:], values, (np.cumsum(present) - 1)[op.values], m
+
+
+def _run_keyed(state: StateVector, op: RegisterXor, later: list, values: np.ndarray, index: np.ndarray,
+               m: int) -> np.ndarray:
+    """Write U|0> into ``state`` (|0...0>) for a circuit ``_keyed_plan`` took; return its support.
+
+    The compact state is the layout with C narrowed to m qubits, one key
+    value per distinct XOR value.  Its first ``len(values)`` key entries
+    get v = (1/sqrt 2)**k, k = |C|, as k products by 1/sqrt 2 in the state's
+    dtype: from |0> each Hadamard on C writes the product of the one
+    non-zero it reads.  A ``RegisterXor`` of the distinct values, padded with 0
+    to 2**m, runs on it (``top`` m), then every later gate through
+    ``apply_gate``, its qubits shifted down by k - m.  Then each row of the
+    state (2**k contiguous amplitudes: one value of the other qubits) that
+    holds a non-zero is gathered from its compact row through ``index``, one
+    ``np.take`` per row, the rows split among the workers (``_walk``).
+    Amplitude 0, |0...0>'s 1, is cleared when row 0 holds no non-zero.
+    Returns the ``support`` ``_live`` reads: whether each segment of
+    2**seg amplitudes, seg = min(k, log2 ``_SAMPLE_BLOCK``), holds a
+    non-zero, read off the compact rows.  Nothing of the state is read.
+    Scratch: the compact state beside the plan's 2**k int64 index.
     """
     layout, n = state.layout, state.num_qubits
     k = layout.width(op.key_register)
-    bits = state.amplitudes[:1 << k].view(f"u{state.amplitudes.itemsize // 2}").reshape(-1, 2)
-    if (state.amplitudes.size <= _SAMPLE_BLOCK or layout.offset(op.key_register) != 0
-            or zeros != set(range(k, n))
-            or not all(isinstance(g, Gate) and min(g.qubits) >= k for g in later)
-            or not (bits == bits[0]).all()):  # the same bytes, not just values
-        return None
-    op.validate(layout)
-    present = np.bincount(op.values) > 0  # np.unique's values and inverse, without its sort
-    values, index = np.flatnonzero(present), (np.cumsum(present) - 1)[op.values]
-    m = max(1, (len(values) - 1).bit_length())
     down = k - m
-    if not down:
-        return None
     compact = StateVector(RegisterLayout([(op.key_register, m)] + [(r, layout.width(r))
                                                                    for r in layout.names()[1:]]),
                           np.zeros(1 << (n - down), state.amplitudes.dtype))
-    compact.amplitudes[:len(values)] = state.amplitudes[0]
-    RegisterXor(op.key_register, op.target_register,
-                np.pad(values, (0, (1 << m) - len(values)))).apply(compact, m)
-    czeros = {q - down for q in zeros.difference(op.spans(layout)[1])}  # the XOR wrote its target
+    v = state.amplitudes.dtype.type(1)
+    for _ in range(k):
+        v *= _SQRT1_2
+    compact.amplitudes[:len(values)] = v
+    padded = np.zeros(1 << m, np.int64)
+    padded[:len(values)] = values
+    RegisterXor(op.key_register, op.target_register, padded).apply(compact, m)
     for g in later:
-        g = replace(g, target=g.target - down, target2=None if g.target2 is None else g.target2 - down,
-                    controls=tuple((q - down, p) for q, p in g.controls))
-        apply_gate(compact, g, validate=False, zeros=czeros)
-        czeros.difference_update(g.targets)
+        apply_gate(compact, Gate(g.kind, g.target - down, g.angle, None if g.target2 is None else g.target2 - down,
+                                 tuple((q - down, p) for q, p in g.controls)), validate=False)
 
     rows = state.amplitudes.reshape(-1, 1 << k)
     crows = compact.amplitudes.reshape(-1, 1 << m)[:, :len(values)]
@@ -787,7 +746,7 @@ def _run_keyed(state: StateVector, op: RegisterXor, zeros: set, later: list) -> 
 
     _walk(share, len(written), len(written) << k)
     if not live[0]:
-        rows[0] = 0
+        state.amplitudes[0] = 0
     return support.reshape((2,) * (n - seg))
 
 

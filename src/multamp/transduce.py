@@ -240,11 +240,10 @@ def build_T2(plan: TransductionPlan, layout: RegisterLayout) -> Circuit:
     Maps |lambda~>_D |0>_E so that the |lambda~>_D |0>_E output amplitude
     is gamma**(-lambda~) exactly, with no prefactor.  With the flag z, a
     NOT on E_0 anti-controlled on z moves saturated branches out of E == 0.
-    It comes straight after the flag, before the ladder: every rotation
+    It comes straight after the flag, before the ladder.  Every rotation
     fires on z == 1 only, so the NOT commutes with each of them and U is
-    the same either way, but here it finds E_0 unwritten, which
-    ``apply_circuit(..., from_zero=True)`` runs on 2**|C+D| pairs instead
-    of the whole z == 0 half.
+    the same bit for bit after the ladder too; it stays where the
+    circuits, and the fixed-seed outputs built from them, have it.
     """
     if plan.variant != "controlled":
         raise ValueError("build_T2 needs a controlled-variant plan")

@@ -40,19 +40,16 @@ def test_tracer_sees_the_sample_handler_and_its_reference(tmp_path, capsys):
     assert tracer.calls("analysis.boltzmann_reference") == 1
 
 
-@pytest.mark.parametrize("variant,block", [pytest.param("direct", None, id="direct"),
-                                           pytest.param("controlled", None, id="controlled"),
-                                           pytest.param("controlled", 1 << 4, id="controlled-keyed")])
-def test_tracer_sees_every_gate_of_one_sample_run(variant, block, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("variant", ["direct", "controlled"])
+def test_tracer_sees_every_gate_of_one_sample_run(variant, tmp_path, capsys, monkeypatch):
     # the per-gate metrics hold only if apply_circuit runs each gate through
     # the public simcore.apply_gate and each XOR through RegisterXor.apply,
-    # on the keyed path too (``block``: a ``_SAMPLE_BLOCK`` below the state's size)
+    # on the keyed path too, which every Ising U from |0> takes and which
+    # computes the Hadamards on C instead of applying them
     from multamp import cli, ising, simcore
     keyed = []
-    if block is not None:
-        run_keyed = simcore._run_keyed
-        monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", block)
-        monkeypatch.setattr(simcore, "_run_keyed", lambda *args: keyed.append(run_keyed(*args)) or keyed[-1])
+    run_keyed = simcore._run_keyed
+    monkeypatch.setattr(simcore, "_run_keyed", lambda *args: keyed.append(run_keyed(*args)) or keyed[-1])
     spans = load_bench("spans")
     tracer = spans.Tracer().install()
     try:
@@ -64,10 +61,12 @@ def test_tracer_sees_every_gate_of_one_sample_run(variant, block, tmp_path, caps
     assert code == cli.EXIT_OK
     circ, _, _ = ising.build_boltzmann_synthesis(ising.IsingLattice(2, 3, 0.1), variant,
                                                  enforce_zero=True)
-    assert {g: rec[0] for g, rec in tracer.gates.items()} == Counter(map(spans.gate_class, circ.gates))
+    want = Counter(map(spans.gate_class, circ.gates))
+    want["h"] -= circ.layout.width("C")
+    assert {g: rec[0] for g, rec in tracer.gates.items()} == +want
     assert tracer.u_applications == 1
     assert tracer.ising_u[0] == 1
-    assert [support is not None for support in keyed] == [True] * (block is not None)
+    assert [support is not None for support in keyed] == [True]
 
 
 def test_tracer_times_the_u_squared_pass_of_a_keyed_run(monkeypatch):

@@ -1,9 +1,9 @@
-"""Tracked application from |0> (``apply_circuit(..., from_zero=True)``) against the dense path.
+"""Application from |0> (``apply_circuit(..., from_zero=True)``) against the dense path.
 
 The dense, whole-state application is the specification: every circuit
 the suite builds must give the same bytes both ways, and random circuits
-the same values (off the live prefix the dense butterflies may write -0.0
-where the tracked call leaves the zero state's +0.0).
+the same values (in a row the keyed path leaves, the dense butterflies may
+write -0.0 where it keeps the zero state's +0.0).
 """
 
 import math
@@ -18,7 +18,7 @@ from multamp import ising, simcore, transduce
 from multamp.amplify import postselect_probability
 from multamp.baselines import build_comparator_synthesis
 from multamp.simcore import (Circuit, Gate, RegisterLayout, RegisterXor, StateVector, apply_circuit, h,
-                             phase, roty, swap, x)
+                             phase, roty, swap, x, z)
 
 DTYPES = (np.complex128, np.complex64)
 
@@ -82,11 +82,38 @@ def test_moving_the_flag_x_before_the_ladder_keeps_u(build, args, dtype):
     assert moved.amplitudes.tobytes() == last.amplitudes.tobytes()
 
 
+def draw_gate(draw, qubits):
+    """A random gate of any kind on the given qubits, with up to two controls among them."""
+    qubits = draw(st.permutations(qubits))
+    kind = draw(st.sampled_from([g for g in simcore.GATE_KINDS if g != "swap" or len(qubits) > 1]))
+    two = kind == "swap"
+    controls = tuple((q, draw(st.integers(0, 1)))
+                     for q in qubits[1 + two:1 + two + draw(st.integers(0, min(2, len(qubits) - 1 - two)))])
+    return Gate(kind, qubits[0], draw(st.floats(-2 * math.pi, 2 * math.pi)), qubits[1] if two else None, controls)
+
+
+@st.composite
+def keyed_circuits(draw):
+    """Circuits of the keyed path's form: H on each qubit of r0 (k = 2 or 3) in a random order, an
+    XOR keyed on r0 whose values take at most 2**(k-1) distinct entries, then gates on the rest."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    widths[0] = draw(st.integers(2, 3))
+    layout = RegisterLayout((f"r{i}", w) for i, w in enumerate(widths))
+    k = widths[0]
+    target = draw(st.sampled_from(layout.names()[1:]))
+    pool = draw(st.lists(st.integers(0, (1 << layout.width(target)) - 1), min_size=1, max_size=1 << (k - 1)))
+    values = draw(st.lists(st.sampled_from(pool), min_size=1 << k, max_size=1 << k))
+    ops = [h(q) for q in draw(st.permutations(range(k)))] + [RegisterXor("r0", target, values)]
+    ops += [draw_gate(draw, range(k, layout.total_qubits)) for _ in range(draw(st.integers(0, 8)))]
+    return Circuit(layout, ops)
+
+
 @st.composite
 def circuits_from_zero(draw):
+    if draw(st.booleans()):
+        return draw(keyed_circuits())
     widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
     layout = RegisterLayout((f"r{i}", w) for i, w in enumerate(widths))
-    n = layout.total_qubits
     ops = []
     for _ in range(draw(st.integers(1, 12))):
         if draw(st.integers(0, 3)) == 0:
@@ -95,13 +122,7 @@ def circuits_from_zero(draw):
                                    min_size=1 << layout.width(key), max_size=1 << layout.width(key)))
             ops.append(RegisterXor(key, target, values))
             continue
-        kind = draw(st.sampled_from(simcore.GATE_KINDS))
-        qubits = draw(st.permutations(range(n)))
-        two = kind == "swap"
-        controls = tuple((q, draw(st.integers(0, 1)))
-                         for q in qubits[1 + two:1 + two + draw(st.integers(0, min(2, n - 1 - two)))])
-        ops.append(Gate(kind, qubits[0], draw(st.floats(-2 * math.pi, 2 * math.pi)),
-                        qubits[1] if two else None, controls))
+        ops.append(draw_gate(draw, range(layout.total_qubits)))
     return Circuit(layout, ops)
 
 
@@ -119,6 +140,12 @@ def test_random_circuits_from_zero_agree_with_the_dense_path(circuit, dtype):
     assert np.array_equal(tracked, dense)
 
 
+@settings(max_examples=50, deadline=None)
+@given(circuit=keyed_circuits())
+def test_keyed_form_circuits_take_the_keyed_path(circuit):
+    assert simcore._keyed_plan(circuit) is not None
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("registers,top", [
     ([("K", 3), ("M", 1), ("T", 2)], 3),  # key below the top, target above it: scatter
@@ -129,11 +156,16 @@ def test_random_circuits_from_zero_agree_with_the_dense_path(circuit, dtype):
     ([("K", 1), ("T", 2), ("M", 2)], 4),  # span below the top: both blocks of 2**3 below 2**4
 ])
 def test_keyed_xor_from_a_live_prefix(registers, top, dtype):
+    # ``apply(state, top)`` on a state that holds non-zeros only in its first 2**top amplitudes
     layout = RegisterLayout(registers)
-    values = np.random.default_rng(239).integers(0, 1 << layout.width("T"), size=1 << layout.width("K"))
-    circuit = Circuit(layout, [h(q) for q in range(top)] + [RegisterXor("K", "T", values)])
-    tracked, dense = both_ways(circuit, dtype)
-    assert tracked.tobytes() == dense.tobytes()
+    rng = np.random.default_rng(239)
+    values = rng.integers(0, 1 << layout.width("T"), size=1 << layout.width("K"))
+    amps = np.zeros(1 << layout.total_qubits, dtype)
+    amps[:1 << top] = rng.normal(size=1 << top) + 1j * rng.normal(size=1 << top)
+    op = RegisterXor("K", "T", values)
+    tracked = op.apply(StateVector(layout, amps.copy()), top)
+    dense = op.apply(StateVector(layout, amps))
+    assert tracked.amplitudes.tobytes() == dense.amplitudes.tobytes()
 
 
 def test_a_tracked_xor_leaves_the_blocks_from_two_to_the_top_alone():
@@ -151,42 +183,41 @@ def test_a_tracked_xor_leaves_the_blocks_from_two_to_the_top_alone():
     assert state.amplitudes[16:].tobytes() == sentinel.tobytes()
 
 
-KNOWN_LAYOUT = RegisterLayout([("C", 2), ("D", 2), ("z", 1)])
+SEQUENCE_LAYOUT = RegisterLayout([("C", 2), ("D", 2), ("z", 1)])
+SEQUENCE_XOR = RegisterXor("C", "D", [3, 1, 1, 3])  # 2 distinct values: a compact key of 1 qubit
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("ops", [
-    # x writes the flag, then gates controlled on it run on their control's slice
-    [h(0), h(1), x(4), roty(0.7, 2, ((4, 0),)), roty(0.9, 3, ((4, 1),)), h(2, ((4, 1), (0, 1)))],
-    # a swap of two written qubits, then gates controlled on them
-    [h(0), x(3), swap(0, 3), roty(0.4, 1, ((3, 1),)), roty(1.1, 2, ((0, 0),)), h(1, ((3, 0),))],
-    # a keyed XOR after x writes the flag: its span lies below the top
-    [h(0), h(1), x(4), RegisterXor("C", "D", [3, 0, 2, 1]), roty(0.5, 4, ((2, 1),))],
-    # the XOR writes its target register, whose qubit 3 an x wrote before it
-    [h(0), x(3), RegisterXor("C", "D", [1, 2, 0, 3]), roty(0.8, 4, ((3, 1),)), roty(0.3, 4, ((3, 0),))],
-    # x gates controlled on qubits that an x or an h wrote: each writes its target
-    [h(0), x(2), x(3, ((2, 1),)), x(4, ((2, 0),)), x(2, ((0, 1),)),
-     roty(0.3, 1, ((2, 1),)), roty(0.5, 1, ((3, 1),)), roty(0.6, 1, ((4, 0),)), h(0, ((4, 1),))],
-    # gates controlled on the untouched flag: polarity 1 is skipped, 0 runs on the slice
-    [h(0), h(1), roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),)), h(2, ((4, 0), (3, 1)))],
-    # a keyed XOR after them: the skipped ry wrote qubit 3, so the top is 4, its span's top
-    [h(0), roty(0.7, 3, ((4, 1),)), roty(0.9, 1, ((4, 0),)), RegisterXor("C", "D", [2, 3, 1, 0]),
-     roty(0.5, 4, ((3, 1),))],
-], ids=["flag-controls", "swap-known-free", "xor-span-below-top", "xor-forgets-target", "x-rules",
-        "untouched-flag-controls", "xor-after-untouched-flag"])
-def test_known_values_give_the_dense_bytes(ops, dtype):
-    tracked, dense = both_ways(Circuit(KNOWN_LAYOUT, ops), dtype)
-    assert tracked.tobytes() == dense.tobytes()
+    # x writes the flag, then gates controlled on it
+    [x(4), roty(0.7, 2, ((4, 0),)), roty(0.9, 3, ((4, 1),)), h(2, ((4, 1), (3, 1)))],
+    # a swap of the flag with a qubit the XOR wrote, then gates controlled on both
+    [x(4), swap(2, 4), roty(0.4, 3, ((4, 1),)), roty(1.1, 2, ((3, 0),)), h(3, ((4, 0),))],
+    # x gates controlled on qubits that the XOR or an x wrote
+    [x(4, ((2, 1),)), x(3, ((4, 0),)), x(2, ((3, 1),)),
+     roty(0.3, 4, ((2, 1),)), roty(0.5, 3, ((4, 1),)), roty(0.6, 2, ((4, 0),)), h(3, ((2, 1),))],
+    # gates controlled on the untouched flag: polarity 1 never fires, 0 always does
+    [roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),)), h(2, ((4, 0), (3, 1))), phase(0.3, 4), z(2, ((3, 0),))],
+], ids=["flag-controls", "swap-flag", "x-rules", "untouched-flag-controls"])
+def test_gate_sequences_on_the_compact_state_give_the_dense_bytes(ops, dtype, keyed_calls):
+    tracked, dense = both_ways(Circuit(SEQUENCE_LAYOUT, [h(1), h(0), SEQUENCE_XOR] + ops), dtype)
+    assert len(keyed_calls) == 1
+    # the dense bytes in each row (2**2 amplitudes) that holds a non-zero; the dense z may write
+    # -0.0 in a row the keyed path leaves at +0.0
+    assert np.array_equal(tracked, dense)
+    rows, dense_rows = tracked.reshape(-1, 4), dense.reshape(-1, 4)
+    held = rows.any(axis=1)
+    assert rows[held].tobytes() == dense_rows[held].tobytes()
 
 
 def butterfly_calls(monkeypatch, run, *args, **kwargs):
-    """(kind, amplitudes, fresh) of every ``_butterfly`` call that ``run(*args, **kwargs)`` makes."""
+    """(kind, amplitudes) of every ``_butterfly`` call that ``run(*args, **kwargs)`` makes."""
     seen = []
     butterfly = simcore._butterfly
 
-    def recording(kind, a, b, c, s, fresh=False, *rest):
-        seen.append((kind, a.size + b.size, fresh))
-        return butterfly(kind, a, b, c, s, fresh, *rest)
+    def recording(kind, a, b, *rest):
+        seen.append((kind, a.size + b.size))
+        return butterfly(kind, a, b, *rest)
 
     with monkeypatch.context() as patch:
         patch.setattr(simcore, "_butterfly", recording)
@@ -195,68 +226,17 @@ def butterfly_calls(monkeypatch, run, *args, **kwargs):
 
 
 def butterfly_sizes(circuit, monkeypatch):
-    """(kind, amplitudes) of every ``_butterfly`` call of the tracked circuit."""
-    calls = butterfly_calls(monkeypatch, apply_circuit, StateVector.zero_state(circuit.layout), circuit,
-                            from_zero=True)
-    return [(kind, size) for kind, size, _ in calls]
-
-
-def test_known_values_skip_the_amplitudes_known_to_be_zero(monkeypatch):
-    # the enforce-zero controlled U sets the flag z, its top qubit, first in the
-    # ladder; with the top alone every later gate ran on the whole state
-    total = sum(size for _, size in butterfly_sizes(table_synthesis("controlled", True), monkeypatch))
-    assert total < 84_094 // 2, total  # 84,094 with the top alone
-
-
-# amplitudes sent through ``_butterfly`` from |0>, and the ``top`` each
-# ``RegisterXor.apply`` receives: |C| for the one exponent oracle.  The
-# controlled circuits with the flag run their X(E_0 | z = 0) before the
-# ladder, on a fresh E_0: 2**|C+D| pairs where the whole z = 0 half was
-# 2**(n - 2) when it came last (table 34,046, Ising 2,238, 8,958, 71,678)
-BUILT_WORK = {
-    "table-direct-plain": (4_222, [6]),
-    "table-direct-zero": (6_398, [6]),
-    "table-controlled-plain": (15_486, [6]),
-    "table-controlled-zero": (19_710, [6]),
-    "ising-2x2-direct-plain": (414, [4]),
-    "ising-2x2-direct-zero": (702, [4]),
-    "ising-2x2-controlled-plain": (926, [4]),
-    "ising-2x2-controlled-zero": (1_470, [4]),
-    "ising-2x3-direct-plain": (1_662, [6]),
-    "ising-2x3-direct-zero": (2_814, [6]),
-    "ising-2x3-controlled-plain": (3_710, [6]),
-    "ising-2x3-controlled-zero": (5_886, [6]),
-    "ising-3x3-direct-plain": (13_310, [9]),
-    "ising-3x3-direct-zero": (22_526, [9]),
-    "ising-3x3-controlled-plain": (29_694, [9]),
-    "ising-3x3-controlled-zero": (47_102, [9]),
-    "comparator": (56_974, [3, 13]),
-}
-
-
-@pytest.mark.parametrize("build,args,total,tops", [pytest.param(*p.values, *BUILT_WORK[p.id], id=p.id)
-                                                   for p in BUILT])
-def test_built_circuits_do_the_pinned_tracked_work(build, args, total, tops, monkeypatch):
-    seen = []
-    xor_apply = RegisterXor.apply
-
-    def recording(op, state, top=None):
-        seen.append(top)
-        return xor_apply(op, state, top)
-
-    monkeypatch.setattr(RegisterXor, "apply", recording)
-    assert sum(size for _, size in butterfly_sizes(build(*args), monkeypatch)) == total
-    assert seen == tops
+    """(kind, amplitudes) of every ``_butterfly`` call of the circuit from |0>."""
+    return butterfly_calls(monkeypatch, apply_circuit, StateVector.zero_state(circuit.layout), circuit,
+                           from_zero=True)
 
 
 KEYED_BLOCK = 1 << 4  # below the 2**7 amplitudes of the smallest built state
 
 
 @pytest.fixture
-def keyed_runs(monkeypatch):
-    """``simcore._SAMPLE_BLOCK`` patched to ``KEYED_BLOCK``, so that every built state is large
-    enough for the keyed path, and the list of the supports of the runs ``_run_keyed`` takes."""
-    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", KEYED_BLOCK)
+def keyed_calls(monkeypatch):
+    """The list of the supports of the runs ``_run_keyed`` takes, in order."""
     runs = []
     run_keyed = simcore._run_keyed
 
@@ -268,6 +248,14 @@ def keyed_runs(monkeypatch):
 
     monkeypatch.setattr(simcore, "_run_keyed", recording)
     return runs
+
+
+@pytest.fixture
+def keyed_runs(keyed_calls, monkeypatch):
+    """``keyed_calls`` with ``simcore._SAMPLE_BLOCK`` patched to ``KEYED_BLOCK``: the support's
+    segments are then smaller than a row of C."""
+    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", KEYED_BLOCK)
+    return keyed_calls
 
 
 def kept_register(layout):
@@ -299,33 +287,47 @@ def test_built_circuits_give_the_dense_bytes_on_the_keyed_path(build, args, dtyp
     check_support(StateVector(circuit.layout, tracked), keyed_runs[0], {kept_register(circuit.layout): 0})
 
 
-# amplitudes sent through ``_butterfly`` on the keyed path: the prefix's Hadamards on the
-# whole state, then the rest of U on the compact state, one row of C per distinct exponent
+# amplitudes sent through ``_butterfly`` on the keyed path: no Hadamard (v is computed), then
+# each later gate but z, dense on the compact state (n' qubits, its key one value per distinct
+# exponent), 2**(n' - controls) amplitudes
 KEYED_WORK = {
-    "table-direct-plain": 1_150,
-    "table-direct-zero": 1_694,
-    "table-controlled-plain": 3_966,
-    "table-controlled-zero": 5_022,
-    "ising-2x2-direct-plain": 126,
-    "ising-2x2-direct-zero": 198,
-    "ising-2x2-controlled-plain": 254,
-    "ising-2x2-controlled-zero": 390,
-    "ising-2x3-direct-plain": 318,
-    "ising-2x3-direct-zero": 462,
-    "ising-2x3-controlled-plain": 574,
-    "ising-2x3-controlled-zero": 846,
-    "ising-3x3-direct-plain": 1_214,
-    "ising-3x3-direct-zero": 1_358,
-    "ising-3x3-controlled-plain": 1_470,
-    "ising-3x3-controlled-zero": 1_742,
+    "table-direct-plain": 1_024,
+    "table-direct-zero": 1_568,
+    "table-controlled-plain": 8_192,
+    "table-controlled-zero": 20_992,
+    "ising-2x2-direct-plain": 96,
+    "ising-2x2-direct-zero": 168,
+    "ising-2x2-controlled-plain": 384,
+    "ising-2x2-controlled-zero": 1_216,
+    "ising-2x3-direct-plain": 192,
+    "ising-2x3-direct-zero": 336,
+    "ising-2x3-controlled-plain": 768,
+    "ising-2x3-controlled-zero": 2_432,
+    "ising-3x3-direct-plain": 192,
+    "ising-3x3-direct-zero": 336,
+    "ising-3x3-controlled-plain": 768,
+    "ising-3x3-controlled-zero": 2_432,
 }
 
 
 @pytest.mark.parametrize("build,args,total", [pytest.param(*p.values, KEYED_WORK[p.id], id=p.id)
                                               for p in BUILT if p.id in KEYED_WORK])
-def test_built_circuits_do_the_pinned_keyed_work(build, args, total, keyed_runs, monkeypatch):
+def test_built_circuits_do_the_pinned_keyed_work(build, args, total, keyed_calls, monkeypatch):
     assert sum(size for _, size in butterfly_sizes(build(*args), monkeypatch)) == total
-    assert len(keyed_runs) == 1
+    assert len(keyed_calls) == 1
+
+
+@pytest.mark.parametrize("build,args", [p for p in BUILT if p.id in KEYED_WORK])
+def test_the_keyed_path_runs_each_later_gate_once_on_the_compact_state(build, args, monkeypatch):
+    # dense, each gate but z runs on 2**(n - controls) amplitudes; keyed, the k Hadamards on C are
+    # computed and each later gate runs on 2**(n - (k - m) - controls), m the compact key's width
+    circuit = build(*args)
+    k = circuit.layout.width(circuit.layout.names()[0])
+    m = max(1, (len(set(circuit.gates[k].values.tolist())) - 1).bit_length())
+    dense = sum(size for _, size in butterfly_calls(monkeypatch, apply_circuit,
+                                                    StateVector.zero_state(circuit.layout), circuit))
+    keyed = sum(size for _, size in butterfly_sizes(circuit, monkeypatch))
+    assert keyed << (k - m) == dense - k * (1 << circuit.layout.total_qubits)
 
 
 def xor_qubit_counts(circuit, monkeypatch):
@@ -346,7 +348,7 @@ def xor_qubit_counts(circuit, monkeypatch):
     # 7 distinct values of 8 keys, as in values-fill-the-key below: the keyed path refuses
     pytest.param(lambda: build_comparator_synthesis([0.9, 0.8, 0.27, 0.125, 0.7, 0.5, 0.0, 0.33], 3)[0], (),
                  id="values-fill-the-key")])
-def test_the_oracle_runs_once_on_the_compact_state_or_else_on_the_state(build, args, keyed_runs, monkeypatch):
+def test_the_oracle_runs_once_on_the_compact_state_or_else_on_the_state(build, args, keyed_calls, monkeypatch):
     # the compact key holds m = ceil(log2(distinct values)) >= 1 qubits in place of C's k;
     # with m = k the keyed path refuses and the one XOR runs on the whole state
     circuit = build(*args)
@@ -354,7 +356,7 @@ def test_the_oracle_runs_once_on_the_compact_state_or_else_on_the_state(build, a
     k = circuit.layout.width(xor.key_register)
     m = max(1, math.ceil(math.log2(len(set(xor.values.tolist())))))
     assert xor_qubit_counts(circuit, monkeypatch) == [circuit.layout.total_qubits - (k - m)]
-    assert len(keyed_runs) == (m < k)
+    assert len(keyed_calls) == (m < k)
 
 
 FALLBACK_LAYOUT = [("C", 3), ("D", 2), ("E", 2)]
@@ -375,11 +377,36 @@ FALLBACK_VALUES = [3, 0, 1, 3, 2, 0, 1, 1]
     # 7 distinct values of 8 keys: the compact key would be as wide as C, so nothing is saved
     # (a comparator with no alpha of 1, so no second XOR reads the key)
     build_comparator_synthesis([0.9, 0.8, 0.27, 0.125, 0.7, 0.5, 0.0, 0.33], 3)[0],
-], ids=["key-not-uniform", "key-controls-later", "key-not-lowest", "values-fill-the-key"])
-def test_circuits_the_keyed_path_cannot_run_take_the_gate_path(circuit, dtype, keyed_runs):
+    # an H applied twice to one key qubit, and none to another
+    Circuit(RegisterLayout(FALLBACK_LAYOUT), [h(0), h(1), h(1), RegisterXor("C", "D", FALLBACK_VALUES),
+                                              roty(0.4, 3), roty(1.1, 5, ((3, 1),))]),
+    # a controlled H on a key qubit
+    Circuit(RegisterLayout(FALLBACK_LAYOUT), [h(0), h(1), h(2, ((0, 1),)), RegisterXor("C", "D", FALLBACK_VALUES),
+                                              roty(0.4, 3), roty(1.1, 5, ((3, 1),))]),
+    # the XOR after only k - 1 Hadamards
+    Circuit(RegisterLayout(FALLBACK_LAYOUT), [h(0), h(1), RegisterXor("C", "D", FALLBACK_VALUES),
+                                              roty(0.4, 3), roty(1.1, 5, ((3, 1),))]),
+    # a gate between the Hadamards and the XOR
+    Circuit(RegisterLayout(FALLBACK_LAYOUT), [h(0), h(1), h(2), x(6), RegisterXor("C", "D", FALLBACK_VALUES),
+                                              roty(0.4, 3), roty(1.1, 5, ((6, 1),))]),
+    # a second XOR after the one keyed on C, keyed on the register the first wrote
+    Circuit(RegisterLayout(FALLBACK_LAYOUT), [h(0), h(1), h(2), RegisterXor("C", "D", FALLBACK_VALUES),
+                                              roty(0.4, 3), RegisterXor("D", "E", [1, 3, 0, 2])]),
+], ids=["key-not-uniform", "key-controls-later", "key-not-lowest", "values-fill-the-key", "key-h-twice",
+        "key-h-controlled", "xor-after-k-1-hadamards", "gate-before-xor", "second-xor"])
+def test_circuits_the_keyed_path_cannot_run_take_the_gate_path(circuit, dtype, keyed_calls):
     tracked, dense = both_ways(circuit, dtype)
     assert tracked.tobytes() == dense.tobytes()
-    assert keyed_runs == []
+    assert keyed_calls == []
+
+
+def test_the_twin_of_each_refused_circuit_takes_the_keyed_path(keyed_calls):
+    # the refusal cases above with the defect taken out: H on each key qubit, then the XOR
+    circuit = Circuit(RegisterLayout(FALLBACK_LAYOUT), [h(2), h(0), h(1), RegisterXor("C", "D", FALLBACK_VALUES),
+                                                        roty(0.4, 3), roty(1.1, 5, ((3, 1),))])
+    tracked, dense = both_ways(circuit, np.complex128)
+    assert tracked.tobytes() == dense.tobytes()
+    assert len(keyed_calls) == 1
 
 
 def big_table_synthesis(variant):
@@ -400,91 +427,52 @@ def test_the_keyed_support_of_a_large_table_marks_its_non_zeros(variant):
     check_support(state, written[0], {kept_register(circuit.layout): 0})
 
 
-@pytest.mark.parametrize("ops,sizes", [
-    # no ry on z = 1 while the flag is untouched; the skipped ry writes qubit 2
-    ([h(0), roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),))], [("h", 2), ("ry", 8)]),
-], ids=["flag-untouched"])
-def test_a_control_that_contradicts_a_known_value_skips_the_gate(ops, sizes, monkeypatch):
-    assert butterfly_sizes(Circuit(KNOWN_LAYOUT, ops), monkeypatch) == sizes
-
-
-@pytest.mark.parametrize("width,gate,zeros", [
-    (3, h(1), (3,)),
-    (3, h(1), (-1,)),
-], ids=["qubit-3-of-3", "negative-qubit"])
-def test_zero_qubits_outside_the_state_raise(width, gate, zeros):
-    state = StateVector.zero_state(RegisterLayout([("R", width)]))
-    with pytest.raises(ValueError, match="zero qubit"):
-        simcore.apply_gate(state, gate, zeros=zeros)
-
-
-def state_with_a_zero_half(n, zero_qubit, dtype, seed=43):
-    """A normalized random state over n qubits whose ``zero_qubit`` reads 0 on every amplitude."""
-    layout = RegisterLayout([("R", n)])
-    amps = np.array([1, 1j]) @ np.random.default_rng(seed).standard_normal((2, 1 << n))
-    amps[(np.arange(1 << n) >> zero_qubit) & 1 == 1] = 0
-    return StateVector(layout, (amps / np.linalg.norm(amps)).astype(dtype))
-
-
-def test_a_target_among_the_zeros_is_fresh(monkeypatch):
-    state = state_with_a_zero_half(2, 1, np.complex128)
-    dense = state.copy()
-    assert butterfly_calls(monkeypatch, simcore.apply_gate, state, h(1), zeros=(1,)) == [("h", 4, True)]
-    simcore.apply_gate(dense, h(1))
-    assert state.amplitudes.tobytes() == dense.amplitudes.tobytes()
-
-
-CONTROLS = [(), ((0, 0),), ((0, 1),), ((0, 0), (3, 0)), ((0, 0), (3, 1)), ((0, 1), (3, 0)),
-            ((0, 1), (3, 1))]
+LARGE = [pytest.param(big_table_synthesis, (v,), id=f"table-8192-{v}") for v in transduce.VARIANTS] + [
+    pytest.param(ising_synthesis, (4, 4, "direct", z), id=f"ising-4x4-direct-{'zero' if z else 'plain'}")
+    for z in (False, True)]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("n", [4, 17])
-@pytest.mark.parametrize("controls", CONTROLS, ids=lambda c: "".join(str(p) for _, p in c) or "none")
-@pytest.mark.parametrize("kind,angle", [("h", 0.0), ("x", 0.0), ("ry", 4.1), ("ry", -0.6),
-                                        ("z", 0.0), ("phase", 2.5)])
-def test_a_fresh_target_gives_the_dense_result(kind, angle, controls, n, dtype):
-    # qubit 1 reads 0: a fresh write reads its |0> half alone
-    state = state_with_a_zero_half(n, 1, dtype)
-    gate = Gate(kind, 1, angle, controls=controls)
-    dense = simcore.apply_gate(state.copy(), gate)
-    fresh = simcore.apply_gate(state.copy(), gate, zeros=(1,))
-    if kind in ("z", "phase"):
-        # they act on the |1> half alone, so the fresh call returns at once;
-        # the dense z writes -0.0 on it, so the values agree, not the bytes
-        assert fresh.amplitudes.tobytes() == state.amplitudes.tobytes()
-        assert np.array_equal(fresh.amplitudes, dense.amplitudes)
-    else:
-        assert fresh.amplitudes.tobytes() == dense.amplitudes.tobytes()
+@pytest.mark.parametrize("build,args", [p for p in BUILT if p.id != "comparator"] + LARGE)
+def test_built_circuits_take_the_keyed_path_at_their_own_size(build, args, dtype, keyed_calls):
+    # no patch of _SAMPLE_BLOCK: the keyed path is chosen from the circuit alone, whatever the
+    # state's size; the 4x4 controlled U (two 1 GiB states) is left to the fixed-seed state hashes
+    tracked, dense = both_ways(build(*args), dtype)
+    assert tracked.tobytes() == dense.tobytes()
+    assert len(keyed_calls) == 1
 
 
-def test_a_fresh_write_leaves_the_pieces_that_hold_only_zeros(monkeypatch):
-    # 17 qubits: the fresh target's |0> half comes in four pieces of 2**14,
-    # one per value of qubits 16 and 15, and qubit 16 reads 0 too, so two of
-    # them hold only zeros; a ry with cos < 0 writes -0.0 there on the dense path
-    state = state_with_a_zero_half(17, 1, np.complex128)
-    state.amplitudes[1 << 16:] = 0
-    state.amplitudes /= np.linalg.norm(state.amplitudes)
-    gate = roty(4.1, 1)
-    dense = simcore.apply_gate(state.copy(), gate)
-    calls = butterfly_calls(monkeypatch, simcore.apply_gate, state, gate, zeros=(1,))
-    assert calls == [("ry", 1 << 15, True)] * 2
-    assert state.amplitudes[:1 << 16].tobytes() == dense.amplitudes[:1 << 16].tobytes()
-    assert not state.amplitudes[1 << 16:].view(np.uint64).any()  # +0.0, never written
-    assert np.array_equal(state.amplitudes, dense.amplitudes)
+# polarities on qubit 3 (D_0, which the XOR writes) and qubit 6 (E_1, which a gate before writes)
+LATER_CONTROLS = [(), ((3, 0),), ((3, 1),), ((3, 0), (6, 0)), ((3, 0), (6, 1)), ((3, 1), (6, 0)),
+                  ((3, 1), (6, 1))]
 
 
-@pytest.mark.parametrize("zeros", [(1,), (2,), (1, 2)])
-def test_a_swap_of_an_unwritten_target_takes_the_dense_path(zeros, monkeypatch):
-    state = state_with_a_zero_half(17, 1, np.complex128)
-    if 2 in zeros:
-        state.amplitudes[(np.arange(1 << 17) >> 2) & 1 == 1] = 0
-        state.amplitudes /= np.linalg.norm(state.amplitudes)
-    dense = state.copy()
-    want = butterfly_calls(monkeypatch, simcore.apply_gate, dense, swap(1, 2))
-    assert all(not fresh for _, _, fresh in want)
-    assert butterfly_calls(monkeypatch, simcore.apply_gate, state, swap(1, 2), zeros=zeros) == want
-    assert state.amplitudes.tobytes() == dense.amplitudes.tobytes()
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("width", [3, 12])
+@pytest.mark.parametrize("controls", LATER_CONTROLS, ids=lambda c: "".join(str(p) for _, p in c) or "none")
+@pytest.mark.parametrize("kind,angle", [("h", 0.0), ("x", 0.0), ("ry", 4.1), ("ry", -0.6), ("z", 0.0),
+                                        ("phase", 2.5), ("swap", 0.0)])
+def test_a_later_gate_runs_on_the_compact_state_with_the_dense_bytes(kind, angle, controls, width, dtype,
+                                                                     keyed_calls):
+    # after H on C (3 qubits) and the XOR of FALLBACK_VALUES (4 distinct, m = 2), one gate of each
+    # kind on E_0, which reads 0 until then (swap: with E's top qubit), its controls shifted down
+    # with it; E of 3 qubits makes a state of 2**8 amplitudes, gathered inline, and E of 12 one of
+    # 2**17, above _SAMPLE_BLOCK, whose rows split among the workers
+    layout = RegisterLayout([("C", 3), ("D", 2), ("E", width)])
+    top = layout.total_qubits - 1
+    gate = Gate(kind, 5, angle, top if kind == "swap" else None, controls)
+    circuit = Circuit(layout, [h(0), h(1), h(2), RegisterXor("C", "D", FALLBACK_VALUES),
+                               roty(0.4, 6, ((3, 1),)), roty(0.9, top, ((4, 0),)), gate])
+    tracked, dense = both_ways(circuit, dtype)
+    assert len(keyed_calls) == 1
+    # each row (2**3 amplitudes: one value of D and E) that holds a non-zero has the dense bytes;
+    # the rest keep the zero state's +0.0, where the dense ry with cos < 0 and z write -0.0
+    assert np.array_equal(tracked, dense)
+    rows, dense_rows = tracked.reshape(-1, 8), dense.reshape(-1, 8)
+    held = rows.any(axis=1)
+    assert rows[held].tobytes() == dense_rows[held].tobytes()
+    assert not rows[~held].view(np.uint64).any()
+    check_support(StateVector(layout, tracked), keyed_calls[0], {"E": 0})
 
 
 def test_gate_qubits_lists_targets_then_controls():

@@ -34,7 +34,9 @@ def test_fixed_seed_outputs_run_clean_and_repeat(tmp_path, capsys):
         assert lines[-1] == "exit 0", (name, lines)
     assert capsys.readouterr().out.count(": exit 0\n") == 2 * 27
     hashes = (tmp_path / "first" / "state_hashes.txt").read_text().splitlines()
-    assert [line.split()[0] for line in hashes] == ["table_8192_direct", "table_8192_controlled",
-                                                    "ising_4x4_direct", "ising_4x4_controlled"]
+    assert [line.split()[0] for line in hashes] == [
+        "table_8192_direct", "table_8192_direct_complex64", "table_8192_controlled",
+        "table_8192_controlled_complex64", "ising_4x4_direct", "ising_4x4_direct_complex64",
+        "ising_4x4_controlled", "ising_4x4_controlled_complex64"]
     assert all(len(line.split()[-1]) == 64 for line in hashes)
     assert same_tree(tmp_path / "first", tmp_path / "second")

@@ -15,11 +15,13 @@ Each run writes its files into ``OUT/<run>/`` and its standard output to
 ``OUT/<run>/stdout.txt``, with ``OUT/<run>`` written as ``<out>`` and the
 exit code on a last line.  ``OUT/state_hashes.txt`` then holds the sha256
 of the bytes of four amplified states ``amplify.run_amplified`` returns,
-one line each: a seeded 2**13-entry log-uniform table (gamma 1.6, d 4,
-eps 1e-3, with the exact-zero flag) and the 4x4 lattice at beta J = 0.35,
-both variants each, so the comparison covers what U and the rescale
-write, not only what is sampled from it.  ``diff -r`` of two such
-directories then shows every output that differs between the checkouts.
+one line each, in complex128 and again in complex64: a seeded 2**13-entry
+log-uniform table (gamma 1.6, d 4, eps 1e-3, with the exact-zero flag)
+and the 4x4 lattice at beta J = 0.35, both variants each, so the
+comparison covers what U and the rescale write, not only what is sampled
+from it, and the complex64 rounding that no run above takes.  ``diff -r``
+of two such directories then shows every output that differs between the
+checkouts.
 Needs numpy and the package only.
 """
 
@@ -60,24 +62,36 @@ def runs():
     return out
 
 
+DTYPES = ((np.complex128, ""), (np.complex64, "_complex64"))  # (dtype, suffix of the state's name)
+
+
 def amplified_states():
-    """(name, nu, state) of every state ``state_hashes.txt`` covers, nu by the paper rule, in turn."""
+    """(name, nu, state) of every state ``state_hashes.txt`` covers, nu by the paper rule, in turn.
+
+    Each state is dropped before the next is made: the 4x4 controlled one is 1 GiB."""
     alphas = np.exp(np.random.default_rng(23).uniform(math.log(1e-3 / 4), 0.0, 1 << 13))
     table = transduce.build_lambda_table(alphas, 1.6, 4, 1e-3)
     norms = analysis.exact_norms(table.lambdas, table.gamma, table.d)
     for variant, u, kept in (("direct", norms.u_direct, "D"), ("controlled", norms.u_controlled, "E")):
         circuit = transduce.build_synthesis(table, transduce.make_plan(variant, 1.6, 4), enforce_zero=True)
         spec = amplify.AmplificationSpec(circuit, {kept: 0}, amplify.select_nu(u, "paper"))
-        yield f"table_8192_{variant}", spec.nu, amplify.run_amplified(spec)[0]
+        for dtype, suffix in DTYPES:
+            yield f"table_8192_{variant}{suffix}", spec.nu, amplify.run_amplified(spec, dtype)[0]
     for variant in ("direct", "controlled"):  # the states of the 4x4 sample runs
-        state, diagnostics = ising.synthesize_boltzmann(ising.IsingLattice(4, 4, 0.35), variant)
-        yield f"ising_4x4_{variant}", diagnostics.nu, state
+        for dtype, suffix in DTYPES:
+            state, diagnostics = ising.synthesize_boltzmann(ising.IsingLattice(4, 4, 0.35), variant,
+                                                            dtype=dtype)
+            yield f"ising_4x4_{variant}{suffix}", diagnostics.nu, state
+            del state
 
 
 def state_hashes() -> str:
     """One line per amplified state: its name, nu and the sha256 of its amplitudes' bytes."""
-    return "".join(f"{name} nu={nu} {hashlib.sha256(state.amplitudes.data).hexdigest()}\n"
-                   for name, nu, state in amplified_states())
+    lines = []
+    for name, nu, state in amplified_states():
+        lines.append(f"{name} nu={nu} {hashlib.sha256(state.amplitudes.data).hexdigest()}\n")
+        del state  # before the next state is made
+    return "".join(lines)
 
 
 def main(argv=None) -> int:
