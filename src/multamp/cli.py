@@ -305,7 +305,7 @@ def cmd_plan(args) -> int:
 def cmd_table1(args) -> int:
     _check_sampling(args)
     try:
-        sizes = sorted({int(tok) for tok in args.sizes.replace("x", ",").split(",") if tok})
+        sizes = sorted({int(tok) for tok in args.sizes.split(",") if tok})
     except ValueError:
         raise ConfigError(f"bad --sizes value: {args.sizes!r}") from None
     if not sizes:

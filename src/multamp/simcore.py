@@ -19,13 +19,13 @@ The blocks of ``mass`` and of ``scale`` and the rows the keyed path
 gathers (below) are walked by ``_walk``, in contiguous shares, one per CPU
 the process may run on (``os.sched_getaffinity``): the calling thread
 takes the first and a pool of threads, started by the first walk that
-splits, the rest.  In ``sample``'s pass 2 one of those threads computes
-the next drawn block's |a|^2 while the caller draws from the current one;
-every random number is drawn by the caller, in block order.  Each block
-runs the same numpy calls on the same memory at any worker count, so
-amplitudes, masses and counts are the same bytes.  A walk over at most
-``_SAMPLE_BLOCK`` amplitudes runs inline, on one thread.  A forked child
-starts a pool of its own.
+splits, the rest; every share ends before its walk returns, and the pool
+runs nothing else.  ``sample``'s pass 2 runs on the calling thread, which
+draws every random number, in block order.  Each block runs the same
+numpy calls on the same memory at any worker count, so amplitudes, masses
+and counts are the same bytes.  A walk over at most ``_SAMPLE_BLOCK``
+amplitudes runs inline, on one thread.  A forked child starts a pool of
+its own.
 
 ``apply_circuit(..., from_zero=True)`` chooses the keyed path from the
 circuit alone, before any write, at any state size (``_keyed_plan``).
@@ -52,11 +52,11 @@ it, all in place; none copies more than one block of it per worker.
 ``StateVector.scale`` multiplies it by one factor and the rest, one view
 per qubit the predicate fixes, by the other, in place and with no scratch.
 
-``sample`` holds no state-sized array: two blocks' |a|^2 (the drawing one
-and the next), one block's non-zero mask, positions, running sum and draws
-(``_SAMPLE_BLOCK`` amplitudes, fewer than four draws per entry) and the
-returned counts (``sample_overhead``).  A block's mass copies it only if
-it is complex64 or strided, to one contiguous complex128 block per worker.
+``sample`` holds no state-sized array: one block's |a|^2, non-zero mask,
+positions, running sum and draws (``_SAMPLE_BLOCK`` amplitudes, fewer than
+four draws per entry) and the returned counts (``sample_overhead``).  A
+block's mass copies it only if it is complex64 or strided, to one
+contiguous complex128 block per worker.
 
 An instruction checks what depends on it alone once, when it is built;
 applying it checks only what needs the state.  A StateVector owns its
@@ -130,31 +130,28 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool)
 
 
-def _submit(fn, *args):
-    """Run ``fn(*args)`` on the pool, in the caller's ``contextvars`` (numpy's ``errstate``)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _workers() - 1), thread_name_prefix="simcore")
-    return _pool.submit(contextvars.copy_context().run, fn, *args)
-
-
 def _walk(share, count: int, size: int) -> None:
     """Call ``share(lo, hi)`` on contiguous shares ``[lo, hi)`` of ``range(count)``, one per worker.
 
     ``count`` items (blocks, or the keyed path's rows) hold ``size`` amplitudes
     in all.  A walk over at most ``_SAMPLE_BLOCK`` amplitudes runs inline and
     starts no thread.  Else the calling thread takes the first share and the
-    pool the rest, and the call returns once every share has ended.  ``share``
-    writes only what its own items own, so the result is the same at any
-    worker count.  A gate runs on the calling thread alone, with no walk.
+    pool the rest, each in the caller's ``contextvars`` (numpy's ``errstate``),
+    and the call returns once every share has ended.  ``share`` writes only
+    what its own items own, so the result is the same at any worker count.
+    A gate runs on the calling thread alone, with no walk.
     """
+    global _pool
     k = min(count, _workers()) if size > _SAMPLE_BLOCK else 1
     if k <= 1:
         share(0, count)
         return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _workers() - 1), thread_name_prefix="simcore")
     bounds = [count * i // k for i in range(k + 1)]
-    jobs = [_submit(share, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    jobs = [_pool.submit(contextvars.copy_context().run, share, lo, hi)
+            for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         share(bounds[0], bounds[1])
     finally:
@@ -762,14 +759,6 @@ def register_selector(layout: RegisterLayout, conditions: Mapping[str, int]) -> 
     return tuple(sel)
 
 
-def _block_weights(block: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """|a|^2 of ``block``, in C order, into the float64 ``p``."""
-    out = p.reshape(block.shape)
-    np.abs(block, out=out)
-    np.multiply(out, out, out=out)
-    return p
-
-
 def _block_draws(p: np.ndarray, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Positions in ``p`` and counts of ``k`` draws from the weights ``p`` (overwritten).
 
@@ -827,10 +816,8 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
     fused sum of squares (``_block_mass``), and one multinomial over those
     masses splits the shots among the blocks; over a single block it draws
     no random number.  Pass 2 computes |a|^2 in each block that holds draws
-    and draws them there (``_block_draws``): the law of drawing each shot
-    from the whole of it.  With more than one worker, a pool thread
-    computes the next such block's |a|^2 while the caller draws from this
-    one; every random number is drawn by the caller, in block order.
+    and draws them there (``_block_draws``), in block order on the calling
+    thread: the law of drawing each shot from the whole of it.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -842,24 +829,15 @@ def sample(state: StateVector, shots: int, seed, conditions: Mapping[str, int] |
         raise ValueError(f"cannot sample the zero-probability slice {dict(conditions)}")
     rng = np.random.default_rng(seed)
     per_block = rng.multinomial(shots, masses / total)
-    drawn = np.flatnonzero(per_block).tolist()
-    p = _block_weights(blocks[drawn[0]], np.empty(blocks[0].size))
-    ahead = np.empty_like(p) if len(drawn) > 1 and _workers() > 1 else None
+    p = np.empty(blocks[0].size)
+    weights = p.reshape(blocks[0].shape)
     counts = {}
-    for b, after in zip(drawn, drawn[1:] + [None]):
-        job = None if ahead is None or after is None else _submit(
-            _block_weights, blocks[after], ahead)  # the next block's |a|^2 while this one draws
-        try:
-            hit, num = _block_draws(p, int(per_block[b]), rng)
-        finally:
-            if job is not None:
-                wait([job])
+    for b in np.flatnonzero(per_block).tolist():
+        np.abs(blocks[b], out=weights)
+        np.multiply(weights, weights, out=weights)
+        hit, num = _block_draws(p, int(per_block[b]), rng)
         hit += b * p.size
         counts.update(zip(hit.tolist(), num.tolist()))
-        if job is not None:
-            p, ahead = job.result(), p
-        elif after is not None:
-            _block_weights(blocks[after], p)
     return counts
 
 
@@ -868,17 +846,15 @@ def sample_overhead(size: int, shots: int) -> int:
 
     Per block entry, the larger of the two passes.  Pass 1: one contiguous
     complex128 copy of a block per worker (16 B each), made of a complex64
-    or strided block.  Pass 2: 72 B, the |a|^2 of the block that draws and of
-    the next one (a worker computes it meanwhile), the non-zero mask and
-    positions, the packed weights, and one block's draws (fewer than four
-    per entry) with their search index.  112 B per outcome drawn, at most
-    min(shots, size): the returned dict's entries and ints and the lists
-    they come from.  ``tracemalloc`` measured 164 B per entry for 2**30
-    shots on 2**16 amplitudes, 106 B per outcome for 2**26 shots on 2**18,
-    and 0.9 MB for 4096 shots on 2**20 (1.4 MB with a worker computing the
-    next block's |a|^2).
+    or strided block.  Pass 2: 64 B, the |a|^2 of the block that draws, the
+    non-zero mask and positions, the packed weights, and one block's draws
+    (fewer than four per entry) with their search index.  112 B per outcome
+    drawn, at most min(shots, size): the returned dict's entries and ints
+    and the lists they come from.  ``tracemalloc`` measured 163 B per entry
+    for 2**30 shots on 2**16 amplitudes, 103 B per outcome for 2**26 shots
+    on 2**18, and 0.9 MB for 4096 shots on 2**20.
     """
-    return max(72, 16 * _workers()) * min(size, _SAMPLE_BLOCK) + 112 * min(shots, size)
+    return max(64, 16 * _workers()) * min(size, _SAMPLE_BLOCK) + 112 * min(shots, size)
 
 
 def filter_counts(counts: Mapping[int, int], layout: RegisterLayout,

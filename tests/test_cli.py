@@ -116,9 +116,9 @@ def test_synth_exit_codes(capsys):
                                                   (["--shots", str(1 << 30)], "1.0", "1.22")])
 def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, monkeypatch, capsys):
     # 4x4 controlled is a 27-qubit circuit simulated on 26 qubits (no idle
-    # ancilla); sampling the E == 0 slice adds 4.5 MiB of block scratch and up
+    # ancilla); sampling the E == 0 slice adds 4 MiB of block scratch and up
     # to 112 B per outcome, of which there are at most min(shots, 2**21); the
-    # scratch grows past 4.5 MiB with five or more workers, so two are pinned
+    # scratch grows past 4 MiB with five or more workers, so two are pinned
     from multamp import simcore
 
     monkeypatch.setattr(simcore, "_workers", lambda: 2)
@@ -569,6 +569,10 @@ def test_table1_rejects_unknown_sizes(capsys):
     code, _, err = run(["table1", "--sizes", ","], capsys)  # no row would be checked
     assert code == EXIT_CONFIG
     assert "--sizes" in err
+    for sizes in ("2x3", "4x4"):  # comma-separated sizes only
+        code, _, err = run(["table1", "--sizes", sizes], capsys)
+        assert code == EXIT_CONFIG
+        assert "bad --sizes value" in err
 
 
 def test_table1_mismatch_exit_code(monkeypatch, capsys):

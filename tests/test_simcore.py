@@ -6,6 +6,8 @@ import math
 import multiprocessing
 import sys
 import tracemalloc
+import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -777,10 +779,40 @@ def test_a_worker_keeps_the_callers_errstate(monkeypatch):
 def test_a_gate_runs_on_the_calling_thread(monkeypatch):
     # 2**18 amplitudes: eight pieces per half, more than a walk runs inline, yet no gate splits
     monkeypatch.setattr(simcore, "_workers", lambda: 2)
-    monkeypatch.setattr(simcore, "_submit", lambda *args: pytest.fail("a gate submitted work to the pool"))
+    refusing = types.SimpleNamespace(submit=lambda *args: pytest.fail("a gate submitted work to the pool"))
+    monkeypatch.setattr(simcore, "_pool", refusing)
     state = random_state(RegisterLayout([("R", 18)]), np.random.default_rng(9))
     for gate in (h(17), roty(0.3, 0), x(5, ((17, 1),)), phase(0.2, 3), swap(1, 2)):
         apply_gate(state, gate, validate=False)
+
+
+class CountingPool:
+    """A real executor that counts what is submitted to it."""
+
+    def __init__(self):
+        self.pool = ThreadPoolExecutor(1, thread_name_prefix="counted")
+        self.submitted = 0
+
+    def submit(self, *args):
+        self.submitted += 1
+        return self.pool.submit(*args)
+
+
+def test_sample_hands_the_pool_its_mass_walk_alone(monkeypatch):
+    # four blocks at two workers: pass 1's mass walk sends the pool one share, and
+    # pass 2 draws every block, |a|**2 included, on the calling thread
+    monkeypatch.setattr(simcore, "_workers", lambda: 2)
+    counting = CountingPool()
+    monkeypatch.setattr(simcore, "_pool", counting)
+    state = random_state(RegisterLayout([("F", 1), ("R", 17)]), np.random.default_rng(17))
+    try:
+        for conditions in (None, {"F": 0}):  # four blocks, then two
+            before = counting.submitted
+            counts = sample(state, 1 << 17, 23, conditions)
+            assert len({key >> 16 for key in counts}) == (4 if conditions is None else 2)
+            assert counting.submitted - before == 1, conditions
+    finally:
+        counting.pool.shutdown()
 
 
 def mass_in_child(state, want):

@@ -19,7 +19,11 @@ one line each, in complex128 and again in complex64: a seeded 2**13-entry
 log-uniform table (gamma 1.6, d 4, eps 1e-3, with the exact-zero flag)
 and the 4x4 lattice at beta J = 0.35, both variants each, so the
 comparison covers what U and the rescale write, not only what is sampled
-from it, and the complex64 rounding that no run above takes.  ``diff -r``
+from it, and the complex64 rounding that no run above takes.  After each
+complex128 table state comes a ``<name>_counts`` line: the sha256 of the
+sorted (index, count) pairs of ``sample(state, 2**17, 23)`` over the whole
+state (4 and 64 blocks), the call the bench's table job makes, so the
+comparison covers sampling across many blocks of a whole state.  ``diff -r``
 of two such directories then shows every output that differs between the
 checkouts.
 Needs numpy and the package only.
@@ -38,7 +42,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import numpy as np  # noqa: E402
 
-from multamp import amplify, analysis, cli, ising, transduce  # noqa: E402
+from multamp import amplify, analysis, cli, ising, simcore, transduce  # noqa: E402
 
 SMALL = ("--seed", "23", "--shots", "5000", "--beta-j", "0.35")
 LARGE = ("--seed", "23", "--beta-j", "0.35")
@@ -86,10 +90,14 @@ def amplified_states():
 
 
 def state_hashes() -> str:
-    """One line per amplified state: its name, nu and the sha256 of its amplitudes' bytes."""
+    """One line per amplified state: its name, nu and the sha256 of its amplitudes' bytes;
+    after each complex128 table state, one line with the sha256 of its sampled counts."""
     lines = []
     for name, nu, state in amplified_states():
         lines.append(f"{name} nu={nu} {hashlib.sha256(state.amplitudes.data).hexdigest()}\n")
+        if name in ("table_8192_direct", "table_8192_controlled"):
+            counts = np.array(sorted(simcore.sample(state, 1 << 17, 23).items()), dtype=np.int64)
+            lines.append(f"{name}_counts shots=131072 {hashlib.sha256(counts.data).hexdigest()}\n")
         del state  # before the next state is made
     return "".join(lines)
 
