@@ -13,6 +13,20 @@ and Tapp, quant-ph/0005055).  ``grover_iterate`` is the iterate-by-iterate
 reference it is tested against.  Its reflections act on the amplitudes
 directly; their gate-level specifications (a multi-controlled Z for I_t,
 an X-wrapped one for I_s) live with the test oracles in ``tests/oracles.py``.
+
+The paper's U is H on the index register C, the exponent oracle keyed on
+C, then gates that never read or write C (the flag and the transduction
+ladder).  C's qubits are then global in Haner and Steiger's sense
+(arXiv:1704.01127): U|0> = v * sum_c |c> (x) V|lambda(c)>, v =
+(1/sqrt 2)**|C|, meets only the distinct exponents.  ``_keyed_plan`` reads
+that form off the circuit, and ``run_amplified`` then runs the oracle and
+V once per distinct exponent on a compact state, whose C holds one value
+per distinct exponent, and computes the Hadamards.  A row of the state
+(2**|C| contiguous amplitudes, one value of the other registers) is its
+compact row gathered through the oracle's inverse index; a target that
+leaves C free takes each row wholly or not at all, so the closed-form
+factors scale the compact rows, and each row that holds a non-zero is
+gathered from them once.
 """
 
 from __future__ import annotations
@@ -22,7 +36,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .simcore import Circuit, StateVector, apply_circuit, register_selector
+from .simcore import (_SQRT1_2, Circuit, Gate, RegisterLayout, RegisterXor, StateVector, _walk, apply_circuit,
+                      register_selector)
 
 NU_RULES = ("paper", "optimal")
 
@@ -55,10 +70,9 @@ def phase_flip(state: StateVector, conditions: Mapping[str, int]) -> StateVector
     return state
 
 
-def postselect_probability(state: StateVector, conditions: Mapping[str, int], *, _support=None) -> float:
-    """Joint probability of reading the given values on the named registers:
-    ``StateVector.mass``, to which ``run_amplified`` hands its ``_support``."""
-    return state.mass(conditions, _support=_support)
+def postselect_probability(state: StateVector, conditions: Mapping[str, int]) -> float:
+    """Joint probability of reading the given values on the named registers: ``StateVector.mass``."""
+    return state.mass(conditions)
 
 
 def grover_iterate(state: StateVector, spec: AmplificationSpec) -> StateVector:
@@ -94,25 +108,115 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
 
     Applies U once, reads u**2 off U|0> (``postselect_probability``), and
     scales the target slice and the rest by their closed-form factors in
-    place (``StateVector.scale``: the slice and one view per qubit the
-    target fixes, one multiply per amplitude in blocks of 2**16 split among
-    the workers, with no scratch).  When U took ``apply_circuit``'s keyed
-    path (chosen from the circuit before any write, as every Ising
-    synthesis and every table whose distinct exponents fit in fewer qubits
-    than C are; the oracle and the ladder then run on a compact state, and
-    the Hadamards on C are computed), it hands both the rows it
-    wrote (``_written``): they walk only the blocks that hold those rows,
-    and the rescale multiplies them without reading them first, so u**2 is
-    the same float and the bytes the same.  Any other U runs dense.
+    place (``StateVector.scale``).  The whole state is allocated first, so
+    a state too large to hold fails before any other work.
+
+    When U has the paper's form (``_keyed_plan``) and the target leaves C
+    free, as for every Ising synthesis and every table whose distinct
+    exponents fit in fewer qubits than C: U runs on the compact state
+    (``_compact_u``), the live rows of the target slice are gathered into
+    the zeroed state to read u**2, the compact state is scaled, and every
+    live row is gathered once more.  No other row is written: it keeps the
+    zeroed state's +0.0.  u**2 is the float the dense path reads, and each
+    live row the bytes the dense U and rescale write.  Any other U, or a
+    target that fixes a qubit of C, runs dense on the whole state.
     """
-    state = StateVector.zero_state(spec.synthesis.layout, dtype=dtype)
-    written = []
-    apply_circuit(state, spec.synthesis, validate=False, from_zero=True, _written=written)
-    support = written[0] if written else None
-    u_sq = postselect_probability(state, spec.target, _support=support)
+    layout = spec.synthesis.layout
+    key = layout.names()[0]
+    state = StateVector(layout, np.zeros(1 << layout.total_qubits, dtype))
+    plan = None if key in spec.target else _keyed_plan(spec.synthesis)
+    if plan is None:
+        state.amplitudes[0] = 1
+        apply_circuit(state, spec.synthesis, validate=False)
+        u_sq = postselect_probability(state, spec.target)
+        if spec.nu:
+            state.scale(spec.target, *_amplification_factors(u_sq, spec.nu))
+        return state, u_sq
+    op, later, values, index, m = plan
+    compact = _compact_u(layout, op, later, values, m, dtype)
+    rows = state.amplitudes.reshape(-1, 1 << layout.width(key))
+    crows = compact.amplitudes.reshape(rows.shape[0], -1)[:, :len(values)]
+    live = crows.any(axis=1)
+    inside = np.zeros((2,) * (layout.total_qubits - layout.width(key)), bool)
+    inside[register_selector(layout.without([key]), spec.target)] = True
+    _gather(rows, crows, index, live & inside.reshape(-1))
+    u_sq = postselect_probability(state, spec.target)
     if spec.nu:
-        state.scale(spec.target, *_amplification_factors(u_sq, spec.nu), _support=support)
+        compact.scale(spec.target, *_amplification_factors(u_sq, spec.nu))
+    _gather(rows, crows, index, live)
     return state, u_sq
+
+
+def _keyed_plan(circuit: Circuit) -> tuple | None:
+    """How ``run_amplified`` runs U on its compact state, read off the circuit alone, or None.
+
+    None unless the circuit has U's form: instructions 0..k-1 are one
+    uncontrolled H on each qubit of C (the layout's first register, k
+    qubits), instruction k is a ``RegisterXor`` keyed on C, every later
+    instruction is a gate on qubits from k up, and the XOR's distinct values
+    fit in m < k qubits (else the compact state would be as large as the
+    state).  Else (the XOR, the later gates, the distinct values in
+    ascending order, the inverse index that maps each value of C to its
+    distinct value's place, m).
+    """
+    layout, ops = circuit.layout, circuit.gates
+    key = layout.names()[0]
+    k = layout.width(key)
+    if (len(ops) <= k or not isinstance(ops[k], RegisterXor) or ops[k].key_register != key
+            or sorted(g.target for g in ops[:k] if isinstance(g, Gate) and g.kind == "h" and not g.controls)
+            != list(range(k))
+            or not all(isinstance(g, Gate) and min(g.qubits) >= k for g in ops[k + 1:])):
+        return None
+    op = ops[k]
+    op.validate(layout)
+    present = np.bincount(op.values) > 0  # np.unique's values and inverse, without its sort
+    values = np.flatnonzero(present)
+    m = max(1, (len(values) - 1).bit_length())
+    if m >= k:
+        return None
+    return op, ops[k + 1:], values, (np.cumsum(present) - 1)[op.values], m
+
+
+def _compact_u(layout: RegisterLayout, op: RegisterXor, later: list, values: np.ndarray, m: int,
+               dtype) -> StateVector:
+    """U|0> on the compact state: ``layout`` with C narrowed to m qubits, one key value per distinct
+    XOR value (``_keyed_plan``'s output).
+
+    Its first ``len(values)`` key entries get v = (1/sqrt 2)**k, k = |C|, as
+    k products by 1/sqrt 2 in the state's dtype: from |0> each Hadamard on C
+    writes the product of the one non-zero it reads.  A ``RegisterXor`` of
+    the distinct values, padded with 0 to 2**m, runs on it (``top`` m), then
+    every later gate through ``apply_circuit``, its qubits shifted down by
+    k - m.  Row r of the compact state, its first ``len(values)`` entries,
+    gathered through the plan's inverse index, is row r of U|0>.
+    """
+    k = layout.width(op.key_register)
+    down = k - m
+    small = RegisterLayout([(op.key_register, m)] + [(r, layout.width(r)) for r in layout.names()[1:]])
+    compact = StateVector(small, np.zeros(1 << small.total_qubits, dtype))
+    v = compact.amplitudes.dtype.type(1)
+    for _ in range(k):
+        v *= _SQRT1_2
+    compact.amplitudes[:len(values)] = v
+    padded = np.zeros(1 << m, np.int64)
+    padded[:len(values)] = values
+    RegisterXor(op.key_register, op.target_register, padded).apply(compact, m)
+    apply_circuit(compact, Circuit(small, [
+        Gate(g.kind, g.target - down, g.angle, None if g.target2 is None else g.target2 - down,
+             tuple((q - down, p) for q, p in g.controls)) for g in later]), validate=False)
+    return compact
+
+
+def _gather(rows: np.ndarray, crows: np.ndarray, index: np.ndarray, which: np.ndarray) -> None:
+    """Write each row ``which`` marks from its compact row through ``index``: one ``np.take``
+    per row, the rows split among the workers (``simcore._walk``)."""
+    written = np.flatnonzero(which)
+
+    def share(lo, hi):
+        for r in written[lo:hi]:
+            np.take(crows[r], index, out=rows[r], mode="clip")
+
+    _walk(share, len(written), len(written) * rows.shape[1])
 
 
 def select_nu(u: float, rule: str = "paper") -> int:

@@ -100,7 +100,7 @@ def build_comparator_synthesis(alphas, d: int) -> tuple[Circuit, dict]:
 def comparator_synthesis(alphas, d: int, dtype=np.complex128) -> tuple[StateVector, Circuit, dict]:
     circ, conditions = build_comparator_synthesis(alphas, d)
     state = StateVector.zero_state(circ.layout, dtype=dtype)
-    apply_circuit(state, circ, validate=False, from_zero=True)
+    apply_circuit(state, circ, validate=False)
     return state, circ, conditions
 
 

@@ -84,14 +84,23 @@ class IsingLattice:
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        """Sigma of every configuration, read-only; brute force, 20 sites max."""
-        n = self.num_sites
+        """Sigma of every configuration, read-only; brute force, 20 sites max.
+
+        Bit s of ``right`` (``down``) is the spin right of (below) site s on
+        the torus, so sigma is the popcount of each configuration XOR each:
+        the unequal (site, right) and (site, down) pairs of ``pairs``.
+        """
+        n, cols = self.num_sites, self.cols
         if n > 20:
             raise ValueError(f"brute force capped at 20 sites, got {n}")
+        full = (1 << n) - 1
+        last_col = sum(1 << (r * cols + cols - 1) for r in range(self.rows))
+        last_row = full ^ ((1 << (n - cols)) - 1)
         idx = np.arange(1 << n, dtype=np.int64)
-        sig = np.zeros(1 << n, dtype=np.int64)
-        for i, j in self.pairs():
-            sig += ((idx >> i) ^ (idx >> j)) & 1
+        right = ((idx >> 1) & (~last_col & full)) | ((idx << (cols - 1)) & last_col)
+        down = (idx >> cols) | ((idx << (n - cols)) & last_row)
+        sig = np.bitwise_count(idx ^ right).astype(np.int64)
+        sig += np.bitwise_count(idx ^ down)
         sig.flags.writeable = False
         return sig
 

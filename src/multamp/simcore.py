@@ -15,34 +15,23 @@ of its span).  ``_blocks`` cuts the pieces, and the blocks of
 ``sample``'s pass 1 read each block once, in one fused sum of squares
 (``_block_mass``), and sum the blocks' masses the same way, in block order.
 
-The blocks of ``mass`` and of ``scale`` and the rows the keyed path
-gathers (below) are walked by ``_walk``, in contiguous shares, one per CPU
-the process may run on (``os.sched_getaffinity``): the calling thread
-takes the first and a pool of threads, started by the first walk that
-splits, the rest; every share ends before its walk returns, and the pool
-runs nothing else.  ``sample``'s pass 2 runs on the calling thread, which
-draws every random number, in block order.  Each block runs the same
-numpy calls on the same memory at any worker count, so amplitudes, masses
-and counts are the same bytes.  A walk over at most ``_SAMPLE_BLOCK``
-amplitudes runs inline, on one thread.  A forked child starts a pool of
-its own.
+The blocks of ``mass`` and of ``scale``, and the rows
+``amplify.run_amplified`` gathers from U's compact state, are walked by
+``_walk``, in contiguous shares, one per CPU the process may run on
+(``os.sched_getaffinity``): the calling thread takes the first and a pool
+of threads, started by the first walk that splits, the rest; every share
+ends before its walk returns, and the pool runs nothing else.
+``sample``'s pass 2 runs on the calling thread, which draws every random
+number, in block order.  Each block runs the same numpy calls on the same
+memory at any worker count, so amplitudes, masses and counts are the same
+bytes.  A walk over at most ``_SAMPLE_BLOCK`` amplitudes runs inline, on
+one thread.  A forked child starts a pool of its own.
 
-``apply_circuit(..., from_zero=True)`` chooses the keyed path from the
-circuit alone, before any write, at any state size (``_keyed_plan``).
-The paper's U is H on the index register C, the exponent oracle keyed on
-C, then gates that never read or write C: C's qubits are global in Häner
-and Steiger's sense, and U|0> = v * sum_c |c> (x) V|lambda(c)>, v =
-(1/sqrt 2)**|C|, meets only the distinct exponents.  So the Hadamards are
-not applied but v is computed, in the state's dtype, and the oracle and V
-run once per distinct exponent, through the dense kernels, on a compact
-state.  Each row of the state (2**|C| contiguous amplitudes, one value of
-the other qubits) that holds a non-zero is then gathered back through the
-XOR's inverse index.  The path records which rows those are for a caller
-that asks (``_written``), and ``amplify.run_amplified`` sums u^2 and
-rescales over the blocks that hold them alone (``_live``).  Every other
-circuit runs dense, each gate on its 2**(n-c) amplitudes: the comparator,
-whose second XOR reads C, a table whose distinct exponents need every
-qubit of C, and the U^-1 ``amplify.grover_iterate`` runs.
+``apply_circuit`` is the dense path, the specification: every gate runs
+on its 2**(n-c) amplitudes of the whole state, every ``RegisterXor``
+through its ``apply``.  ``amplify.run_amplified`` runs the paper's U from
+|0> on a compact state instead, through ``apply_circuit``, when the
+circuit has U's form (see there).
 
 Post-selection goes through one slice: ``StateVector.select`` is the
 writable view of the basis states whose registers read given values,
@@ -92,22 +81,6 @@ def _blocks(a: np.ndarray, size: int):
     return [a[i] for i in product((0, 1), repeat=a.ndim - size.bit_length() + 1)]
 
 
-def _live(support, index: tuple, count: int):
-    """Whether each of the ``count`` blocks ``_blocks`` cuts from ``psi[index + ...]`` holds a non-zero.
-
-    ``support`` is what ``apply_circuit``'s keyed path appends to ``_written``:
-    one bool per contiguous segment of 2**g amplitudes, g <= log2 ``_SAMPLE_BLOCK``,
-    over the ``(2,)*(n - g)`` axes of the qubits from g up, True where the segment
-    holds a non-zero.  When ``index`` fixes no qubit below g, every block is a run
-    of whole segments along the same leading axes, so indexing ``support`` alike
-    answers for it.  None (read the blocks) without a ``support``, or when ``index``
-    fixes a qubit inside a segment.
-    """
-    if support is None or not all(isinstance(i, slice) for i in index[support.ndim:]):
-        return None
-    return support[index[:support.ndim] + (Ellipsis,)].reshape(count, -1).any(axis=1)
-
-
 def _workers() -> int:
     """The CPUs this process may run on: the shares a walk of many blocks is split into."""
     try:
@@ -133,9 +106,9 @@ if hasattr(os, "register_at_fork"):
 def _walk(share, count: int, size: int) -> None:
     """Call ``share(lo, hi)`` on contiguous shares ``[lo, hi)`` of ``range(count)``, one per worker.
 
-    ``count`` items (blocks, or the keyed path's rows) hold ``size`` amplitudes
-    in all.  A walk over at most ``_SAMPLE_BLOCK`` amplitudes runs inline and
-    starts no thread.  Else the calling thread takes the first share and the
+    ``count`` items (blocks, or the rows ``amplify.run_amplified`` gathers)
+    hold ``size`` amplitudes in all.  A walk over at most ``_SAMPLE_BLOCK``
+    amplitudes runs inline and starts no thread.  Else the calling thread takes the first share and the
     pool the rest, each in the caller's ``contextvars`` (numpy's ``errstate``),
     and the call returns once every share has ended.  ``share`` writes only
     what its own items own, so the result is the same at any worker count.
@@ -300,36 +273,24 @@ class StateVector:
         """sqrt of the mass of the whole state, in float64 whatever the dtype."""
         return math.sqrt(self.mass({}))
 
-    def mass(self, conditions: Mapping[str, int], *, _support=None) -> float:
+    def mass(self, conditions: Mapping[str, int]) -> float:
         """Sum of |a|^2 over ``select(conditions)``: the masses of its blocks, summed as
-        ``sample`` sums them before it draws, so the two totals are the same float.
-        ``_support``: a keyed ``apply_circuit``'s record of this state's non-zero
-        segments, as ``amplify.run_amplified`` passes it; only the blocks it marks are read."""
-        return float(self._block_masses(conditions, _support)[1].sum())
+        ``sample`` sums them before it draws, so the two totals are the same float."""
+        return float(self._block_masses(conditions)[1].sum())
 
-    def _block_masses(self, conditions: Mapping[str, int], support=None) -> tuple:
-        """The ``_SAMPLE_BLOCK``-amplitude blocks of ``select(conditions)`` and their masses.
-
-        Given a keyed ``apply_circuit``'s ``support`` (see ``_live``), only the
-        blocks it marks are read; the others hold only zeros, so their masses
-        are 0.0 and every sum over them is the same float.
-        """
-        sel = register_selector(self.layout, conditions)
-        view = self.amplitudes.reshape((2,) * self.num_qubits)[sel + (Ellipsis,)]
-        blocks = _blocks(view, _SAMPLE_BLOCK)
-        live = _live(support, sel, len(blocks))
-        read = range(len(blocks)) if live is None else np.flatnonzero(live)
+    def _block_masses(self, conditions: Mapping[str, int]) -> tuple:
+        """The ``_SAMPLE_BLOCK``-amplitude blocks of ``select(conditions)`` and their masses."""
+        blocks = _blocks(self.select(conditions), _SAMPLE_BLOCK)
         masses = np.zeros(len(blocks))
 
         def share(lo, hi):
-            for i in read[lo:hi]:
+            for i in range(lo, hi):
                 masses[i] = _block_mass(blocks[i])
 
-        _walk(share, len(read), len(read) * blocks[0].size)
+        _walk(share, len(blocks), len(blocks) * blocks[0].size)
         return blocks, masses
 
-    def scale(self, conditions: Mapping[str, int], inside: float, outside: float, *, _support=None
-              ) -> "StateVector":
+    def scale(self, conditions: Mapping[str, int], inside: float, outside: float) -> "StateVector":
         """Multiply ``select(conditions)`` by ``inside`` and the rest by ``outside``, in place.
 
         The rest is one view per qubit the predicate fixes, highest first:
@@ -337,31 +298,25 @@ class StateVector:
         qubits above it read theirs.  With the slice, these views are disjoint
         and cover the state.  Each is walked in blocks of at most
         ``_SAMPLE_BLOCK`` amplitudes (``_blocks``), split among the workers
-        (``_walk``), and each block is multiplied by its factor once, in
-        place, with no scratch.  A block that holds only zeros is left as it
-        is, so pages no gate wrote stay unwritten (and a zero keeps its sign).
-        Given a keyed ``apply_circuit``'s ``_support`` of this state, as
-        ``amplify.run_amplified`` passes it, only the blocks it marks are
-        walked, and they are multiplied without being read first: the same
-        blocks, the same bytes.
+        (``_walk``), and each block that holds a non-zero is multiplied by its
+        factor once, in place, with no scratch.  A block that holds only zeros
+        is left as it is, so pages no gate wrote stay unwritten (and a zero
+        keeps its sign).  ``amplify.run_amplified`` scales U's compact state
+        this way, or the whole state when U ran dense.
         """
         psi = self.amplitudes.reshape((2,) * self.num_qubits)
         sel = register_selector(self.layout, conditions)
         parts = [(sel, inside)] + [(sel[:i] + (1 - v,), outside)
                                    for i, v in enumerate(sel) if not isinstance(v, slice)]
-        blocks = []  # (block, factor, whether it is still to be read for a non-zero)
-        for index, factor in parts:
-            part = _blocks(psi[index + (Ellipsis,)], _SAMPLE_BLOCK)
-            live = _live(_support, index, len(part))
-            blocks += [(block, factor, live is None)
-                       for block in (part if live is None else compress(part, live))]
+        blocks = [(block, factor) for index, factor in parts
+                  for block in _blocks(psi[index + (Ellipsis,)], _SAMPLE_BLOCK)]
 
         def share(lo, hi):
-            for block, factor, unread in blocks[lo:hi]:
-                if not unread or block.any():
+            for block, factor in blocks[lo:hi]:
+                if block.any():
                     block *= factor
 
-        _walk(share, len(blocks), sum(block.size for block, _, _ in blocks))
+        _walk(share, len(blocks), sum(block.size for block, _ in blocks))
         return self
 
     def copy(self) -> "StateVector":
@@ -476,7 +431,7 @@ class RegisterXor:
 
         ``top``: the caller knows every qubit from ``top`` up reads 0, so
         every amplitude at index >= 2**top is 0 (default: the qubit count).
-        ``apply_circuit``'s keyed path passes the compact key's width, having
+        ``amplify.run_amplified`` passes the compact key's width, having
         written the compact state's first entries alone.
         The permutation maps each block of 2**hi amplitudes (``hi``: top of
         the key/target span) onto itself.  In each block below 2**top the
@@ -618,133 +573,19 @@ def _butterfly(kind, a, b, c, s, t, w):
         b[...] = t
 
 
-def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True,
-                  from_zero: bool = False, *, _written: list | None = None) -> StateVector:
-    """Apply every instruction of the circuit in order, in place.
-
-    The dense path, the specification: each gate runs through ``apply_gate``
-    on the whole state and each ``RegisterXor`` through its ``apply``.
-
-    ``from_zero=True`` promises that ``state`` is |0...0> (only
-    ``amplitudes[0] == 1`` is checked) and lets the call take the keyed
-    path, chosen from the circuit alone before anything is written
-    (``_keyed_plan``): k uncontrolled H, one on each qubit of C, the
-    layout's first register, in any order; then a ``RegisterXor`` keyed on
-    C whose distinct values fit in m < k qubits; then only gates that
-    neither target nor control a qubit of C.  After the XOR the state is
-    v * sum_c |c> (x) |values[c]>, v = (1/sqrt 2)**k, and the rest acts on
-    each value of C alike, so ``_run_keyed`` runs it once per distinct value,
-    on a compact state.  Every other circuit runs dense.  The keyed amplitudes
-    are the dense path's: the same bytes in every row the path writes, and
-    the same values in the rows it leaves at +0.0, where the dense butterflies
-    may write -0.0.  The path appends to ``_written``, if given, the segments
-    that hold a non-zero (the ``support`` ``_live`` reads); valid until the
-    next write.
-    """
+def apply_circuit(state: StateVector, circuit: Circuit, validate: bool = True) -> StateVector:
+    """Apply every instruction of the circuit in order, in place: each gate through
+    ``apply_gate`` on the whole state, each ``RegisterXor`` through its ``apply``."""
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match the state layout")
     if validate:
         _require_normalized(state.mass({}), state.amplitudes.dtype, "input state is not normalized")
-    if from_zero and state.amplitudes[0] != 1:
-        raise ValueError("from_zero needs the state |0...0>")
-    plan = _keyed_plan(circuit) if from_zero else None
-    if plan is not None:
-        support = _run_keyed(state, *plan)
-        if _written is not None:
-            _written.append(support)
-        return state
     for op in circuit.gates:
         if isinstance(op, Gate):
             apply_gate(state, op, validate=False)
         else:
             op.apply(state)
     return state
-
-
-def _keyed_plan(circuit: Circuit) -> tuple | None:
-    """``_run_keyed``'s arguments after ``state``, read off the circuit alone, or None.
-
-    None unless the circuit has the form ``apply_circuit``'s keyed path
-    needs: instructions 0..k-1 are one uncontrolled H on each qubit of C
-    (the layout's first register, k qubits), instruction k is a
-    ``RegisterXor`` keyed on C, every later instruction is a gate on qubits
-    from k up, and the XOR's distinct values fit in m < k qubits (else the
-    compact state would be as large as the state).  Else (the XOR, the later
-    gates, the distinct values in ascending order, the inverse index that
-    maps each value of C to its distinct value's place, m).
-    """
-    layout, ops = circuit.layout, circuit.gates
-    key = layout.names()[0]
-    k = layout.width(key)
-    if (len(ops) <= k or not isinstance(ops[k], RegisterXor) or ops[k].key_register != key
-            or sorted(g.target for g in ops[:k] if isinstance(g, Gate) and g.kind == "h" and not g.controls)
-            != list(range(k))
-            or not all(isinstance(g, Gate) and min(g.qubits) >= k for g in ops[k + 1:])):
-        return None
-    op = ops[k]
-    op.validate(layout)
-    present = np.bincount(op.values) > 0  # np.unique's values and inverse, without its sort
-    values = np.flatnonzero(present)
-    m = max(1, (len(values) - 1).bit_length())
-    if m >= k:
-        return None
-    return op, ops[k + 1:], values, (np.cumsum(present) - 1)[op.values], m
-
-
-def _run_keyed(state: StateVector, op: RegisterXor, later: list, values: np.ndarray, index: np.ndarray,
-               m: int) -> np.ndarray:
-    """Write U|0> into ``state`` (|0...0>) for a circuit ``_keyed_plan`` took; return its support.
-
-    The compact state is the layout with C narrowed to m qubits, one key
-    value per distinct XOR value.  Its first ``len(values)`` key entries
-    get v = (1/sqrt 2)**k, k = |C|, as k products by 1/sqrt 2 in the state's
-    dtype: from |0> each Hadamard on C writes the product of the one
-    non-zero it reads.  A ``RegisterXor`` of the distinct values, padded with 0
-    to 2**m, runs on it (``top`` m), then every later gate through
-    ``apply_gate``, its qubits shifted down by k - m.  Then each row of the
-    state (2**k contiguous amplitudes: one value of the other qubits) that
-    holds a non-zero is gathered from its compact row through ``index``, one
-    ``np.take`` per row, the rows split among the workers (``_walk``).
-    Amplitude 0, |0...0>'s 1, is cleared when row 0 holds no non-zero.
-    Returns the ``support`` ``_live`` reads: whether each segment of
-    2**seg amplitudes, seg = min(k, log2 ``_SAMPLE_BLOCK``), holds a
-    non-zero, read off the compact rows.  Nothing of the state is read.
-    Scratch: the compact state beside the plan's 2**k int64 index.
-    """
-    layout, n = state.layout, state.num_qubits
-    k = layout.width(op.key_register)
-    down = k - m
-    compact = StateVector(RegisterLayout([(op.key_register, m)] + [(r, layout.width(r))
-                                                                   for r in layout.names()[1:]]),
-                          np.zeros(1 << (n - down), state.amplitudes.dtype))
-    v = state.amplitudes.dtype.type(1)
-    for _ in range(k):
-        v *= _SQRT1_2
-    compact.amplitudes[:len(values)] = v
-    padded = np.zeros(1 << m, np.int64)
-    padded[:len(values)] = values
-    RegisterXor(op.key_register, op.target_register, padded).apply(compact, m)
-    for g in later:
-        apply_gate(compact, Gate(g.kind, g.target - down, g.angle, None if g.target2 is None else g.target2 - down,
-                                 tuple((q - down, p) for q, p in g.controls)), validate=False)
-
-    rows = state.amplitudes.reshape(-1, 1 << k)
-    crows = compact.amplitudes.reshape(-1, 1 << m)[:, :len(values)]
-    seg = min(k, _SAMPLE_BLOCK.bit_length() - 1)  # a segment is 2**seg amplitudes
-    holds = np.zeros((1 << (k - seg), len(values)), bool)  # [s, j]: segment s of a row holds key value j
-    holds[np.arange(1 << (k - seg))[:, None], index.reshape(-1, 1 << seg)] = True
-    support = (crows != 0) @ holds.T
-    live = support.any(axis=1)
-    written = np.flatnonzero(live)
-
-    def share(lo, hi):
-        for r in written[lo:hi]:
-            np.take(crows[r], index, out=rows[r], mode="clip")
-
-    _walk(share, len(written), len(written) << k)
-    if not live[0]:
-        state.amplitudes[0] = 0
-    return support.reshape((2,) * (n - seg))
 
 
 def register_selector(layout: RegisterLayout, conditions: Mapping[str, int]) -> tuple:

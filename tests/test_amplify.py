@@ -283,7 +283,7 @@ def test_the_rescale_leaves_empty_parts_alone():
     state, u_sq = run_amplified(spec)
     # the whole-buffer rescale: U|0>, then every amplitude times outside
     whole = StateVector.zero_state(circ.layout)
-    apply_circuit(whole, circ, validate=False, from_zero=True)
+    apply_circuit(whole, circ, validate=False)
     empty = ~whole.amplitudes.reshape(-1, 1 << 16).any(axis=1)
     inside, outside = _amplification_factors(u_sq, spec.nu)
     assert outside < 0 and empty.sum() == 41  # so that a rescaled empty part would read -0.0
@@ -326,7 +326,7 @@ def test_the_blockwise_rescale_is_the_whole_buffer_formula(target, monkeypatch):
     spec = AmplificationSpec(circ, target, 2)
     state, u_sq = run_amplified(spec)
     whole = StateVector.zero_state(layout)
-    apply_circuit(whole, circ, validate=False, from_zero=True)
+    apply_circuit(whole, circ, validate=False)
     u = whole.amplitudes.copy()
     inside, outside = _amplification_factors(u_sq, spec.nu)
     view = whole.select(target)

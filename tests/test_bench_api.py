@@ -44,12 +44,12 @@ def test_tracer_sees_the_sample_handler_and_its_reference(tmp_path, capsys):
 def test_tracer_sees_every_gate_of_one_sample_run(variant, tmp_path, capsys, monkeypatch):
     # the per-gate metrics hold only if apply_circuit runs each gate through
     # the public simcore.apply_gate and each XOR through RegisterXor.apply,
-    # on the keyed path too, which every Ising U from |0> takes and which
+    # on the compact state too, on which run_amplified runs every Ising U and
     # computes the Hadamards on C instead of applying them
-    from multamp import cli, ising, simcore
+    from multamp import amplify, cli, ising
     keyed = []
-    run_keyed = simcore._run_keyed
-    monkeypatch.setattr(simcore, "_run_keyed", lambda *args: keyed.append(run_keyed(*args)) or keyed[-1])
+    keyed_plan = amplify._keyed_plan
+    monkeypatch.setattr(amplify, "_keyed_plan", lambda *args: keyed.append(keyed_plan(*args)) or keyed[-1])
     spans = load_bench("spans")
     tracer = spans.Tracer().install()
     try:
@@ -66,19 +66,19 @@ def test_tracer_sees_every_gate_of_one_sample_run(variant, tmp_path, capsys, mon
     assert {g: rec[0] for g, rec in tracer.gates.items()} == +want
     assert tracer.u_applications == 1
     assert tracer.ising_u[0] == 1
-    assert [support is not None for support in keyed] == [True]
+    assert [plan is not None for plan in keyed] == [True]
 
 
 def test_tracer_times_the_u_squared_pass_of_a_keyed_run(monkeypatch):
     # run_amplified reads u**2 through the public postselect_probability, also
-    # when it hands it the keyed path's support, so the traced span covers that pass
+    # when U ran on its compact state, so the traced span covers that pass
     import numpy as np
 
     from multamp import amplify, simcore, transduce
     keyed = []
-    run_keyed = simcore._run_keyed
+    keyed_plan = amplify._keyed_plan
     monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 4)
-    monkeypatch.setattr(simcore, "_run_keyed", lambda *args: keyed.append(run_keyed(*args)) or keyed[-1])
+    monkeypatch.setattr(amplify, "_keyed_plan", lambda *args: keyed.append(keyed_plan(*args)) or keyed[-1])
     table = transduce.build_lambda_table(np.linspace(0.05, 1.0, 1 << 6), 2.0, 4, 1e-3)
     circuit = transduce.build_synthesis(table, transduce.make_plan("controlled", 2.0, 4), enforce_zero=True)
     tracer = load_bench("spans").Tracer().install()

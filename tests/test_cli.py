@@ -561,8 +561,9 @@ def test_config_values_do_not_reach_the_next_call(tmp_path, capsys):
 def test_sigma_is_enumerated_once_per_lattice(argv, lattices, monkeypatch, capsys):
     from multamp.ising import IsingLattice
     calls = []
-    pairs = IsingLattice.pairs
-    monkeypatch.setattr(IsingLattice, "pairs", lambda self: calls.append(self) or pairs(self))
+    cached = IsingLattice.__dict__["sigma"]  # the cached_property: patch the function it caches
+    sigma = cached.func
+    monkeypatch.setattr(cached, "func", lambda self: calls.append(self) or sigma(self))
     code, _, _ = run(argv, capsys)
     assert code == EXIT_OK
     assert len(calls) == lattices

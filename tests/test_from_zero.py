@@ -1,9 +1,11 @@
-"""Application from |0> (``apply_circuit(..., from_zero=True)``) against the dense path.
+"""``amplify.run_amplified`` on U's compact state against the dense path.
 
-The dense, whole-state application is the specification: every circuit
-the suite builds must give the same bytes both ways, and random circuits
-the same values (in a row the keyed path leaves, the dense butterflies may
-write -0.0 where it keeps the zero state's +0.0).
+The dense U|0> (``apply_circuit`` on the whole state) followed by the
+whole-buffer rescale is the specification: every circuit the suite builds
+must give u**2 bit for bit, the same values, and the same bytes in each row
+(2**|C| amplitudes) that holds a non-zero, and random circuits u**2 and the
+same values.  A row the compact path does not write keeps the zeroed
+state's +0.0, where the dense butterflies or the rescale may write -0.0.
 """
 
 import math
@@ -14,19 +16,49 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multamp import ising, simcore, transduce
-from multamp.amplify import postselect_probability
+from multamp import amplify, ising, simcore, transduce
+from multamp.amplify import AmplificationSpec, _amplification_factors, postselect_probability, run_amplified
 from multamp.baselines import build_comparator_synthesis
 from multamp.simcore import (Circuit, Gate, RegisterLayout, RegisterXor, StateVector, apply_circuit, h,
                              phase, roty, swap, x, z)
 
 DTYPES = (np.complex128, np.complex64)
+KEYED_PLAN = amplify._keyed_plan  # the plan itself, where a test's ``keyed_plans`` records its calls
 
 
-def both_ways(circuit, dtype):
-    dense = apply_circuit(StateVector.zero_state(circuit.layout, dtype), circuit)
-    tracked = apply_circuit(StateVector.zero_state(circuit.layout, dtype), circuit, from_zero=True)
-    return tracked.amplitudes, dense.amplitudes
+def dense_u(circuit, dtype):
+    return apply_circuit(StateVector.zero_state(circuit.layout, dtype), circuit)
+
+
+def both_ways(circuit, target, nu, dtype):
+    """(``run_amplified``'s state, its u**2, the specification's state, its u**2): the dense U|0>
+    and the whole-buffer rescale."""
+    state, u_sq = run_amplified(AmplificationSpec(circuit, target, nu), dtype)
+    want = dense_u(circuit, dtype)
+    want_u = postselect_probability(want, target)
+    if nu:
+        inside, outside = _amplification_factors(want_u, nu)
+        view = want.select(target)
+        block = view * inside
+        want.amplitudes *= outside
+        view[...] = block
+    return state, u_sq, want, want_u
+
+
+def check_both_ways(circuit, target, nu, dtype):
+    """u**2 bit for bit, the same values, the specification's bytes in each row (2**|C| amplitudes,
+    C the first register) that holds a non-zero and, when U ran on its compact state, +0.0 bits
+    in every other row.  Returns u**2."""
+    state, u_sq, want, want_u = both_ways(circuit, target, nu, dtype)
+    assert u_sq.hex() == want_u.hex()
+    assert np.array_equal(state.amplitudes, want.amplitudes)
+    width = 1 << circuit.layout.width(circuit.layout.names()[0])
+    rows, want_rows = state.amplitudes.reshape(-1, width), want.amplitudes.reshape(-1, width)
+    held = rows.any(axis=1)
+    assert rows[held].tobytes() == want_rows[held].tobytes()
+    if circuit.layout.names()[0] not in target and KEYED_PLAN(circuit) is not None:
+        assert not rows[~held].view(np.uint64).any()
+    return u_sq
 
 
 def table_synthesis(variant, enforce_zero):
@@ -51,11 +83,55 @@ BUILT = (
 )
 
 
+def big_table_synthesis(variant):
+    """The 2**13-entry log-uniform table with the flag, gamma 1.6, d 4, eps 1e-3: 18 and 22 qubits."""
+    alphas = np.exp(np.random.default_rng(5).uniform(math.log(2.5e-4), 0.0, 1 << 13))
+    table = transduce.build_lambda_table(alphas, 1.6, 4, 1e-3)
+    return transduce.build_synthesis(table, transduce.make_plan(variant, 1.6, 4), enforce_zero=True)
+
+
+LARGE = [pytest.param(big_table_synthesis, (v,), id=f"table-8192-{v}") for v in transduce.VARIANTS] + [
+    pytest.param(ising_synthesis, (4, 4, "direct", z), id=f"ising-4x4-direct-{'zero' if z else 'plain'}")
+    for z in (False, True)]
+
+
+def kept_register(layout):
+    return "E" if "E" in layout else "D"
+
+
+@pytest.fixture
+def keyed_plans(monkeypatch):
+    """The plans of the runs ``run_amplified`` takes on the compact state, in order."""
+    plans = []
+    keyed_plan = amplify._keyed_plan
+
+    def recording(circuit):
+        plan = keyed_plan(circuit)
+        if plan is not None:
+            plans.append(plan)
+        return plan
+
+    monkeypatch.setattr(amplify, "_keyed_plan", recording)
+    return plans
+
+
+@pytest.mark.parametrize("nu", [0, 3])
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("build,args", BUILT)
-def test_built_circuits_give_the_dense_bytes(build, args, dtype):
-    tracked, dense = both_ways(build(*args), dtype)
-    assert tracked.tobytes() == dense.tobytes()
+@pytest.mark.parametrize("build,args", BUILT + LARGE)
+def test_built_circuits_amplify_to_the_dense_bytes(build, args, dtype, nu, keyed_plans, request):
+    # the comparator's second XOR reads the key, so it runs dense; every other built U runs on
+    # its compact state at its own size; the 4x4 controlled U (two 1 GiB states) is left to the
+    # fixed-seed state hashes
+    circuit = build(*args)
+    check_both_ways(circuit, {kept_register(circuit.layout): 0}, nu, dtype)
+    assert len(keyed_plans) == ("comparator" not in request.node.callspec.id)
+
+
+def test_a_target_that_fixes_c_runs_dense(keyed_plans):
+    # a kept slice with C fixed cuts across the compact rows, so U runs on the whole state
+    circuit = ising_synthesis(2, 2, "direct", False)
+    assert check_both_ways(circuit, {"C": 3, "D": 0}, 1, np.complex128) == 0.002863444518098027
+    assert keyed_plans == []
 
 
 def with_the_flag_x_last(circuit):
@@ -126,24 +202,35 @@ def circuits_from_zero(draw):
     return Circuit(layout, ops)
 
 
+@st.composite
+def amplified_from_zero(draw):
+    """A circuit and a target of one or two of its registers, the first (C) among them or not."""
+    circuit = draw(circuits_from_zero())
+    layout = circuit.layout
+    names = draw(st.lists(st.sampled_from(layout.names()), min_size=1, max_size=2, unique=True))
+    return circuit, {name: draw(st.integers(0, (1 << layout.width(name)) - 1)) for name in names}
+
+
 # a phase on a 1-entry prefix once rounded like Python's complex product, and
 # on the whole state like numpy's vector loop: 5.6e-17 apart in amplitude 1
 ONE_ENTRY_PHASE = Circuit(RegisterLayout([("r0", 1), ("r1", 2)]), [h(0), phase(1.0, 0), phase(1.0, 0)])
 
 
 @settings(max_examples=200, deadline=None)
-@given(circuit=circuits_from_zero(), dtype=st.sampled_from(DTYPES))
-@example(circuit=ONE_ENTRY_PHASE, dtype=np.complex128)
-@example(circuit=ONE_ENTRY_PHASE, dtype=np.complex64)
-def test_random_circuits_from_zero_agree_with_the_dense_path(circuit, dtype):
-    tracked, dense = both_ways(circuit, dtype)
-    assert np.array_equal(tracked, dense)
+@given(case=amplified_from_zero(), nu=st.integers(0, 2), dtype=st.sampled_from(DTYPES))
+@example(case=(ONE_ENTRY_PHASE, {"r1": 0}), nu=1, dtype=np.complex128)
+@example(case=(ONE_ENTRY_PHASE, {"r1": 0}), nu=1, dtype=np.complex64)
+def test_random_circuits_amplify_to_the_dense_values(case, nu, dtype):
+    circuit, target = case
+    state, u_sq, want, want_u = both_ways(circuit, target, nu, dtype)
+    assert u_sq.hex() == want_u.hex()
+    assert np.array_equal(state.amplitudes, want.amplitudes)
 
 
 @settings(max_examples=50, deadline=None)
 @given(circuit=keyed_circuits())
 def test_keyed_form_circuits_take_the_keyed_path(circuit):
-    assert simcore._keyed_plan(circuit) is not None
+    assert amplify._keyed_plan(circuit) is not None
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -199,15 +286,10 @@ SEQUENCE_XOR = RegisterXor("C", "D", [3, 1, 1, 3])  # 2 distinct values: a compa
     # gates controlled on the untouched flag: polarity 1 never fires, 0 always does
     [roty(0.7, 2, ((4, 1),)), roty(0.9, 3, ((4, 0),)), h(2, ((4, 0), (3, 1))), phase(0.3, 4), z(2, ((3, 0),))],
 ], ids=["flag-controls", "swap-flag", "x-rules", "untouched-flag-controls"])
-def test_gate_sequences_on_the_compact_state_give_the_dense_bytes(ops, dtype, keyed_calls):
-    tracked, dense = both_ways(Circuit(SEQUENCE_LAYOUT, [h(1), h(0), SEQUENCE_XOR] + ops), dtype)
-    assert len(keyed_calls) == 1
-    # the dense bytes in each row (2**2 amplitudes) that holds a non-zero; the dense z may write
-    # -0.0 in a row the keyed path leaves at +0.0
-    assert np.array_equal(tracked, dense)
-    rows, dense_rows = tracked.reshape(-1, 4), dense.reshape(-1, 4)
-    held = rows.any(axis=1)
-    assert rows[held].tobytes() == dense_rows[held].tobytes()
+def test_gate_sequences_on_the_compact_state_give_the_dense_bytes(ops, dtype, keyed_plans):
+    # rows of 2**2 amplitudes; the dense z may write -0.0 in a row the compact path leaves at +0.0
+    check_both_ways(Circuit(SEQUENCE_LAYOUT, [h(1), h(0), SEQUENCE_XOR] + ops), {"z": 0}, 1, dtype)
+    assert len(keyed_plans) == 1
 
 
 def butterfly_calls(monkeypatch, run, *args, **kwargs):
@@ -226,65 +308,9 @@ def butterfly_calls(monkeypatch, run, *args, **kwargs):
 
 
 def butterfly_sizes(circuit, monkeypatch):
-    """(kind, amplitudes) of every ``_butterfly`` call of the circuit from |0>."""
-    return butterfly_calls(monkeypatch, apply_circuit, StateVector.zero_state(circuit.layout), circuit,
-                           from_zero=True)
-
-
-KEYED_BLOCK = 1 << 4  # below the 2**7 amplitudes of the smallest built state
-
-
-@pytest.fixture
-def keyed_calls(monkeypatch):
-    """The list of the supports of the runs ``_run_keyed`` takes, in order."""
-    runs = []
-    run_keyed = simcore._run_keyed
-
-    def recording(*args):
-        support = run_keyed(*args)
-        if support is not None:
-            runs.append(support)
-        return support
-
-    monkeypatch.setattr(simcore, "_run_keyed", recording)
-    return runs
-
-
-@pytest.fixture
-def keyed_runs(keyed_calls, monkeypatch):
-    """``keyed_calls`` with ``simcore._SAMPLE_BLOCK`` patched to ``KEYED_BLOCK``: the support's
-    segments are then smaller than a row of C."""
-    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", KEYED_BLOCK)
-    return keyed_calls
-
-
-def kept_register(layout):
-    return "E" if "E" in layout else "D"
-
-
-def check_support(state, support, target):
-    """``support`` marks exactly the segments of ``state`` that hold a non-zero, and u**2 and
-    the rescale read off it are the bits of ``mass`` and ``scale`` without it."""
-    held = state.amplitudes.reshape(support.size, -1).any(axis=1)
-    assert np.array_equal(support.reshape(-1), held)
-    assert postselect_probability(state, target, _support=support).hex() == state.mass(target).hex()
-    # a negative factor writes -0.0 on each zero of a block it multiplies
-    want = state.copy().scale(target, 1.75, -2.5).amplitudes
-    assert state.scale(target, 1.75, -2.5, _support=support).amplitudes.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("build,args", BUILT)
-def test_built_circuits_give_the_dense_bytes_on_the_keyed_path(build, args, dtype, keyed_runs, request):
-    # the comparator's second XOR reads the key, so it takes the gate path
-    circuit = build(*args)
-    tracked, dense = both_ways(circuit, dtype)
-    assert tracked.tobytes() == dense.tobytes()
-    if "comparator" in request.node.callspec.id:
-        assert keyed_runs == []
-        return
-    assert len(keyed_runs) == 1
-    check_support(StateVector(circuit.layout, tracked), keyed_runs[0], {kept_register(circuit.layout): 0})
+    """(kind, amplitudes) of every ``_butterfly`` call of ``run_amplified`` at nu = 0."""
+    return butterfly_calls(monkeypatch, run_amplified,
+                           AmplificationSpec(circuit, {kept_register(circuit.layout): 0}, 0))
 
 
 # amplitudes sent through ``_butterfly`` on the keyed path: no Hadamard (v is computed), then
@@ -312,9 +338,9 @@ KEYED_WORK = {
 
 @pytest.mark.parametrize("build,args,total", [pytest.param(*p.values, KEYED_WORK[p.id], id=p.id)
                                               for p in BUILT if p.id in KEYED_WORK])
-def test_built_circuits_do_the_pinned_keyed_work(build, args, total, keyed_calls, monkeypatch):
+def test_built_circuits_do_the_pinned_keyed_work(build, args, total, keyed_plans, monkeypatch):
     assert sum(size for _, size in butterfly_sizes(build(*args), monkeypatch)) == total
-    assert len(keyed_calls) == 1
+    assert len(keyed_plans) == 1
 
 
 @pytest.mark.parametrize("build,args", [p for p in BUILT if p.id in KEYED_WORK])
@@ -324,14 +350,13 @@ def test_the_keyed_path_runs_each_later_gate_once_on_the_compact_state(build, ar
     circuit = build(*args)
     k = circuit.layout.width(circuit.layout.names()[0])
     m = max(1, (len(set(circuit.gates[k].values.tolist())) - 1).bit_length())
-    dense = sum(size for _, size in butterfly_calls(monkeypatch, apply_circuit,
-                                                    StateVector.zero_state(circuit.layout), circuit))
+    dense = sum(size for _, size in butterfly_calls(monkeypatch, dense_u, circuit, np.complex128))
     keyed = sum(size for _, size in butterfly_sizes(circuit, monkeypatch))
     assert keyed << (k - m) == dense - k * (1 << circuit.layout.total_qubits)
 
 
 def xor_qubit_counts(circuit, monkeypatch):
-    """The qubit count of each state ``RegisterXor.apply`` gets while ``circuit`` runs from |0>."""
+    """The qubit count of each state ``RegisterXor.apply`` gets while ``run_amplified`` runs ``circuit``."""
     seen = []
     xor_apply = RegisterXor.apply
 
@@ -340,7 +365,7 @@ def xor_qubit_counts(circuit, monkeypatch):
         return xor_apply(op, state, top)
 
     monkeypatch.setattr(RegisterXor, "apply", recording)
-    apply_circuit(StateVector.zero_state(circuit.layout), circuit, from_zero=True)
+    run_amplified(AmplificationSpec(circuit, {kept_register(circuit.layout): 0}, 0))
     return seen
 
 
@@ -348,7 +373,7 @@ def xor_qubit_counts(circuit, monkeypatch):
     # 7 distinct values of 8 keys, as in values-fill-the-key below: the keyed path refuses
     pytest.param(lambda: build_comparator_synthesis([0.9, 0.8, 0.27, 0.125, 0.7, 0.5, 0.0, 0.33], 3)[0], (),
                  id="values-fill-the-key")])
-def test_the_oracle_runs_once_on_the_compact_state_or_else_on_the_state(build, args, keyed_calls, monkeypatch):
+def test_the_oracle_runs_once_on_the_compact_state_or_else_on_the_state(build, args, keyed_plans, monkeypatch):
     # the compact key holds m = ceil(log2(distinct values)) >= 1 qubits in place of C's k;
     # with m = k the keyed path refuses and the one XOR runs on the whole state
     circuit = build(*args)
@@ -356,7 +381,7 @@ def test_the_oracle_runs_once_on_the_compact_state_or_else_on_the_state(build, a
     k = circuit.layout.width(xor.key_register)
     m = max(1, math.ceil(math.log2(len(set(xor.values.tolist())))))
     assert xor_qubit_counts(circuit, monkeypatch) == [circuit.layout.total_qubits - (k - m)]
-    assert len(keyed_calls) == (m < k)
+    assert len(keyed_plans) == (m < k)
 
 
 FALLBACK_LAYOUT = [("C", 3), ("D", 2), ("E", 2)]
@@ -394,52 +419,18 @@ FALLBACK_VALUES = [3, 0, 1, 3, 2, 0, 1, 1]
                                               roty(0.4, 3), RegisterXor("D", "E", [1, 3, 0, 2])]),
 ], ids=["key-not-uniform", "key-controls-later", "key-not-lowest", "values-fill-the-key", "key-h-twice",
         "key-h-controlled", "xor-after-k-1-hadamards", "gate-before-xor", "second-xor"])
-def test_circuits_the_keyed_path_cannot_run_take_the_gate_path(circuit, dtype, keyed_calls):
-    tracked, dense = both_ways(circuit, dtype)
-    assert tracked.tobytes() == dense.tobytes()
-    assert keyed_calls == []
+def test_circuits_the_keyed_path_cannot_run_take_the_gate_path(circuit, dtype, keyed_plans):
+    assert amplify._keyed_plan(circuit) is None
+    check_both_ways(circuit, {"E": 0}, 1, dtype)
+    assert keyed_plans == []
 
 
-def test_the_twin_of_each_refused_circuit_takes_the_keyed_path(keyed_calls):
+def test_the_twin_of_each_refused_circuit_takes_the_keyed_path(keyed_plans):
     # the refusal cases above with the defect taken out: H on each key qubit, then the XOR
     circuit = Circuit(RegisterLayout(FALLBACK_LAYOUT), [h(2), h(0), h(1), RegisterXor("C", "D", FALLBACK_VALUES),
                                                         roty(0.4, 3), roty(1.1, 5, ((3, 1),))])
-    tracked, dense = both_ways(circuit, np.complex128)
-    assert tracked.tobytes() == dense.tobytes()
-    assert len(keyed_calls) == 1
-
-
-def big_table_synthesis(variant):
-    """The 2**13-entry log-uniform table with the flag, gamma 1.6, d 4, eps 1e-3: 18 and 22 qubits."""
-    alphas = np.exp(np.random.default_rng(5).uniform(math.log(2.5e-4), 0.0, 1 << 13))
-    table = transduce.build_lambda_table(alphas, 1.6, 4, 1e-3)
-    return transduce.build_synthesis(table, transduce.make_plan(variant, 1.6, 4), enforce_zero=True)
-
-
-@pytest.mark.parametrize("variant", transduce.VARIANTS)
-def test_the_keyed_support_of_a_large_table_marks_its_non_zeros(variant):
-    # no patch: both states hold more than _SAMPLE_BLOCK amplitudes
-    circuit = big_table_synthesis(variant)
-    written = []
-    state = apply_circuit(StateVector.zero_state(circuit.layout), circuit, validate=False, from_zero=True,
-                          _written=written)
-    assert len(written) == 1
-    check_support(state, written[0], {kept_register(circuit.layout): 0})
-
-
-LARGE = [pytest.param(big_table_synthesis, (v,), id=f"table-8192-{v}") for v in transduce.VARIANTS] + [
-    pytest.param(ising_synthesis, (4, 4, "direct", z), id=f"ising-4x4-direct-{'zero' if z else 'plain'}")
-    for z in (False, True)]
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("build,args", [p for p in BUILT if p.id != "comparator"] + LARGE)
-def test_built_circuits_take_the_keyed_path_at_their_own_size(build, args, dtype, keyed_calls):
-    # no patch of _SAMPLE_BLOCK: the keyed path is chosen from the circuit alone, whatever the
-    # state's size; the 4x4 controlled U (two 1 GiB states) is left to the fixed-seed state hashes
-    tracked, dense = both_ways(build(*args), dtype)
-    assert tracked.tobytes() == dense.tobytes()
-    assert len(keyed_calls) == 1
+    check_both_ways(circuit, {"E": 0}, 1, np.complex128)
+    assert len(keyed_plans) == 1
 
 
 # polarities on qubit 3 (D_0, which the XOR writes) and qubit 6 (E_1, which a gate before writes)
@@ -453,38 +444,26 @@ LATER_CONTROLS = [(), ((3, 0),), ((3, 1),), ((3, 0), (6, 0)), ((3, 0), (6, 1)), 
 @pytest.mark.parametrize("kind,angle", [("h", 0.0), ("x", 0.0), ("ry", 4.1), ("ry", -0.6), ("z", 0.0),
                                         ("phase", 2.5), ("swap", 0.0)])
 def test_a_later_gate_runs_on_the_compact_state_with_the_dense_bytes(kind, angle, controls, width, dtype,
-                                                                     keyed_calls):
+                                                                     keyed_plans):
     # after H on C (3 qubits) and the XOR of FALLBACK_VALUES (4 distinct, m = 2), one gate of each
     # kind on E_0, which reads 0 until then (swap: with E's top qubit), its controls shifted down
     # with it; E of 3 qubits makes a state of 2**8 amplitudes, gathered inline, and E of 12 one of
-    # 2**17, above _SAMPLE_BLOCK, whose rows split among the workers
+    # 2**17, above _SAMPLE_BLOCK, whose rows split among the workers; each row (2**3 amplitudes)
+    # that holds a non-zero has the dense bytes, and the rest keep the zeroed state's +0.0, where
+    # the dense ry with cos < 0 and z write -0.0
     layout = RegisterLayout([("C", 3), ("D", 2), ("E", width)])
     top = layout.total_qubits - 1
     gate = Gate(kind, 5, angle, top if kind == "swap" else None, controls)
     circuit = Circuit(layout, [h(0), h(1), h(2), RegisterXor("C", "D", FALLBACK_VALUES),
                                roty(0.4, 6, ((3, 1),)), roty(0.9, top, ((4, 0),)), gate])
-    tracked, dense = both_ways(circuit, dtype)
-    assert len(keyed_calls) == 1
-    # each row (2**3 amplitudes: one value of D and E) that holds a non-zero has the dense bytes;
-    # the rest keep the zero state's +0.0, where the dense ry with cos < 0 and z write -0.0
-    assert np.array_equal(tracked, dense)
-    rows, dense_rows = tracked.reshape(-1, 8), dense.reshape(-1, 8)
-    held = rows.any(axis=1)
-    assert rows[held].tobytes() == dense_rows[held].tobytes()
-    assert not rows[~held].view(np.uint64).any()
-    check_support(StateVector(layout, tracked), keyed_calls[0], {"E": 0})
+    check_both_ways(circuit, {"E": 0}, 1, dtype)
+    assert len(keyed_plans) == 1
 
 
 def test_gate_qubits_lists_targets_then_controls():
     assert Gate("swap", 3, target2=1, controls=((0, 1), (5, 0))).qubits == (3, 1, 0, 5)
     assert Gate("swap", 3, target2=1, controls=((0, 1),)).targets == (3, 1)
     assert Gate("ry", 2, 0.5).qubits == (2,)
-
-
-def test_from_zero_refuses_a_state_that_is_not_zero():
-    layout = RegisterLayout([("R", 2)])
-    with pytest.raises(ValueError, match="from_zero"):
-        apply_circuit(StateVector.basis_state(layout, 1), Circuit(layout, [h(0)]), from_zero=True)
 
 
 def test_ising_u_from_zero_holds_only_prefix_sized_scratch():
@@ -494,8 +473,7 @@ def test_ising_u_from_zero_holds_only_prefix_sized_scratch():
     assert circuit.layout.total_qubits == 21
     tracemalloc.start()
     try:
-        state = StateVector.zero_state(circuit.layout)
-        apply_circuit(state, circuit, validate=False, from_zero=True)
+        state, _ = run_amplified(AmplificationSpec(circuit, {"D": 0}, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

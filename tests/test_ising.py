@@ -63,7 +63,7 @@ def test_relative_beta_scales_the_published_critical_value():
 
 # --- unequal-pair counts ----------------------------------------------------------
 
-@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
 def test_sigma_matches_the_spin_loop_oracle(rows, cols):
     lattice = IsingLattice(rows, cols, 0.5)
     sigma = lattice.sigma
@@ -79,13 +79,10 @@ def test_lattice_sigma_is_the_vectorized_scan():
     assert np.all(sigma % 2 == 0)  # periodic loops flip parity twice
 
 
-def test_lattice_sigma_is_computed_once_and_read_only(monkeypatch):
+def test_lattice_sigma_is_computed_once_and_read_only():
     lattice = IsingLattice(2, 3, 0.2)
-    calls = []
-    pairs = IsingLattice.pairs
-    monkeypatch.setattr(IsingLattice, "pairs", lambda self: calls.append(self) or pairs(self))
-    assert lattice.sigma is lattice.sigma
-    assert len(calls) == 1
+    sigma = lattice.sigma
+    assert lattice.sigma is sigma and lattice.__dict__["sigma"] is sigma
     assert lattice.sigma.dtype == np.int64
     with pytest.raises(ValueError, match="read-only"):
         lattice.sigma[0] = 1

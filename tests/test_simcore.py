@@ -15,7 +15,7 @@ from scipy import stats
 
 import oracles
 from multamp import ising, simcore, transduce
-from multamp.amplify import _amplification_factors, postselect_probability
+from multamp.amplify import AmplificationSpec, _amplification_factors, postselect_probability, run_amplified
 from multamp.simcore import (
     Circuit,
     RegisterLayout,
@@ -728,24 +728,25 @@ def test_sample_memory_stays_block_sized():
 
 
 def block_walk_outputs(circ, dtype):
-    """What each split block walk returns on a 22-qubit table state and a random 2**20 state."""
-    state = apply_circuit(StateVector.zero_state(circ.layout, dtype), circ, validate=False,
-                          from_zero=True)
+    """What each split walk returns on a 22-qubit table state and a random 2**20 state."""
+    state, u_sq = run_amplified(AmplificationSpec(circ, {"E": 0}, 0), dtype)
     u_bytes = hashlib.sha256(state.amplitudes).digest()
-    u_sq = state.mass({"E": 0})
+    amplified = run_amplified(AmplificationSpec(circ, {"E": 0}, 2), dtype)[0]
+    amplified = hashlib.sha256(amplified.amplitudes).digest()
     state.scale({"E": 0}, *_amplification_factors(u_sq, 2))
     scaled = hashlib.sha256(state.amplitudes).digest()
     counts = sample(state, 1 << 17, 7), sample(state, 1 << 17, 7, {"E": 0})
     noise = random_state(RegisterLayout([("R", 20)]), np.random.default_rng(3))
     norm = StateVector(noise.layout, noise.amplitudes.astype(dtype)).norm()
-    return u_bytes, u_sq, scaled, counts, norm
+    return u_bytes, u_sq, amplified, scaled, counts, norm
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 def test_block_walks_give_the_same_bytes_at_any_worker_count(dtype, monkeypatch):
-    # the 2**13-entry controlled table with the flag (22 qubits, 64 blocks): U, u**2, the
-    # rescale, sample with and without a predicate, and the norm, at 1, 2 and 3 workers (3
-    # splits 64 blocks unevenly), with a short switch interval to interleave the threads
+    # the 2**13-entry controlled table with the flag (22 qubits, 64 blocks): U's gathered rows,
+    # u**2, the amplified state (the compact rescale and the rows gathered again), the
+    # whole-state rescale, sample with and without a predicate, and the norm, at 1, 2 and 3
+    # workers (3 splits 64 blocks unevenly), with a short switch interval to interleave the threads
     rng = np.random.default_rng(601)
     alphas = np.exp(rng.uniform(math.log(2.5e-4), 0.0, size=1 << 13))
     table = transduce.build_lambda_table(alphas, 1.6, 4, 1e-3)

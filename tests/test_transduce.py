@@ -403,7 +403,7 @@ def test_post_selected_amplitudes_meet_the_planned_precision(case):
         for enforce_zero in (False, True):
             circuit = build_synthesis(table, make_plan(variant, gamma, d), enforce_zero)
             layout = circuit.layout
-            state = apply_circuit(StateVector.zero_state(layout), circuit, from_zero=True)
+            state = apply_circuit(StateVector.zero_state(layout), circuit)
             index = np.arange(alphas.shape[0])
             if variant == "controlled":
                 index |= table.lambdas << layout.offset("D")
