@@ -8,6 +8,7 @@ same values.  A row the compact path does not write keeps the zeroed
 state's +0.0, where the dense butterflies or the rescale may write -0.0.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -124,6 +125,25 @@ def test_built_circuits_amplify_to_the_dense_bytes(build, args, dtype, nu, keyed
     # fixed-seed state hashes
     circuit = build(*args)
     check_both_ways(circuit, {kept_register(circuit.layout): 0}, nu, dtype)
+    assert len(keyed_plans) == ("comparator" not in request.node.callspec.id)
+
+
+KEYED_BLOCK = 1 << 4  # below the 2**7 amplitudes of the smallest built state
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("build,args", BUILT)
+def test_built_circuits_give_the_dense_bytes_on_the_keyed_path(build, args, dtype, keyed_plans, monkeypatch,
+                                                               request):
+    # ``_SAMPLE_BLOCK`` at KEYED_BLOCK: the gathers split among the workers and the masses and the
+    # rescale run in blocks smaller than a row of C; nu is the least at which the rest's factor
+    # cos(k t)/cos(t) is negative, so the dense rescale writes -0.0 on each zero it multiplies
+    monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", KEYED_BLOCK)
+    circuit = build(*args)
+    target = {kept_register(circuit.layout): 0}
+    u_sq = postselect_probability(dense_u(circuit, dtype), target)
+    nu = next(nu for nu in itertools.count(1) if _amplification_factors(u_sq, nu)[1] < 0)
+    check_both_ways(circuit, target, nu, dtype)
     assert len(keyed_plans) == ("comparator" not in request.node.callspec.id)
 
 
