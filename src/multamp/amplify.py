@@ -19,14 +19,14 @@ C, then gates that never read or write C (the flag and the transduction
 ladder).  C's qubits are then global in Haner and Steiger's sense
 (arXiv:1704.01127): U|0> = v * sum_c |c> (x) V|lambda(c)>, v =
 (1/sqrt 2)**|C|, meets only the distinct exponents.  ``_keyed_plan`` reads
-that form off the circuit, and ``run_amplified`` then runs the oracle and
-V once per distinct exponent on a compact state, whose C holds one value
-per distinct exponent, and computes the Hadamards.  A row of the state
-(2**|C| contiguous amplitudes, one value of the other registers) is its
-compact row gathered through the oracle's inverse index; a target that
-leaves C free takes each row wholly or not at all, so the closed-form
-factors scale the compact rows, and each row that holds a non-zero is
-gathered from them once.
+that form off the circuit, and ``run_amplified`` then writes the oracle's
+output and runs V once per distinct exponent on a compact state, whose C
+holds one value per distinct exponent, computing the Hadamards.  A row of
+the state (2**|C| contiguous amplitudes, one value of the other
+registers) is its compact row gathered through the oracle's inverse
+index; a target that leaves C free takes each row wholly or not at all,
+so the closed-form factors scale the compact rows, and each row that
+holds a non-zero is gathered from them once.
 """
 
 from __future__ import annotations
@@ -113,10 +113,10 @@ def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVe
 
     When U has the paper's form (``_keyed_plan``) and the target leaves C
     free, as for every Ising synthesis and every table whose distinct
-    exponents fit in fewer qubits than C: U runs on the compact state
-    (``_compact_u``), the live rows of the target slice are gathered into
-    the zeroed state to read u**2, the compact state is scaled, and every
-    live row is gathered once more.  No other row is written: it keeps the
+    exponents fit in fewer qubits than C: U|0> is built on the compact
+    state (``_compact_u``), the live rows of the target slice are gathered
+    into the zeroed state to read u**2, the compact state is scaled, and
+    every live row is gathered once more.  No other row is written: it keeps the
     zeroed state's +0.0.  u**2 is the float the dense path reads, and each
     live row the bytes the dense U and rescale write.  Any other U, or a
     target that fixes a qubit of C, runs dense on the whole state.
@@ -182,13 +182,14 @@ def _compact_u(layout: RegisterLayout, op: RegisterXor, later: list, values: np.
     """U|0> on the compact state: ``layout`` with C narrowed to m qubits, one key value per distinct
     XOR value (``_keyed_plan``'s output).
 
-    Its first ``len(values)`` key entries get v = (1/sqrt 2)**k, k = |C|, as
-    k products by 1/sqrt 2 in the state's dtype: from |0> each Hadamard on C
-    writes the product of the one non-zero it reads.  A ``RegisterXor`` of
-    the distinct values, padded with 0 to 2**m, runs on it (``top`` m), then
-    every later gate through ``apply_circuit``, its qubits shifted down by
-    k - m.  Row r of the compact state, its first ``len(values)`` entries,
-    gathered through the plan's inverse index, is row r of U|0>.
+    The Hadamards on C and the oracle leave v = (1/sqrt 2)**k, k = |C|, at
+    |j>_C |values[j]> for each distinct value's place j, +0.0 elsewhere; v
+    is k products by 1/sqrt 2 in the state's dtype, as from |0> each
+    Hadamard on C writes the product of the one non-zero it reads.  v is
+    written there directly, then every later gate runs through
+    ``apply_circuit``, its qubits shifted down by k - m.  Row r of the
+    compact state, its first ``len(values)`` entries, gathered through the
+    plan's inverse index, is row r of U|0>.
     """
     k = layout.width(op.key_register)
     down = k - m
@@ -197,10 +198,7 @@ def _compact_u(layout: RegisterLayout, op: RegisterXor, later: list, values: np.
     v = compact.amplitudes.dtype.type(1)
     for _ in range(k):
         v *= _SQRT1_2
-    compact.amplitudes[:len(values)] = v
-    padded = np.zeros(1 << m, np.int64)
-    padded[:len(values)] = values
-    RegisterXor(op.key_register, op.target_register, padded).apply(compact, m)
+    compact.amplitudes[np.arange(len(values)) | values << small.offset(op.target_register)] = v
     apply_circuit(compact, Circuit(small, [
         Gate(g.kind, g.target - down, g.angle, None if g.target2 is None else g.target2 - down,
              tuple((q - down, p) for q, p in g.controls)) for g in later]), validate=False)

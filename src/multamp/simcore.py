@@ -9,8 +9,8 @@ the slice's halves in pieces of at most ``2**_PIECE_QUBITS`` amplitudes, with
 ``out=`` ufuncs into at most two piece-sized scratch arrays per gate:
 512 KiB for complex128 whatever the state size (Häner and Steiger,
 arXiv:1704.01127).  Every gate runs on the calling thread.  ``RegisterXor``
-scatters the live prefix of each block of ``2**hi`` amplitudes (``hi``: top
-of its span).  ``_blocks`` cuts the pieces, and the blocks of
+permutes each block of ``2**hi`` amplitudes (``hi``: top of its span)
+through one copy.  ``_blocks`` cuts the pieces, and the blocks of
 ``StateVector.mass``, ``StateVector.scale`` and ``sample``.  ``mass`` and
 ``sample``'s pass 1 read each block once, in one fused sum of squares
 (``_block_mass``), and sum the blocks' masses the same way, in block order.
@@ -29,9 +29,9 @@ one thread.  A forked child starts a pool of its own.
 
 ``apply_circuit`` is the dense path, the specification: every gate runs
 on its 2**(n-c) amplitudes of the whole state, every ``RegisterXor``
-through its ``apply``.  ``amplify.run_amplified`` runs the paper's U from
-|0> on a compact state instead, through ``apply_circuit``, when the
-circuit has U's form (see there).
+through its ``apply``.  ``amplify.run_amplified`` builds the paper's U|0>
+on a compact state instead when the circuit has U's form: it writes the
+oracle's output and runs only the later gates through ``apply_circuit``.
 
 Post-selection goes through one slice: ``StateVector.select`` is the
 writable view of the basis states whose registers read given values,
@@ -426,37 +426,24 @@ class RegisterXor:
         if self.values.max() >= (1 << tw):
             raise ValueError(f"XOR values do not fit in register {self.target_register!r}")
 
-    def apply(self, state: StateVector, top: int | None = None) -> StateVector:
+    def apply(self, state: StateVector) -> StateVector:
         """Permute the state in place and return it.
 
-        ``top``: the caller knows every qubit from ``top`` up reads 0, so
-        every amplitude at index >= 2**top is 0 (default: the qubit count).
-        ``amplify.run_amplified`` passes the compact key's width, having
-        written the compact state's first entries alone.
         The permutation maps each block of 2**hi amplitudes (``hi``: top of
-        the key/target span) onto itself.  In each block below 2**top the
-        live prefix, its first 2**min(top, hi), is copied out and zeroed,
-        and each copy is written to its destination, which the zeros left.
-        A prefix that is the whole block is not zeroed: the scatter writes
-        every position of it.
+        the key/target span) onto itself: each block is copied out once and
+        the copy written to its destinations.
         """
         layout = state.layout
         self.validate(layout)
         key, target = layout.qubits(self.key_register), layout.qubits(self.target_register)
         hi = max(key.stop, target.stop)
-        top = state.num_qubits if top is None else top
-        width = min(top, hi)
-        # dest[i] = i ^ (values[key of i] << target.start); key bits from ``width`` up read 0
-        k_lo, k_hi = min(key.start, width), min(key.stop, width)
-        dest = np.arange(1 << width, dtype=np.int64)
-        by_key = dest.reshape(-1, 1 << (k_hi - k_lo), 1 << k_lo)
-        by_key ^= (self.values[:1 << (k_hi - k_lo)] << target.start)[:, None]
-        moved = np.empty(1 << width, state.amplitudes.dtype)
-        for block in state.amplitudes.reshape(-1, 1 << hi)[:1 << max(top - hi, 0)]:
-            live = block[:1 << width]
-            moved[...] = live
-            if width < hi:
-                live[...] = 0
+        # dest[i] = i ^ (values[key of i] << target.start)
+        dest = np.arange(1 << hi, dtype=np.int64)
+        by_key = dest.reshape(-1, 1 << len(key), 1 << key.start)
+        by_key ^= (self.values << target.start)[:, None]
+        moved = np.empty(1 << hi, state.amplitudes.dtype)
+        for block in state.amplitudes.reshape(-1, 1 << hi):
+            moved[...] = block
             block[dest] = moved
         return state
 

@@ -43,9 +43,9 @@ def test_tracer_sees_the_sample_handler_and_its_reference(tmp_path, capsys):
 @pytest.mark.parametrize("variant", ["direct", "controlled"])
 def test_tracer_sees_every_gate_of_one_sample_run(variant, tmp_path, capsys, monkeypatch):
     # the per-gate metrics hold only if apply_circuit runs each gate through
-    # the public simcore.apply_gate and each XOR through RegisterXor.apply,
-    # on the compact state too, on which run_amplified runs every Ising U and
-    # computes the Hadamards on C instead of applying them
+    # the public simcore.apply_gate, on the compact state too, on which
+    # run_amplified runs every Ising U and writes what the Hadamards on C and
+    # the oracle leave instead of applying them
     from multamp import amplify, cli, ising
     keyed = []
     keyed_plan = amplify._keyed_plan
@@ -63,6 +63,7 @@ def test_tracer_sees_every_gate_of_one_sample_run(variant, tmp_path, capsys, mon
                                                  enforce_zero=True)
     want = Counter(map(spans.gate_class, circ.gates))
     want["h"] -= circ.layout.width("C")
+    want["register_xor"] -= 1
     assert {g: rec[0] for g, rec in tracer.gates.items()} == +want
     assert tracer.u_applications == 1
     assert tracer.ising_u[0] == 1

@@ -46,6 +46,11 @@ def both_ways(circuit, target, nu, dtype):
     return state, u_sq, want, want_u
 
 
+def takes_the_keyed_path(circuit, target):
+    """Whether ``run_amplified`` runs U on its compact state: the target leaves C free and the plan accepts U."""
+    return circuit.layout.names()[0] not in target and KEYED_PLAN(circuit) is not None
+
+
 def check_both_ways(circuit, target, nu, dtype):
     """u**2 bit for bit, the same values, the specification's bytes in each row (2**|C| amplitudes,
     C the first register) that holds a non-zero and, when U ran on its compact state, +0.0 bits
@@ -57,7 +62,7 @@ def check_both_ways(circuit, target, nu, dtype):
     rows, want_rows = state.amplitudes.reshape(-1, width), want.amplitudes.reshape(-1, width)
     held = rows.any(axis=1)
     assert rows[held].tobytes() == want_rows[held].tobytes()
-    if circuit.layout.names()[0] not in target and KEYED_PLAN(circuit) is not None:
+    if takes_the_keyed_path(circuit, target):
         assert not rows[~held].view(np.uint64).any()
     return u_sq
 
@@ -242,6 +247,11 @@ ONE_ENTRY_PHASE = Circuit(RegisterLayout([("r0", 1), ("r1", 2)]), [h(0), phase(1
 @example(case=(ONE_ENTRY_PHASE, {"r1": 0}), nu=1, dtype=np.complex64)
 def test_random_circuits_amplify_to_the_dense_values(case, nu, dtype):
     circuit, target = case
+    if takes_the_keyed_path(circuit, target):
+        # on the compact state also each row's bytes: a random layout puts the XOR's target
+        # anywhere above C, so the oracle's output lands at an offset of its own
+        check_both_ways(circuit, target, nu, dtype)
+        return
     state, u_sq, want, want_u = both_ways(circuit, target, nu, dtype)
     assert u_sq.hex() == want_u.hex()
     assert np.array_equal(state.amplitudes, want.amplitudes)
@@ -251,43 +261,6 @@ def test_random_circuits_amplify_to_the_dense_values(case, nu, dtype):
 @given(circuit=keyed_circuits())
 def test_keyed_form_circuits_take_the_keyed_path(circuit):
     assert amplify._keyed_plan(circuit) is not None
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("registers,top", [
-    ([("K", 3), ("M", 1), ("T", 2)], 3),  # key below the top, target above it: scatter
-    ([("K", 3), ("T", 2)], 1),            # key straddling the top: scatter
-    ([("M", 1), ("T", 2), ("K", 3)], 1),  # key above the top too: scatter of values[0]
-    ([("T", 2), ("K", 3)], 2),            # target below the top, key above it: scatter
-    ([("K", 2), ("T", 3)], 3),            # target straddling the top: scatter
-    ([("K", 1), ("T", 2), ("M", 2)], 4),  # span below the top: both blocks of 2**3 below 2**4
-])
-def test_keyed_xor_from_a_live_prefix(registers, top, dtype):
-    # ``apply(state, top)`` on a state that holds non-zeros only in its first 2**top amplitudes
-    layout = RegisterLayout(registers)
-    rng = np.random.default_rng(239)
-    values = rng.integers(0, 1 << layout.width("T"), size=1 << layout.width("K"))
-    amps = np.zeros(1 << layout.total_qubits, dtype)
-    amps[:1 << top] = rng.normal(size=1 << top) + 1j * rng.normal(size=1 << top)
-    op = RegisterXor("K", "T", values)
-    tracked = op.apply(StateVector(layout, amps.copy()), top)
-    dense = op.apply(StateVector(layout, amps))
-    assert tracked.amplitudes.tobytes() == dense.amplitudes.tobytes()
-
-
-def test_a_tracked_xor_leaves_the_blocks_from_two_to_the_top_alone():
-    # span [0, 3), top 4: the blocks of 2**3 at 16 and 24 are past the live prefix
-    layout = RegisterLayout([("K", 1), ("T", 2), ("M", 2)])
-    op = RegisterXor("K", "T", [3, 1])
-    rng = np.random.default_rng(241)
-    live = rng.normal(size=16) + 1j * rng.normal(size=16)
-    sentinel = np.arange(16, 32) - 1j
-    state = StateVector(layout, np.concatenate([live, sentinel]))
-    dense = StateVector(layout, np.concatenate([live, np.zeros(16, complex)]))
-    op.apply(state, 4)
-    op.apply(dense)
-    assert state.amplitudes[:16].tobytes() == dense.amplitudes[:16].tobytes()
-    assert state.amplitudes[16:].tobytes() == sentinel.tobytes()
 
 
 SEQUENCE_LAYOUT = RegisterLayout([("C", 2), ("D", 2), ("z", 1)])
@@ -380,9 +353,9 @@ def xor_qubit_counts(circuit, monkeypatch):
     seen = []
     xor_apply = RegisterXor.apply
 
-    def recording(op, state, top=None):
+    def recording(op, state):
         seen.append(state.num_qubits)
-        return xor_apply(op, state, top)
+        return xor_apply(op, state)
 
     monkeypatch.setattr(RegisterXor, "apply", recording)
     run_amplified(AmplificationSpec(circuit, {kept_register(circuit.layout): 0}, 0))
@@ -393,15 +366,14 @@ def xor_qubit_counts(circuit, monkeypatch):
     # 7 distinct values of 8 keys, as in values-fill-the-key below: the keyed path refuses
     pytest.param(lambda: build_comparator_synthesis([0.9, 0.8, 0.27, 0.125, 0.7, 0.5, 0.0, 0.33], 3)[0], (),
                  id="values-fill-the-key")])
-def test_the_oracle_runs_once_on_the_compact_state_or_else_on_the_state(build, args, keyed_plans, monkeypatch):
-    # the compact key holds m = ceil(log2(distinct values)) >= 1 qubits in place of C's k;
-    # with m = k the keyed path refuses and the one XOR runs on the whole state
+def test_the_oracle_runs_on_the_state_only_where_the_keyed_path_refuses(build, args, keyed_plans, monkeypatch,
+                                                                       request):
+    # on the compact state the oracle's output is written, not run; where the distinct values need
+    # every qubit of C the keyed path refuses and the one XOR runs on the whole state
     circuit = build(*args)
-    xor = next(op for op in circuit if isinstance(op, RegisterXor))
-    k = circuit.layout.width(xor.key_register)
-    m = max(1, math.ceil(math.log2(len(set(xor.values.tolist())))))
-    assert xor_qubit_counts(circuit, monkeypatch) == [circuit.layout.total_qubits - (k - m)]
-    assert len(keyed_plans) == (m < k)
+    keyed = request.node.callspec.id != "values-fill-the-key"
+    assert xor_qubit_counts(circuit, monkeypatch) == ([] if keyed else [circuit.layout.total_qubits])
+    assert len(keyed_plans) == keyed
 
 
 FALLBACK_LAYOUT = [("C", 3), ("D", 2), ("E", 2)]
