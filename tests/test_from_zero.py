@@ -263,6 +263,32 @@ def test_keyed_form_circuits_take_the_keyed_path(circuit):
     assert amplify._keyed_plan(circuit) is not None
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("registers,top", [
+    ([("K", 3), ("M", 1), ("T", 2)], 3),  # key below the top, target above it
+    ([("K", 3), ("T", 2)], 1),            # key straddling the top
+    ([("M", 1), ("T", 2), ("K", 3)], 1),  # key above the top too: values[0] moves the prefix
+    ([("T", 2), ("K", 3)], 2),            # target below the top, key above it
+    ([("K", 2), ("T", 3)], 3),            # target straddling the top
+    ([("K", 1), ("T", 2), ("M", 2)], 4),  # span below the top: both blocks of 2**3 below 2**4
+])
+def test_keyed_xor_from_a_live_prefix(registers, top, dtype):
+    # ``apply(state)`` on a state that holds non-zeros only in its first 2**top amplitudes, as the
+    # Hadamards on the key leave it, moves each amplitude to i ^ (values[key of i] << target's
+    # offset) and every +0.0 with it, bit for bit
+    layout = RegisterLayout(registers)
+    rng = np.random.default_rng(239)
+    values = rng.integers(0, 1 << layout.width("T"), size=1 << layout.width("K"))
+    amps = np.zeros(1 << layout.total_qubits, dtype)
+    amps[:1 << top] = rng.normal(size=1 << top) + 1j * rng.normal(size=1 << top)
+    index = np.arange(amps.size)
+    key = (index >> layout.offset("K")) & ((1 << layout.width("K")) - 1)
+    want = np.empty_like(amps)
+    want[index ^ (values[key] << layout.offset("T"))] = amps
+    got = RegisterXor("K", "T", values).apply(StateVector(layout, amps))
+    assert got.amplitudes.tobytes() == want.tobytes()
+
+
 SEQUENCE_LAYOUT = RegisterLayout([("C", 2), ("D", 2), ("z", 1)])
 SEQUENCE_XOR = RegisterXor("C", "D", [3, 1, 1, 3])  # 2 distinct values: a compact key of 1 qubit
 
@@ -334,6 +360,24 @@ KEYED_WORK = {
 def test_built_circuits_do_the_pinned_keyed_work(build, args, total, keyed_plans, monkeypatch):
     assert sum(size for _, size in butterfly_sizes(build(*args), monkeypatch)) == total
     assert len(keyed_plans) == 1
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("build,args", [p for p in BUILT if p.id in KEYED_WORK])
+def test_the_compact_oracle_write_is_the_xor_of_its_live_prefix(build, args, dtype):
+    # the compact state before any later gate: the dense Hadamards' v on the first len(values)
+    # entries of the key, then the oracle of the distinct values (padded with 0 to 2**m) run on it
+    circuit = build(*args)
+    op, _, values, _, m = KEYED_PLAN(circuit)
+    k = circuit.layout.width(op.key_register)
+    v = dense_u(Circuit(RegisterLayout([(op.key_register, k)]), circuit.gates[:k]), dtype).amplitudes[0]
+    got = amplify._compact_u(circuit.layout, op, [], values, m, dtype)
+    want = StateVector(got.layout, np.zeros_like(got.amplitudes))
+    want.amplitudes[:len(values)] = v
+    padded = np.zeros(1 << m, np.int64)
+    padded[:len(values)] = values
+    RegisterXor(op.key_register, op.target_register, padded).apply(want)
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("build,args", [p for p in BUILT if p.id in KEYED_WORK])
