@@ -103,8 +103,13 @@ def _amplification_factors(u_sq: float, nu: int) -> tuple[float, float]:
     return math.sin(k * theta) / math.sin(theta), math.cos(k * theta) / math.cos(theta)
 
 
-def run_amplified(spec: AmplificationSpec, dtype=np.complex128) -> tuple[StateVector, float]:
+def run_amplified(spec: AmplificationSpec, dtype=np.float64) -> tuple[StateVector, float]:
     """Prepare U Q^nu |0> from scratch; returns (state, pre-amp u**2).
+
+    ``dtype``: float64 by default, as every instruction of U but ``phase``
+    is real (``apply_gate`` refuses a phase on a real state); float32 for
+    single precision.  A complex dtype runs the same instructions in
+    complex arithmetic, with an all-zero imaginary part on a real U.
 
     Applies U once, reads u**2 off U|0> (``postselect_probability``), and
     scales the target slice and the rest by their closed-form factors in

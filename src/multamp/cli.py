@@ -159,7 +159,7 @@ def _check_memory(layout, variant: str, allow_large: bool, dtype, shots: int) ->
         # kernels add cache-sized scratch only; sampling the kept slice adds
         # block-sized scratch and its outcomes, at most one per slice amplitude
         nbytes = (1 << total_qubits) * np.dtype(dtype).itemsize
-        need = f"{total_qubits} qubits need a {_gib(nbytes, 1)} amplitude buffer"
+        need = f"{total_qubits} qubits need a {_gib(nbytes, 2)} amplitude buffer"
         if shots:
             kept = layout.without([KEPT_REGISTER[variant]])
             peak = nbytes + sample_overhead(1 << kept.total_qubits, shots)
@@ -168,7 +168,7 @@ def _check_memory(layout, variant: str, allow_large: bool, dtype, shots: int) ->
 
 
 def _dtype(args):
-    return np.complex64 if args.single_precision else np.complex128
+    return np.float32 if args.single_precision else np.float64
 
 
 def _state_layout(target, variant, enforce_zero=False):
@@ -402,7 +402,7 @@ def _add_common(p, tabular=True):
 def _add_budget(p):
     p.add_argument("--allow-large", action="store_true",
                    help=f"permit states beyond {DEFAULT_QUBIT_BUDGET} qubits")
-    p.add_argument("--single-precision", action="store_true", help="complex64 amplitudes")
+    p.add_argument("--single-precision", action="store_true", help="float32 amplitudes (default float64)")
 
 
 def _add_sampling(p):

@@ -256,7 +256,7 @@ def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
                          d: int | None = None, nu: int | None = None,
                          nu_rule: str = "paper",
                          enforce_zero: bool = False,
-                         dtype=np.complex128,
+                         dtype=np.float64,
                          target: BoltzmannTarget | None = None,
                          ) -> tuple[StateVector, SynthesisDiagnostics]:
     """Prepare the Boltzmann state and report the run's numbers.
@@ -267,6 +267,8 @@ def synthesize_boltzmann(lattice: IsingLattice, variant: str = "direct",
     applied to the exact-norms u; pass nu explicitly (0 for no
     amplification) to override.  ``target``, when given, is the table
     ``boltzmann_target(lattice, d, enforce_zero)`` returned, so it is not built again.
+    ``dtype`` is the state's, ``run_amplified``'s: float64 by default, float32
+    for single precision, or a complex dtype.
     """
     circ, target, plan = build_boltzmann_synthesis(lattice, variant, d, enforce_zero, target)
     conditions = {KEPT_REGISTER[variant]: 0}

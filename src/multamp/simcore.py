@@ -1,5 +1,13 @@
 """Dense statevector simulator with named quantum registers.
 
+A state's amplitudes are real (float32, float64) or complex (complex64,
+complex128).  Every instruction but ``phase`` is real, so it runs the
+same numpy calls on either kind and, from a basis state, a real state
+holds the values of the complex state's real parts; ``apply_gate``
+refuses a phase on a real state.  The pipeline (``amplify.run_amplified``)
+runs real states; the dense specification and the baselines run
+complex128.
+
 Bit order is little endian throughout: qubit ``i`` holds bit ``i`` of the
 basis index, and a register occupying qubits ``[lo, hi)`` reads its value
 the same way.  Gates act in place on a ``(2,)*n`` view of the amplitude
@@ -7,13 +15,14 @@ buffer, so a gate with ``c`` controls touches ``2**(n-c)`` amplitudes.
 ``z`` allocates nothing.  ``x``, ``swap``, ``h``, ``ry`` and ``phase`` take
 the slice's halves in pieces of at most ``2**_PIECE_QUBITS`` amplitudes, with
 ``out=`` ufuncs into at most two piece-sized scratch arrays per gate:
-512 KiB for complex128 whatever the state size (Häner and Steiger,
-arXiv:1704.01127).  Every gate runs on the calling thread.  ``RegisterXor``
-permutes each block of ``2**hi`` amplitudes (``hi``: top of its span)
-through one copy.  ``_blocks`` cuts the pieces, and the blocks of
-``StateVector.mass``, ``StateVector.scale`` and ``sample``.  ``mass`` and
-``sample``'s pass 1 read each block once, in one fused sum of squares
-(``_block_mass``), and sum the blocks' masses the same way, in block order.
+512 KiB for complex128, 256 KiB for float64, whatever the state size
+(Häner and Steiger, arXiv:1704.01127).  Every gate runs on the calling
+thread.  ``RegisterXor`` permutes each block of ``2**hi`` amplitudes
+(``hi``: top of its span) through one copy.  ``_blocks`` cuts the pieces,
+and the blocks of ``StateVector.mass``, ``StateVector.scale`` and
+``sample``.  ``mass`` and ``sample``'s pass 1 read each block once, in one
+fused sum of squares (``_block_mass``), and sum the blocks' masses the
+same way, in block order.
 
 The blocks of ``mass`` and of ``scale``, and the rows
 ``amplify.run_amplified`` gathers from U's compact state, are walked by
@@ -44,8 +53,8 @@ per qubit the predicate fixes, by the other, in place and with no scratch.
 ``sample`` holds no state-sized array: one block's |a|^2, non-zero mask,
 positions, running sum and draws (``_SAMPLE_BLOCK`` amplitudes, fewer than
 four draws per entry) and the returned counts (``sample_overhead``).  A
-block's mass copies it only if it is complex64 or strided, to one
-contiguous complex128 block per worker.
+block's mass copies it only if it is single precision or strided, to one
+contiguous float64 (real) or complex128 (complex) block per worker.
 
 An instruction checks what depends on it alone once, when it is built;
 applying it checks only what needs the state.  A StateVector owns its
@@ -134,14 +143,17 @@ def _walk(share, count: int, size: int) -> None:
 
 
 def _block_mass(block: np.ndarray) -> float:
-    """Sum of |a|^2 over ``block``, in float64: one pass over its re and im parts.
+    """Sum of |a|^2 over ``block``, in float64: one pass over its entries (a complex
+    block's re and im parts).
 
-    A complex64 or strided block is copied to contiguous complex128 first;
+    A float32 or strided real block is copied to contiguous float64 first
+    (8 B per entry), a complex64 or strided complex one to complex128 (16 B);
     that copy is the one temporary.  ``einsum`` sums in numpy's own loop: a
     BLAS dot (``vdot``, ``dot``) may split the sum across threads, and with
     them its rounding.
     """
-    f = np.ascontiguousarray(block, dtype=np.complex128).reshape(-1).view(np.float64)
+    wide = np.complex128 if np.iscomplexobj(block) else np.float64
+    f = np.ascontiguousarray(block, dtype=wide).reshape(-1).view(np.float64)
     return float(np.einsum("i,i->", f, f))
 
 
@@ -242,13 +254,21 @@ class RegisterLayout:
 
 
 class StateVector:
-    """Dense complex amplitude vector over a register layout."""
+    """Dense amplitude vector over a register layout: real (float32, float64) or complex
+    (complex64, complex128).
+
+    A real state holds every state that h, x, z, ry, swap and ``RegisterXor``
+    prepare from a basis state, as the pipeline's U does; ``apply_gate``
+    refuses ``phase`` on it.  ``zero_state`` and ``basis_state`` default to
+    complex128, the specification's dtype.
+    """
 
     def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
         if amplitudes.ndim != 1 or amplitudes.shape[0] != (1 << layout.total_qubits):
             raise ValueError("amplitude buffer size does not match the layout")
-        if amplitudes.dtype not in (np.complex64, np.complex128):
-            raise ValueError("amplitudes must be complex64 or complex128")
+        if amplitudes.dtype not in (np.float32, np.float64, np.complex64, np.complex128):
+            raise ValueError(f"amplitudes must be float32, float64, complex64 or complex128, "
+                             f"got {amplitudes.dtype}")
         self.layout = layout
         self.amplitudes = amplitudes
 
@@ -480,7 +500,8 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True) -> StateVe
     """Apply one gate in place and return the same state.
 
     The gate's wiring was checked when it was built; a call checks its qubits
-    against the qubit count and, if ``validate``, the input mass.  The gate
+    against the qubit count, that a phase meets a complex state, and, if
+    ``validate``, the input mass, before it writes.  The gate
     runs on the slice where its controls read their polarities, 2**(n - c)
     amplitudes for c controls, whatever they hold.  Its |0> and |1> halves go
     to ``_butterfly`` in pieces of at most ``2**_PIECE_QUBITS`` amplitudes,
@@ -490,6 +511,8 @@ def apply_gate(state: StateVector, gate: Gate, validate: bool = True) -> StateVe
     kind = gate.kind
     if max(gate.qubits) >= n:
         raise ValueError(f"{gate} reaches past the {n}-qubit state")
+    if kind == "phase" and not np.iscomplexobj(state.amplitudes):
+        raise ValueError(f"{gate} needs a complex state, not {state.amplitudes.dtype}")
     if validate:
         _require_normalized(state.mass({}), state.amplitudes.dtype, "input state is not normalized")
 
@@ -673,8 +696,9 @@ def sample_overhead(size: int, shots: int) -> int:
     """Upper bound on the bytes ``sample`` holds beside a ``size``-amplitude buffer.
 
     Per block entry, the larger of the two passes.  Pass 1: one contiguous
-    complex128 copy of a block per worker (16 B each), made of a complex64
-    or strided block.  Pass 2: 64 B, the |a|^2 of the block that draws, the
+    copy of a block per worker, made of a single-precision or strided block:
+    float64 of a real block (8 B each), complex128 of a complex one (16 B,
+    the bound).  Pass 2: 64 B, the |a|^2 of the block that draws, the
     non-zero mask and positions, the packed weights, and one block's draws
     (fewer than four per entry) with their search index.  112 B per outcome
     drawn, at most min(shots, size): the returned dict's entries and ints

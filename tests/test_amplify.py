@@ -153,6 +153,23 @@ def test_ten_iterates_preserve_the_norm():
     assert abs(state.norm() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("variant", ["direct", "controlled"])
+def test_grover_iterate_on_a_float64_state_gives_its_complex_runs_real_part(variant):
+    # U, then three iterates (U^-1, both reflections, U again each), on the 2x2 lattice's synthesis
+    circ, _, _ = ising.build_boltzmann_synthesis(ising.IsingLattice(2, 2, 0.35), variant, enforce_zero=True)
+    spec = AmplificationSpec(circ, {"D" if variant == "direct" else "E": 0}, 3)
+    states = []
+    for dtype in (np.float64, np.complex128):
+        state = apply_circuit(StateVector.zero_state(circ.layout, dtype), circ)
+        for _ in range(spec.nu):
+            grover_iterate(state, spec)
+        states.append(state.amplitudes)
+    real, full = states
+    assert real.dtype == np.float64
+    assert np.array_equal(real, full.real)
+    assert not full.imag.any()
+
+
 def test_spec_validates_target_values():
     synthesis = toy_synthesis(0.3)
     with pytest.raises(ValueError):
@@ -316,7 +333,8 @@ def rescale_units(layout, target, size):
 # block, and "hi" picks whole contiguous blocks; a numpy integer value fixes its qubits too
 @pytest.mark.parametrize("target", [{"lo": 1}, {"mid": 0b001}, {"hi": 0b10},
                                     {"mid": np.int64(0b001)}, {"hi": np.int64(0b10)}])
-def test_the_blockwise_rescale_is_the_whole_buffer_formula(target, monkeypatch):
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_the_blockwise_rescale_is_the_whole_buffer_formula(target, dtype, monkeypatch):
     monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", 1 << 3)
     layout = RegisterLayout([("lo", 2), ("mid", 3), ("hi", 2)])
     angles = np.random.default_rng(107).uniform(0.3, 2.8, 6)
@@ -324,8 +342,8 @@ def test_the_blockwise_rescale_is_the_whole_buffer_formula(target, monkeypatch):
     gates.append(roty(angles[5], 6, controls=((0, 1),)))
     circ = Circuit(layout, gates)
     spec = AmplificationSpec(circ, target, 2)
-    state, u_sq = run_amplified(spec)
-    whole = StateVector.zero_state(layout)
+    state, u_sq = run_amplified(spec, dtype)
+    whole = StateVector.zero_state(layout, dtype)
     apply_circuit(whole, circ, validate=False)
     u = whole.amplitudes.copy()
     inside, outside = _amplification_factors(u_sq, spec.nu)

@@ -111,14 +111,15 @@ def test_synth_exit_codes(capsys):
         assert "beta" in err
 
 
-@pytest.mark.parametrize("flags, buffer, peak", [([], "1.0", "1.02"),
-                                                  (["--single-precision"], "0.5", "0.52"),
-                                                  (["--shots", str(1 << 30)], "1.0", "1.22")])
+@pytest.mark.parametrize("flags, buffer, peak", [([], "0.50", "0.52"),
+                                                  (["--single-precision"], "0.25", "0.27"),
+                                                  (["--shots", str(1 << 30)], "0.50", "0.72")])
 def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, monkeypatch, capsys):
     # 4x4 controlled is a 27-qubit circuit simulated on 26 qubits (no idle
-    # ancilla); sampling the E == 0 slice adds 4 MiB of block scratch and up
-    # to 112 B per outcome, of which there are at most min(shots, 2**21); the
-    # scratch grows past 4 MiB with five or more workers, so two are pinned
+    # ancilla), 8 B (float64) or 4 B (float32) each; sampling the E == 0 slice
+    # adds 4 MiB of block scratch and up to 112 B per outcome, of which there
+    # are at most min(shots, 2**21); the scratch grows past 4 MiB with five
+    # or more workers, so two are pinned
     from multamp import simcore
 
     monkeypatch.setattr(simcore, "_workers", lambda: 2)
@@ -132,7 +133,7 @@ def test_memory_refusal_of_synth_names_the_buffer_alone(capsys):
     code, _, err = run(["synth", "--rows", "4", "--cols", "4", "--beta-j", "0.1",
                         "--variant", "controlled"], capsys)
     assert code == EXIT_MEMORY
-    assert "26 qubits need a 1.0 GiB amplitude buffer; rerun with --allow-large" in err
+    assert "26 qubits need a 0.50 GiB amplitude buffer; rerun with --allow-large" in err
 
 
 def test_memory_check_sizes_the_circuit_that_runs(capsys):
@@ -141,7 +142,7 @@ def test_memory_check_sizes_the_circuit_that_runs(capsys):
     code, _, err = run(["synth", "--rows", "3", "--cols", "6", "--beta-j", "0.05",
                         "--variant", "controlled", "--enforce-zero"], capsys)
     assert code == EXIT_MEMORY
-    assert "29 qubits need a 8.0 GiB amplitude buffer" in err
+    assert "29 qubits need a 4.00 GiB amplitude buffer" in err
     code, _, err = run(["synth", "--rows", "3", "--cols", "6", "--beta-j", "0.05",
                         "--enforce-zero", "--d", "4"], capsys)
     assert code == EXIT_OVERFLOW

@@ -6,6 +6,10 @@ must give u**2 bit for bit, the same values, and the same bytes in each row
 (2**|C| amplitudes) that holds a non-zero, and random circuits u**2 and the
 same values.  A row the compact path does not write keeps the zeroed
 state's +0.0, where the dense butterflies or the rescale may write -0.0.
+
+Every built U is real, so its run in float64 (float32) is pinned to its
+run in complex128 (complex64): the complex state's real part, with an
+all-zero imaginary part.
 """
 
 import itertools
@@ -514,3 +518,40 @@ def test_ising_u_from_zero_holds_only_prefix_sized_scratch():
     finally:
         tracemalloc.stop()
     assert peak - state.amplitudes.nbytes <= 4 << 20, peak
+
+
+REAL_PAIRS = [pytest.param(np.float64, np.complex128, id="double"),
+              pytest.param(np.float32, np.complex64, id="single")]
+
+
+@pytest.mark.parametrize("nu", [0, 3])
+@pytest.mark.parametrize("real,complex_", REAL_PAIRS)
+@pytest.mark.parametrize("build,args", BUILT + LARGE)
+def test_the_real_run_is_the_complex_runs_real_part(build, args, real, complex_, nu):
+    # every built circuit but the 4x4 controlled one, whose two buffers take 1.5 GiB.  u**2 is a
+    # float64 sum of the same squares in both runs, but the complex run's has the im parts' zeros
+    # between them, so it runs in another order: each sum is within (n - 1) u S of the exact sum
+    # S of its n non-zero terms (u = eps / 2), so the two are within n eps S of each other
+    circuit = build(*args)
+    target = {kept_register(circuit.layout): 0}
+    flat, flat_u = run_amplified(AmplificationSpec(circuit, target, nu), real)
+    full, full_u = run_amplified(AmplificationSpec(circuit, target, nu), complex_)
+    assert flat.amplitudes.dtype == real and not full.amplitudes.imag.any()
+    terms = np.count_nonzero(flat.select(target))
+    assert abs(flat_u - full_u) <= terms * np.finfo(np.float64).eps * full_u
+    if nu == 0:
+        assert flat.amplitudes.tobytes() == full.amplitudes.real.tobytes()
+    else:  # the factors read u**2, so they move with it
+        rtol = 1e-12 if real == np.float64 else np.finfo(np.float32).eps
+        assert np.allclose(flat.amplitudes, full.amplitudes.real, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("real,complex_", REAL_PAIRS)
+@pytest.mark.parametrize("variant", transduce.VARIANTS)
+def test_the_real_table_states_draw_the_complex_states_counts(variant, real, complex_):
+    # the 2**13-entry table with the flag: 4 (direct) and 64 (controlled) blocks of 2**16
+    circuit = big_table_synthesis(variant)
+    spec = AmplificationSpec(circuit, {kept_register(circuit.layout): 0}, 3)
+    flat = run_amplified(spec, real)[0]
+    full = run_amplified(spec, complex_)[0]
+    assert simcore.sample(flat, 1 << 17, 23) == simcore.sample(full, 1 << 17, 23)

@@ -244,6 +244,51 @@ def test_kernels_allocate_only_cache_sized_scratch():
         assert peak <= 2 << 20, (op, peak)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+def test_state_vector_holds_the_four_float_and_complex_dtypes(dtype):
+    layout = RegisterLayout([("A", 3)])
+    state = StateVector.basis_state(layout, 5, dtype)
+    assert state.amplitudes.dtype == dtype and state.norm() == 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.clongdouble])
+def test_state_vector_refuses_any_other_dtype_by_name(dtype):
+    with pytest.raises(ValueError, match="float32, float64, complex64 or complex128"):
+        StateVector(RegisterLayout([("A", 3)]), np.zeros(8, dtype))
+
+
+@pytest.mark.parametrize("gate", [phase(0.3, 1), phase(-1.2, 0, controls=((2, 1),))])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_phase_on_a_real_state_raises_and_writes_nothing(gate, dtype):
+    rng = np.random.default_rng(241)
+    amps = rng.standard_normal(8)
+    state = StateVector(RegisterLayout([("A", 3)]), (amps / np.linalg.norm(amps)).astype(dtype))
+    before = state.amplitudes.tobytes()
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="needs a complex state"):
+            apply_gate(state, gate, validate=validate)
+        assert state.amplitudes.tobytes() == before
+
+
+@pytest.mark.parametrize("real,complex_", [(np.float64, np.complex128), (np.float32, np.complex64)])
+def test_real_instructions_on_a_real_state_give_the_complex_states_real_part(real, complex_, monkeypatch):
+    # every kind but phase, with controls, in pieces of 2**2, and an XOR: the same numpy
+    # calls on the real buffer as on the re parts of the complex one, whose im parts stay 0
+    monkeypatch.setattr(simcore, "_PIECE_QUBITS", 2)
+    rng = np.random.default_rng(251)
+    layout = RegisterLayout([("K", 3), ("T", 2), ("R", 3)])
+    n = layout.total_qubits
+    ops = [random_gate(n, rng, kinds=("h", "x", "z", "ry", "swap")) for _ in range(40)]
+    ops.insert(20, RegisterXor("K", "T", rng.integers(0, 4, size=8)))
+    amps = rng.standard_normal(1 << n)
+    amps = (amps / np.linalg.norm(amps)).astype(real)
+    flat = apply_circuit(StateVector(layout, amps.copy()), Circuit(layout, ops))
+    full = apply_circuit(StateVector(layout, amps.astype(complex_)), Circuit(layout, ops))
+    assert flat.amplitudes.dtype == real
+    assert np.array_equal(flat.amplitudes, full.amplitudes.real)
+    assert not full.amplitudes.imag.any()
+
+
 def test_register_xor_validates_value_range():
     layout = RegisterLayout([("C", 2), ("D", 2)])
     with pytest.raises(ValueError):
@@ -667,6 +712,16 @@ def test_block_mass_accumulates_complex64_in_float64():
     assert abs(simcore._block_mass(block) - want) <= 1e-13 * want
 
 
+def test_block_mass_accumulates_float32_in_float64():
+    # a real float32 block is copied to float64, 8 B per entry, and summed there
+    rng = np.random.default_rng(97)
+    block = rng.uniform(0.5, 1.0, 1 << 16).astype(np.float32)
+    want = math.fsum(block.astype(np.float64) ** 2)
+    float32_sum = float(np.cumsum((block ** 2).astype(np.float32))[-1])
+    assert abs(float32_sum - want) > 1e-6 * want  # the precision a float32 accumulator would lose
+    assert abs(simcore._block_mass(block) - want) <= 1e-13 * want
+
+
 def test_block_mass_reads_strided_and_0d_views():
     state = random_state(RegisterLayout([("q", 1), ("R", 9)]), np.random.default_rng(101))
     strided = state.select({"q": 0})  # every other amplitude
@@ -737,11 +792,12 @@ def block_walk_outputs(circ, dtype):
     scaled = hashlib.sha256(state.amplitudes).digest()
     counts = sample(state, 1 << 17, 7), sample(state, 1 << 17, 7, {"E": 0})
     noise = random_state(RegisterLayout([("R", 20)]), np.random.default_rng(3))
-    norm = StateVector(noise.layout, noise.amplitudes.astype(dtype)).norm()
+    amps = noise.amplitudes if np.dtype(dtype).kind == "c" else noise.amplitudes.real
+    norm = StateVector(noise.layout, amps.astype(dtype)).norm()
     return u_bytes, u_sq, amplified, scaled, counts, norm
 
 
-@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
 def test_block_walks_give_the_same_bytes_at_any_worker_count(dtype, monkeypatch):
     # the 2**13-entry controlled table with the flag (22 qubits, 64 blocks): U's gathered rows,
     # u**2, the amplified state (the compact rescale and the rows gathered again), the

@@ -36,8 +36,13 @@ def test_fixed_seed_outputs_run_clean_and_repeat(tmp_path, capsys):
     hashes = (tmp_path / "first" / "state_hashes.txt").read_text().splitlines()
     assert [line.split()[0] for line in hashes] == [
         "table_8192_direct", "table_8192_direct_counts", "table_8192_direct_complex64",
+        "table_8192_direct_float64", "table_8192_direct_float64_counts", "table_8192_direct_float32",
         "table_8192_controlled", "table_8192_controlled_counts", "table_8192_controlled_complex64",
-        "ising_4x4_direct", "ising_4x4_direct_complex64",
-        "ising_4x4_controlled", "ising_4x4_controlled_complex64"]
+        "table_8192_controlled_float64", "table_8192_controlled_float64_counts",
+        "table_8192_controlled_float32",
+        "ising_4x4_direct", "ising_4x4_direct_complex64", "ising_4x4_direct_float64",
+        "ising_4x4_direct_float32",
+        "ising_4x4_controlled", "ising_4x4_controlled_complex64", "ising_4x4_controlled_float64",
+        "ising_4x4_controlled_float32"]
     assert all(len(line.split()[-1]) == 64 for line in hashes)
     assert same_tree(tmp_path / "first", tmp_path / "second")

@@ -13,19 +13,21 @@ from the ``src/`` beside this directory:
 
 Each run writes its files into ``OUT/<run>/`` and its standard output to
 ``OUT/<run>/stdout.txt``, with ``OUT/<run>`` written as ``<out>`` and the
-exit code on a last line.  ``OUT/state_hashes.txt`` then holds the sha256
-of the bytes of four amplified states ``amplify.run_amplified`` returns,
-one line each, in complex128 and again in complex64: a seeded 2**13-entry
+exit code on a last line.  The runs above take the CLI's float64 states.
+``OUT/state_hashes.txt`` then holds the sha256 of the bytes of four
+amplified states ``amplify.run_amplified`` returns, one line each, in
+complex128, complex64, float64 and float32: a seeded 2**13-entry
 log-uniform table (gamma 1.6, d 4, eps 1e-3, with the exact-zero flag)
 and the 4x4 lattice at beta J = 0.35, both variants each, so the
 comparison covers what U and the rescale write, not only what is sampled
-from it, and the complex64 rounding that no run above takes.  After each
-complex128 table state comes a ``<name>_counts`` line: the sha256 of the
-sorted (index, count) pairs of ``sample(state, 2**17, 23)`` over the whole
-state (4 and 64 blocks), the call the bench's table job makes, so the
-comparison covers sampling across many blocks of a whole state.  ``diff -r``
-of two such directories then shows every output that differs between the
-checkouts.
+from it, in the complex specification's dtypes and in the real ones the
+pipeline runs, and the single-precision rounding that no run above takes.
+After each complex128 and each float64 table state comes a
+``<name>_counts`` line: the sha256 of the sorted (index, count) pairs of
+``sample(state, 2**17, 23)`` over the whole state (4 and 64 blocks), the
+call the bench's table job makes, so the comparison covers sampling across
+many blocks of a whole state.  ``diff -r`` of two such directories then
+shows every output that differs between the checkouts.
 Needs numpy and the package only.
 """
 
@@ -66,13 +68,16 @@ def runs():
     return out
 
 
-DTYPES = ((np.complex128, ""), (np.complex64, "_complex64"))  # (dtype, suffix of the state's name)
+DTYPES = ((np.complex128, ""), (np.complex64, "_complex64"),  # (dtype, suffix of the state's name)
+          (np.float64, "_float64"), (np.float32, "_float32"))
+COUNTED = ("table_8192_direct", "table_8192_controlled",  # the states sampled for a _counts line
+           "table_8192_direct_float64", "table_8192_controlled_float64")
 
 
 def amplified_states():
     """(name, nu, state) of every state ``state_hashes.txt`` covers, nu by the paper rule, in turn.
 
-    Each state is dropped before the next is made: the 4x4 controlled one is 1 GiB."""
+    Each state is dropped before the next is made: the 4x4 controlled complex128 one is 1 GiB."""
     alphas = np.exp(np.random.default_rng(23).uniform(math.log(1e-3 / 4), 0.0, 1 << 13))
     table = transduce.build_lambda_table(alphas, 1.6, 4, 1e-3)
     norms = analysis.exact_norms(table.lambdas, table.gamma, table.d)
@@ -91,11 +96,11 @@ def amplified_states():
 
 def state_hashes() -> str:
     """One line per amplified state: its name, nu and the sha256 of its amplitudes' bytes;
-    after each complex128 table state, one line with the sha256 of its sampled counts."""
+    after each complex128 and float64 table state, one line with the sha256 of its sampled counts."""
     lines = []
     for name, nu, state in amplified_states():
         lines.append(f"{name} nu={nu} {hashlib.sha256(state.amplitudes.data).hexdigest()}\n")
-        if name in ("table_8192_direct", "table_8192_controlled"):
+        if name in COUNTED:
             counts = np.array(sorted(simcore.sample(state, 1 << 17, 23).items()), dtype=np.int64)
             lines.append(f"{name}_counts shots=131072 {hashlib.sha256(counts.data).hexdigest()}\n")
         del state  # before the next state is made
