@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .simcore import (_SQRT1_2, Circuit, Gate, RegisterLayout, RegisterXor, StateVector, _walk, apply_circuit,
+from .simcore import (_SQRT1_2, Circuit, Gate, RegisterLayout, RegisterXor, StateVector, apply_circuit,
                       register_selector)
 
 NU_RULES = ("paper", "optimal")
@@ -212,14 +212,9 @@ def _compact_u(layout: RegisterLayout, op: RegisterXor, later: list, values: np.
 
 def _gather(rows: np.ndarray, crows: np.ndarray, index: np.ndarray, which: np.ndarray) -> None:
     """Write each row ``which`` marks from its compact row through ``index``: one ``np.take``
-    per row, the rows split among the workers (``simcore._walk``)."""
-    written = np.flatnonzero(which)
-
-    def share(lo, hi):
-        for r in written[lo:hi]:
-            np.take(crows[r], index, out=rows[r], mode="clip")
-
-    _walk(share, len(written), len(written) * rows.shape[1])
+    per row, in row order."""
+    for r in np.flatnonzero(which):
+        np.take(crows[r], index, out=rows[r], mode="clip")
 
 
 def select_nu(u: float, rule: str = "paper") -> int:

@@ -16,25 +16,15 @@ buffer, so a gate with ``c`` controls touches ``2**(n-c)`` amplitudes.
 the slice's halves in pieces of at most ``2**_PIECE_QUBITS`` amplitudes, with
 ``out=`` ufuncs into at most two piece-sized scratch arrays per gate:
 512 KiB for complex128, 256 KiB for float64, whatever the state size
-(Häner and Steiger, arXiv:1704.01127).  Every gate runs on the calling
-thread.  ``RegisterXor`` permutes each block of ``2**hi`` amplitudes
-(``hi``: top of its span) through one copy.  ``_blocks`` cuts the pieces,
-and the blocks of ``StateVector.mass``, ``StateVector.scale`` and
-``sample``.  ``mass`` and ``sample``'s pass 1 read each block once, in one
-fused sum of squares (``_block_mass``), and sum the blocks' masses the
-same way, in block order.
-
-The blocks of ``mass`` and of ``scale``, and the rows
-``amplify.run_amplified`` gathers from U's compact state, are walked by
-``_walk``, in contiguous shares, one per CPU the process may run on
-(``os.sched_getaffinity``): the calling thread takes the first and a pool
-of threads, started by the first walk that splits, the rest; every share
-ends before its walk returns, and the pool runs nothing else.
-``sample``'s pass 2 runs on the calling thread, which draws every random
-number, in block order.  Each block runs the same numpy calls on the same
-memory at any worker count, so amplitudes, masses and counts are the same
-bytes.  A walk over at most ``_SAMPLE_BLOCK`` amplitudes runs inline, on
-one thread.  A forked child starts a pool of its own.
+(Häner and Steiger, arXiv:1704.01127).  ``RegisterXor`` permutes each
+block of ``2**hi`` amplitudes (``hi``: top of its span) through one copy.
+``_blocks`` cuts the pieces, and the blocks of ``StateVector.mass``,
+``StateVector.scale`` and ``sample``.  ``mass`` and ``sample``'s pass 1
+read each block once, in one fused sum of squares (``_block_mass``), and
+sum the blocks' masses the same way, in block order.  Every pass runs on
+the calling thread, one block after another: the gates, the masses,
+``scale``, the rows ``amplify.run_amplified`` gathers from U's compact
+state and ``sample``'s draws.  The module starts no thread.
 
 ``apply_circuit`` is the dense path, the specification: every gate runs
 on its 2**(n-c) amplitudes of the whole state, every ``RegisterXor``
@@ -46,7 +36,7 @@ Post-selection goes through one slice: ``StateVector.select`` is the
 writable view of the basis states whose registers read given values,
 indexed by ``register_selector``.  ``sample`` draws from it,
 ``StateVector.mass`` sums its weight and ``amplify.phase_flip`` negates
-it, all in place; none copies more than one block of it per worker.
+it, all in place; none copies more than one block of it.
 ``StateVector.scale`` multiplies it by one factor and the rest, one view
 per qubit the predicate fixes, by the other, in place and with no scratch.
 
@@ -54,22 +44,17 @@ per qubit the predicate fixes, by the other, in place and with no scratch.
 positions, running sum and draws (``_SAMPLE_BLOCK`` amplitudes, fewer than
 four draws per entry) and the returned counts (``sample_overhead``).  A
 block's mass copies it only if it is single precision or strided, to one
-contiguous float64 (real) or complex128 (complex) block per worker.
+contiguous float64 (real) or complex128 (complex) block.
 
 An instruction checks what depends on it alone once, when it is built;
 applying it checks only what needs the state.  A StateVector owns its
 buffer; the concurrency contract is one writer per state, and callers must
-not alias buffers across states.  The worker threads a call splits its
-walk over write only that call's state, and the call returns once they end.
+not alias buffers across states.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from itertools import compress, product
 from typing import Iterable, Mapping
@@ -90,67 +75,15 @@ def _blocks(a: np.ndarray, size: int):
     return [a[i] for i in product((0, 1), repeat=a.ndim - size.bit_length() + 1)]
 
 
-def _workers() -> int:
-    """The CPUs this process may run on: the shares a walk of many blocks is split into."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-_pool = None  # the threads beyond the caller's, started by the first walk that splits
-_pool_lock = threading.Lock()
-
-
-def _reset_pool() -> None:
-    """Forget the pool: a forked child holds none of its threads, so it starts its own."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool)
-
-
-def _walk(share, count: int, size: int) -> None:
-    """Call ``share(lo, hi)`` on contiguous shares ``[lo, hi)`` of ``range(count)``, one per worker.
-
-    ``count`` items (blocks, or the rows ``amplify.run_amplified`` gathers)
-    hold ``size`` amplitudes in all.  A walk over at most ``_SAMPLE_BLOCK``
-    amplitudes runs inline and starts no thread.  Else the calling thread takes the first share and the
-    pool the rest, each in the caller's ``contextvars`` (numpy's ``errstate``),
-    and the call returns once every share has ended.  ``share`` writes only
-    what its own items own, so the result is the same at any worker count.
-    A gate runs on the calling thread alone, with no walk.
-    """
-    global _pool
-    k = min(count, _workers()) if size > _SAMPLE_BLOCK else 1
-    if k <= 1:
-        share(0, count)
-        return
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _workers() - 1), thread_name_prefix="simcore")
-    bounds = [count * i // k for i in range(k + 1)]
-    jobs = [_pool.submit(contextvars.copy_context().run, share, lo, hi)
-            for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        share(bounds[0], bounds[1])
-    finally:
-        wait(jobs)  # no share outlives the call, even when the caller's raised
-    for job in jobs:
-        job.result()
-
-
 def _block_mass(block: np.ndarray) -> float:
     """Sum of |a|^2 over ``block``, in float64: one pass over its entries (a complex
     block's re and im parts).
 
     A float32 or strided real block is copied to contiguous float64 first
     (8 B per entry), a complex64 or strided complex one to complex128 (16 B);
-    that copy is the one temporary.  ``einsum`` sums in numpy's own loop: a
-    BLAS dot (``vdot``, ``dot``) may split the sum across threads, and with
-    them its rounding.
+    that copy, freed before the caller's next block, is the one temporary.
+    ``einsum`` sums in numpy's own loop: a BLAS dot (``vdot``, ``dot``) may
+    split the sum across threads, and with them its rounding.
     """
     wide = np.complex128 if np.iscomplexobj(block) else np.float64
     f = np.ascontiguousarray(block, dtype=wide).reshape(-1).view(np.float64)
@@ -301,14 +234,7 @@ class StateVector:
     def _block_masses(self, conditions: Mapping[str, int]) -> tuple:
         """The ``_SAMPLE_BLOCK``-amplitude blocks of ``select(conditions)`` and their masses."""
         blocks = _blocks(self.select(conditions), _SAMPLE_BLOCK)
-        masses = np.zeros(len(blocks))
-
-        def share(lo, hi):
-            for i in range(lo, hi):
-                masses[i] = _block_mass(blocks[i])
-
-        _walk(share, len(blocks), len(blocks) * blocks[0].size)
-        return blocks, masses
+        return blocks, np.array([_block_mass(b) for b in blocks])
 
     def scale(self, conditions: Mapping[str, int], inside: float, outside: float) -> "StateVector":
         """Multiply ``select(conditions)`` by ``inside`` and the rest by ``outside``, in place.
@@ -317,26 +243,21 @@ class StateVector:
         the amplitudes where that qubit reads the other value and the fixed
         qubits above it read theirs.  With the slice, these views are disjoint
         and cover the state.  Each is walked in blocks of at most
-        ``_SAMPLE_BLOCK`` amplitudes (``_blocks``), split among the workers
-        (``_walk``), and each block that holds a non-zero is multiplied by its
-        factor once, in place, with no scratch.  A block that holds only zeros
-        is left as it is, so pages no gate wrote stay unwritten (and a zero
-        keeps its sign).  ``amplify.run_amplified`` scales U's compact state
-        this way, or the whole state when U ran dense.
+        ``_SAMPLE_BLOCK`` amplitudes (``_blocks``), and each block that holds
+        a non-zero is multiplied by its factor once, in place, with no
+        scratch.  A block that holds only zeros is left as it is, so pages no
+        gate wrote stay unwritten (and a zero keeps its sign).
+        ``amplify.run_amplified`` scales U's compact state this way, or the
+        whole state when U ran dense.
         """
         psi = self.amplitudes.reshape((2,) * self.num_qubits)
         sel = register_selector(self.layout, conditions)
         parts = [(sel, inside)] + [(sel[:i] + (1 - v,), outside)
                                    for i, v in enumerate(sel) if not isinstance(v, slice)]
-        blocks = [(block, factor) for index, factor in parts
-                  for block in _blocks(psi[index + (Ellipsis,)], _SAMPLE_BLOCK)]
-
-        def share(lo, hi):
-            for block, factor in blocks[lo:hi]:
+        for index, factor in parts:
+            for block in _blocks(psi[index + (Ellipsis,)], _SAMPLE_BLOCK):
                 if block.any():
                     block *= factor
-
-        _walk(share, len(blocks), sum(block.size for block, _ in blocks))
         return self
 
     def copy(self) -> "StateVector":
@@ -696,9 +617,9 @@ def sample_overhead(size: int, shots: int) -> int:
     """Upper bound on the bytes ``sample`` holds beside a ``size``-amplitude buffer.
 
     Per block entry, the larger of the two passes.  Pass 1: one contiguous
-    copy of a block per worker, made of a single-precision or strided block:
-    float64 of a real block (8 B each), complex128 of a complex one (16 B,
-    the bound).  Pass 2: 64 B, the |a|^2 of the block that draws, the
+    copy of a block, made of a single-precision or strided block: float64
+    of a real block (8 B each), complex128 of a complex one (16 B).  Pass 2
+    (the bound): 64 B, the |a|^2 of the block that draws, the
     non-zero mask and positions, the packed weights, and one block's draws
     (fewer than four per entry) with their search index.  112 B per outcome
     drawn, at most min(shots, size): the returned dict's entries and ints
@@ -706,7 +627,7 @@ def sample_overhead(size: int, shots: int) -> int:
     for 2**30 shots on 2**16 amplitudes, 103 B per outcome for 2**26 shots
     on 2**18, and 0.9 MB for 4096 shots on 2**20.
     """
-    return max(64, 16 * _workers()) * min(size, _SAMPLE_BLOCK) + 112 * min(shots, size)
+    return 64 * min(size, _SAMPLE_BLOCK) + 112 * min(shots, size)
 
 
 def filter_counts(counts: Mapping[int, int], layout: RegisterLayout,

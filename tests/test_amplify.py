@@ -428,16 +428,9 @@ def rescale_peak(monkeypatch):
 
 
 def test_the_rescale_holds_one_block_beside_the_state(monkeypatch):
-    # one worker: the u**2 sum and the rescale each hold at most one block beside the state
-    monkeypatch.setattr(simcore, "_workers", lambda: 1)
+    # the u**2 sum and the rescale each hold at most one block beside the state
     held = rescale_peak(monkeypatch)
     assert held <= (1 << 20) + (64 << 10), held  # one block of complex128
-
-
-def test_the_rescale_holds_one_block_per_worker(monkeypatch):
-    # every CPU this process may use walks its share of the blocks with its own block of scratch
-    held = rescale_peak(monkeypatch)
-    assert held <= simcore._workers() * (1 << 20) + (64 << 10), held
 
 
 def test_closed_form_at_zero_iterates_and_past_the_peak():

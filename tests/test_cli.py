@@ -111,18 +111,28 @@ def test_synth_exit_codes(capsys):
         assert "beta" in err
 
 
-@pytest.mark.parametrize("flags, buffer, peak", [([], "0.50", "0.52"),
-                                                  (["--single-precision"], "0.25", "0.27"),
-                                                  (["--shots", str(1 << 30)], "0.50", "0.72")])
-def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, monkeypatch, capsys):
+SAMPLING_PEAKS = [([], "0.50", "0.52"),
+                  (["--single-precision"], "0.25", "0.27"),
+                  (["--shots", str(1 << 30)], "0.50", "0.72")]
+
+
+@pytest.mark.parametrize("flags, buffer, peak", SAMPLING_PEAKS)
+def test_memory_refusal_states_the_sampling_peak(flags, buffer, peak, capsys):
     # 4x4 controlled is a 27-qubit circuit simulated on 26 qubits (no idle
     # ancilla), 8 B (float64) or 4 B (float32) each; sampling the E == 0 slice
     # adds 4 MiB of block scratch and up to 112 B per outcome, of which there
-    # are at most min(shots, 2**21); the scratch grows past 4 MiB with five
-    # or more workers, so two are pinned
-    from multamp import simcore
+    # are at most min(shots, 2**21)
+    code, _, err = run(["sample", "--rows", "4", "--cols", "4", "--beta-j", "0.1",
+                        "--variant", "controlled", *flags], capsys)
+    assert code == EXIT_MEMORY
+    assert f"26 qubits need a {buffer} GiB amplitude buffer and peak at {peak} GiB" in err
 
-    monkeypatch.setattr(simcore, "_workers", lambda: 2)
+
+@pytest.mark.parametrize("flags, buffer, peak", SAMPLING_PEAKS)
+def test_memory_refusal_is_the_same_on_a_many_cpu_host(flags, buffer, peak, monkeypatch, capsys):
+    # the sampling peak is a bound on one block's scratch, whatever the CPUs this process may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     code, _, err = run(["sample", "--rows", "4", "--cols", "4", "--beta-j", "0.1",
                         "--variant", "controlled", *flags], capsys)
     assert code == EXIT_MEMORY

@@ -144,9 +144,9 @@ KEYED_BLOCK = 1 << 4  # below the 2**7 amplitudes of the smallest built state
 @pytest.mark.parametrize("build,args", BUILT)
 def test_built_circuits_give_the_dense_bytes_on_the_keyed_path(build, args, dtype, keyed_plans, monkeypatch,
                                                                request):
-    # ``_SAMPLE_BLOCK`` at KEYED_BLOCK: the gathers split among the workers and the masses and the
-    # rescale run in blocks smaller than a row of C; nu is the least at which the rest's factor
-    # cos(k t)/cos(t) is negative, so the dense rescale writes -0.0 on each zero it multiplies
+    # ``_SAMPLE_BLOCK`` at KEYED_BLOCK: the masses and the rescale run in blocks smaller than a row
+    # of C; nu is the least at which the rest's factor cos(k t)/cos(t) is negative, so the dense
+    # rescale writes -0.0 on each zero it multiplies
     monkeypatch.setattr(simcore, "_SAMPLE_BLOCK", KEYED_BLOCK)
     circuit = build(*args)
     target = {kept_register(circuit.layout): 0}
@@ -487,10 +487,10 @@ def test_a_later_gate_runs_on_the_compact_state_with_the_dense_bytes(kind, angle
                                                                      keyed_plans):
     # after H on C (3 qubits) and the XOR of FALLBACK_VALUES (4 distinct, m = 2), one gate of each
     # kind on E_0, which reads 0 until then (swap: with E's top qubit), its controls shifted down
-    # with it; E of 3 qubits makes a state of 2**8 amplitudes, gathered inline, and E of 12 one of
-    # 2**17, above _SAMPLE_BLOCK, whose rows split among the workers; each row (2**3 amplitudes)
-    # that holds a non-zero has the dense bytes, and the rest keep the zeroed state's +0.0, where
-    # the dense ry with cos < 0 and z write -0.0
+    # with it; E of 3 qubits makes a state of 2**8 amplitudes, one block, and E of 12 one of
+    # 2**17, above _SAMPLE_BLOCK; each row (2**3 amplitudes) that holds a non-zero has the dense
+    # bytes, and the rest keep the zeroed state's +0.0, where the dense ry with cos < 0 and z
+    # write -0.0
     layout = RegisterLayout([("C", 3), ("D", 2), ("E", width)])
     top = layout.total_qubits - 1
     gate = Gate(kind, 5, angle, top if kind == "swap" else None, controls)

@@ -1,13 +1,9 @@
 """Statevector engine vs dense-matrix oracles."""
 
 import dataclasses
-import hashlib
 import math
-import multiprocessing
-import sys
+import threading
 import tracemalloc
-import types
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +11,7 @@ from scipy import stats
 
 import oracles
 from multamp import ising, simcore, transduce
-from multamp.amplify import AmplificationSpec, _amplification_factors, postselect_probability, run_amplified
+from multamp.amplify import AmplificationSpec, postselect_probability, run_amplified
 from multamp.simcore import (
     Circuit,
     RegisterLayout,
@@ -754,17 +750,17 @@ def test_postselect_probability_is_the_total_sample_draws_by(dtype, monkeypatch)
     state = random_state(layout, np.random.default_rng(131))
     state = StateVector(layout, state.amplitudes.astype(dtype))
     block_mass = simcore._block_mass
-    masses = {}  # by the block's address: workers may take the blocks in any order
+    masses = []  # in block order
 
     def recorded(block):
-        masses[block.ctypes.data] = block_mass(block)
-        return masses[block.ctypes.data]
+        masses.append(block_mass(block))
+        return masses[-1]
 
     monkeypatch.setattr(simcore, "_block_mass", recorded)
     for conditions in ({"B": 1}, {"A": 5}, {"B": 2, "R": 17}, {}):
         masses.clear()
         sample(state, 100, 7, conditions)
-        total = np.array([masses[at] for at in sorted(masses)]).sum()  # the blocks lie in block order
+        total = np.array(masses).sum()
         assert len(masses) > 1 or conditions == {"B": 2, "R": 17}
         assert postselect_probability(state, conditions) == total, conditions
 
@@ -782,115 +778,29 @@ def test_sample_memory_stays_block_sized():
     assert peak <= simcore.sample_overhead(1 << 20, 4096)
 
 
-def block_walk_outputs(circ, dtype):
-    """What each split walk returns on a 22-qubit table state and a random 2**20 state."""
-    state, u_sq = run_amplified(AmplificationSpec(circ, {"E": 0}, 0), dtype)
-    u_bytes = hashlib.sha256(state.amplitudes).digest()
-    amplified = run_amplified(AmplificationSpec(circ, {"E": 0}, 2), dtype)[0]
-    amplified = hashlib.sha256(amplified.amplitudes).digest()
-    state.scale({"E": 0}, *_amplification_factors(u_sq, 2))
-    scaled = hashlib.sha256(state.amplitudes).digest()
-    counts = sample(state, 1 << 17, 7), sample(state, 1 << 17, 7, {"E": 0})
-    noise = random_state(RegisterLayout([("R", 20)]), np.random.default_rng(3))
-    amps = noise.amplitudes if np.dtype(dtype).kind == "c" else noise.amplitudes.real
-    norm = StateVector(noise.layout, amps.astype(dtype)).norm()
-    return u_bytes, u_sq, amplified, scaled, counts, norm
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64, np.float32])
+def test_a_rescale_overflow_raises_under_the_callers_errstate(dtype):
+    # two blocks: the overflow in the second raises as it would in the first
+    state = StateVector.basis_state(RegisterLayout([("R", 17)]), 0, dtype)
+    state.amplitudes[-1] = np.finfo(dtype).max
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        state.scale({}, 4.0, 1.0)
 
 
-@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
-def test_block_walks_give_the_same_bytes_at_any_worker_count(dtype, monkeypatch):
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64, np.float32])
+def test_the_pipeline_starts_no_thread(dtype):
     # the 2**13-entry controlled table with the flag (22 qubits, 64 blocks): U's gathered rows,
-    # u**2, the amplified state (the compact rescale and the rows gathered again), the
-    # whole-state rescale, sample with and without a predicate, and the norm, at 1, 2 and 3
-    # workers (3 splits 64 blocks unevenly), with a short switch interval to interleave the threads
+    # u**2, the rescale and sample's two passes all walk more than one block, at each precision
     rng = np.random.default_rng(601)
     alphas = np.exp(rng.uniform(math.log(2.5e-4), 0.0, size=1 << 13))
     table = transduce.build_lambda_table(alphas, 1.6, 4, 1e-3)
     circ = transduce.build_synthesis(table, transduce.make_plan("controlled", 1.6, 4), True)
     assert circ.layout.total_qubits == 22
-    monkeypatch.setattr(simcore, "_pool", None)  # a pool of this test's own, two threads
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-5)
-        outputs = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(simcore, "_workers", lambda: workers)
-            outputs.append(block_walk_outputs(circ, dtype))
-    finally:
-        sys.setswitchinterval(interval)
-        if simcore._pool is not None:
-            simcore._pool.shutdown()
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
-
-
-def test_a_worker_keeps_the_callers_errstate(monkeypatch):
-    # two blocks, the second the pool's: its overflow raises as the caller's block would
-    monkeypatch.setattr(simcore, "_workers", lambda: 2)
-    state = StateVector.basis_state(RegisterLayout([("R", 17)]), 0)
-    state.amplitudes[-1] = 1e200
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        state.scale({}, 1e200, 1.0)
-
-
-def test_a_gate_runs_on_the_calling_thread(monkeypatch):
-    # 2**18 amplitudes: eight pieces per half, more than a walk runs inline, yet no gate splits
-    monkeypatch.setattr(simcore, "_workers", lambda: 2)
-    refusing = types.SimpleNamespace(submit=lambda *args: pytest.fail("a gate submitted work to the pool"))
-    monkeypatch.setattr(simcore, "_pool", refusing)
-    state = random_state(RegisterLayout([("R", 18)]), np.random.default_rng(9))
-    for gate in (h(17), roty(0.3, 0), x(5, ((17, 1),)), phase(0.2, 3), swap(1, 2)):
-        apply_gate(state, gate, validate=False)
-
-
-class CountingPool:
-    """A real executor that counts what is submitted to it."""
-
-    def __init__(self):
-        self.pool = ThreadPoolExecutor(1, thread_name_prefix="counted")
-        self.submitted = 0
-
-    def submit(self, *args):
-        self.submitted += 1
-        return self.pool.submit(*args)
-
-
-def test_sample_hands_the_pool_its_mass_walk_alone(monkeypatch):
-    # four blocks at two workers: pass 1's mass walk sends the pool one share, and
-    # pass 2 draws every block, |a|**2 included, on the calling thread
-    monkeypatch.setattr(simcore, "_workers", lambda: 2)
-    counting = CountingPool()
-    monkeypatch.setattr(simcore, "_pool", counting)
-    state = random_state(RegisterLayout([("F", 1), ("R", 17)]), np.random.default_rng(17))
-    try:
-        for conditions in (None, {"F": 0}):  # four blocks, then two
-            before = counting.submitted
-            counts = sample(state, 1 << 17, 23, conditions)
-            assert len({key >> 16 for key in counts}) == (4 if conditions is None else 2)
-            assert counting.submitted - before == 1, conditions
-    finally:
-        counting.pool.shutdown()
-
-
-def mass_in_child(state, want):
-    if state.mass({}) != want:
-        raise SystemExit(1)
-
-
-def test_a_forked_child_starts_its_own_pool(monkeypatch):
-    # the child holds none of the parent's pool threads: work sent to that pool would never run
-    monkeypatch.setattr(simcore, "_workers", lambda: 2)
-    state = random_state(RegisterLayout([("R", 18)]), np.random.default_rng(5))  # four blocks
-    want = state.mass({})
-    assert simcore._pool is not None
-    child = multiprocessing.get_context("fork").Process(target=mass_in_child, args=(state, want))
-    child.start()
-    child.join(timeout=30)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join()
-    assert not hung and child.exitcode == 0, child.exitcode
+    threads = threading.active_count()
+    state = run_amplified(AmplificationSpec(circ, {"E": 0}, 2), dtype)[0]
+    sample(state, 1 << 17, 7)
+    sample(state, 1 << 17, 7, {"E": 0})
+    assert threading.active_count() == threads, threading.enumerate()
 
 
 def test_nan_states_are_not_normalized():
